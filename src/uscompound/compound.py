@@ -7,13 +7,15 @@ structural-confidence agreement) with an intensity-confidence weighted
 average, then enhances detected anatomic boundaries while reconstructing.
 
 All methods operate on views already warped into the common frame, using
-their validity masks; pixels observed by no view are set to 0.
+their validity masks; pixels observed by no view are set to 0.  They never
+modify the caller's views.  The per-layer helpers take the views of one
+pyramid layer as a (V, h, w) array, or as a sequence of V (h, w) arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -132,17 +134,17 @@ _NEIGHBOR_OFFSETS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)
 
 
 def _local_contrast(layer: np.ndarray) -> np.ndarray:
-    """Sum of |neighbor - center| over the 8-neighborhood; neighbors falling
-    outside the border are skipped."""
+    """Sum of |neighbor - center| over the 8-neighborhood of the last two
+    axes; neighbors falling outside the border are skipped."""
     a = np.asarray(layer, dtype=np.float64)
-    h, w = a.shape
+    h, w = a.shape[-2:]
     out = np.zeros_like(a)
     for di, dj in _NEIGHBOR_OFFSETS:
         cs = slice(max(0, -di), h - max(0, di))
         cj = slice(max(0, -dj), w - max(0, dj))
         ns = slice(max(0, di), h - max(0, -di))
         nj = slice(max(0, dj), w - max(0, -dj))
-        out[cs, cj] += np.abs(a[ns, nj] - a[cs, cj])
+        out[..., cs, cj] += np.abs(a[..., ns, nj] - a[..., cs, cj])
     return out
 
 
@@ -156,14 +158,14 @@ def select_view_layer(image_layers: Sequence[np.ndarray],
     pick the view with the largest local contrast; otherwise pick the view
     with the largest structural confidence.  Ties go to the lowest index.
     """
-    gs = np.stack([np.asarray(g, dtype=np.float64) for g in structural_layers])
-    valid = np.stack([np.asarray(v, dtype=bool) for v in validity_layers])
+    gs = np.asarray(structural_layers, dtype=np.float64)
+    valid = np.asarray(validity_layers, dtype=bool)
     gs_masked_max = np.where(valid, gs, -np.inf).max(axis=0)
     gs_masked_min = np.where(valid, gs, np.inf).min(axis=0)
     any_valid = valid.any(axis=0)
     agree = np.where(any_valid, gs_masked_max - gs_masked_min < gamma, True)
 
-    contrast = np.stack([_local_contrast(g) for g in image_layers])
+    contrast = _local_contrast(image_layers)
     by_contrast = np.where(valid, contrast, -np.inf).argmax(axis=0)
     by_confidence = np.where(valid, gs, -np.inf).argmax(axis=0)
     return np.where(agree, by_contrast, by_confidence)
@@ -173,10 +175,9 @@ def weighted_average_layer(laplacian_layers: Sequence[np.ndarray],
                            intensity_layers: Sequence[np.ndarray],
                            validity_layers: Sequence[np.ndarray]) -> np.ndarray:
     """Intensity-confidence weighted average of one Laplacian layer."""
-    lap = np.stack([np.asarray(x, dtype=np.float64) for x in laplacian_layers])
-    gc = np.stack([np.asarray(x, dtype=np.float64) for x in intensity_layers])
-    valid = np.stack([np.asarray(v, dtype=bool) for v in validity_layers])
-    return _masked_weighted_mean(lap, gc, valid)
+    return _masked_weighted_mean(np.asarray(laplacian_layers, dtype=np.float64),
+                                 np.asarray(intensity_layers, dtype=np.float64),
+                                 np.asarray(validity_layers, dtype=bool))
 
 
 def blend_layer(selected: np.ndarray, averaged: np.ndarray,
@@ -199,10 +200,9 @@ def enhance_boundaries(partial: np.ndarray,
     reconstruction; elsewhere leave the reconstruction untouched.
     """
     part = np.asarray(partial, dtype=np.float64)
-    gb = np.stack([np.asarray(x, dtype=np.float64) for x in boundary_layers])
-    gi = np.stack([np.asarray(x, dtype=np.float64) for x in image_layers])
-    valid = np.stack([np.asarray(v, dtype=bool) for v in validity_layers])
-    gb = np.where(valid, gb, 0.0)
+    gi = np.asarray(image_layers, dtype=np.float64)
+    valid = np.asarray(validity_layers, dtype=bool)
+    gb = np.where(valid, np.asarray(boundary_layers, dtype=np.float64), 0.0)
     den = gb.sum(axis=0)
     num = (gb * gi).sum(axis=0)
     weighted = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
@@ -210,14 +210,16 @@ def enhance_boundaries(partial: np.ndarray,
 
 
 def _fill_maps(view: WarpedView) -> WarpedView:
-    """Default any missing per-view maps (documented fallbacks)."""
+    """A copy of `view` with any missing maps defaulted (documented
+    fallbacks); `view` itself is left unchanged."""
+    filled = {}
     if view.intensity_confidence is None:
-        view.intensity_confidence = attenuation_intensity_confidence(view.image).data
+        filled["intensity_confidence"] = attenuation_intensity_confidence(view.image).data
     if view.structural_confidence is None:
-        view.structural_confidence = np.ones_like(view.image, dtype=np.float32)
+        filled["structural_confidence"] = np.ones_like(view.image, dtype=np.float32)
     if view.boundary_mask is None:
-        view.boundary_mask = detect_boundaries(view.image)
-    return view
+        filled["boundary_mask"] = detect_boundaries(view.image)
+    return replace(view, **filled)
 
 
 def compound_pyramid(views: Sequence[WarpedView],
@@ -225,7 +227,10 @@ def compound_pyramid(views: Sequence[WarpedView],
                      debug_sink: DebugSink | None = None) -> np.ndarray:
     """Confidence-gated Laplacian-pyramid compounding.
 
-    Per layer: per-pixel view selection blended with the confidence-weighted
+    Each map (image, intensity and structural confidence, boundary mask,
+    validity) gets one Gaussian pyramid over its (V, H, W) stack of views,
+    and the image's Laplacian is taken from its Gaussian pyramid.  Per
+    layer: per-pixel view selection blended with the confidence-weighted
     Laplacian average by the layer weight; boundary enhancement is applied to
     the partial reconstruction at `enhance_layer` on the way back down.
     """
@@ -234,31 +239,25 @@ def compound_pyramid(views: Sequence[WarpedView],
     k_levels = params.levels
     any_valid = valid.any(axis=0)
 
-    gi = [pyr.gaussian_pyramid(v.image, k_levels) for v in views]
-    lap = [pyr.laplacian_pyramid(v.image, k_levels) for v in views]
-    gc = [pyr.gaussian_pyramid(v.intensity_confidence, k_levels) for v in views]
-    gs = [pyr.gaussian_pyramid(v.structural_confidence, k_levels) for v in views]
-    gb = [pyr.gaussian_pyramid(v.boundary_mask.astype(np.float64), k_levels)
-          for v in views]
+    def pyramid_of(maps: list[np.ndarray]) -> list[np.ndarray]:
+        return pyr.gaussian_pyramid(np.stack(maps), k_levels)
+
+    gi = pyr.gaussian_pyramid(imgs, k_levels)
+    lap = pyr.laplacian_from_gaussian(gi)
+    gc = pyramid_of([v.intensity_confidence for v in views])
+    gs = pyramid_of([v.structural_confidence for v in views])
+    gb = pyramid_of([v.boundary_mask for v in views])
     # A coarse pixel counts as observed only if the blurred validity stays
     # above 0.5, so never-seen regions do not bleed through the blur.
-    gv = [[layer > 0.5 for layer in pyr.gaussian_pyramid(v.validity.astype(np.float64),
-                                                         k_levels)]
-          for v in views]
+    gv = [layer > 0.5 for layer in pyr.gaussian_pyramid(valid, k_levels)]
 
     blended: list[np.ndarray] = []
     for k in range(1, k_levels + 1):
         i = k - 1
-        img_layers = [p[i] for p in gi]
-        lap_layers = [p[i] for p in lap]
-        valid_layers = [p[i] for p in gv]
-        selection = select_view_layer(img_layers, [p[i] for p in gs],
-                                      valid_layers, params.gamma)
-        stacked = np.stack(lap_layers)
-        selected = np.take_along_axis(stacked, selection[None], axis=0)[0]
-        selected = np.where(np.stack(valid_layers).any(axis=0), selected, 0.0)
-        averaged = weighted_average_layer(lap_layers, [p[i] for p in gc],
-                                          valid_layers)
+        selection = select_view_layer(gi[i], gs[i], gv[i], params.gamma)
+        selected = np.take_along_axis(lap[i], selection[None], axis=0)[0]
+        selected = np.where(gv[i].any(axis=0), selected, 0.0)
+        averaged = weighted_average_layer(lap[i], gc[i], gv[i])
         blended.append(blend_layer(selected, averaged, k, k_levels,
                                    params.phi_overrides))
         if debug_sink is not None:
@@ -269,8 +268,7 @@ def compound_pyramid(views: Sequence[WarpedView],
         i = k - 1
         if debug_sink is not None:
             debug_sink(f"partial_layer{k}_pre_enhance", partial)
-        out = enhance_boundaries(partial, [p[i] for p in gb],
-                                 [p[i] for p in gi], [p[i] for p in gv])
+        out = enhance_boundaries(partial, gb[i], gi[i], gv[i])
         if debug_sink is not None:
             debug_sink(f"partial_layer{k}_post_enhance", out)
         return out

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import json
+from dataclasses import fields
 
 from .boundary import BoundaryParams
 from .compound import PyramidParams
@@ -17,29 +18,14 @@ from .errors import SpecError
 
 __all__ = ["DEFAULTS", "load_config", "merge_config", "Config"]
 
+# Read off the parameter dataclasses.  PyramidParams.levels is exposed as
+# pyramid.K; its other fields live under "compound".
+_PYRAMID = {f.name: f.default for f in fields(PyramidParams)}
 DEFAULTS = {
-    "pyramid": {
-        "K": 5,
-    },
-    "compound": {
-        "gamma": 0.05,
-        "enhance_layer": 3,
-        "enhancement_enabled": True,
-        "phi_overrides": None,
-    },
-    "boundary": {
-        "alpha": 15,
-        "beta": 20,
-        "min_size": 50,
-        "grad_threshold": 10.0 / 255.0,
-        "t1": 30.0,
-        "t2": 2.0,
-        "median_denoise": True,
-    },
-    "confidence": {
-        "decay": DEFAULT_DECAY,
-        "absorption": DEFAULT_ABSORPTION,
-    },
+    "pyramid": {"K": _PYRAMID.pop("levels")},
+    "compound": _PYRAMID,
+    "boundary": {f.name: f.default for f in fields(BoundaryParams)},
+    "confidence": {"decay": DEFAULT_DECAY, "absorption": DEFAULT_ABSORPTION},
 }
 
 
@@ -66,15 +52,10 @@ class Config:
         self.values = merge_config(DEFAULTS, values or {})
 
     def pyramid_params(self) -> PyramidParams:
-        c = self.values["compound"]
-        phi = c["phi_overrides"]
-        return PyramidParams(
-            levels=self.values["pyramid"]["K"],
-            gamma=c["gamma"],
-            enhance_layer=c["enhance_layer"],
-            enhancement_enabled=c["enhancement_enabled"],
-            phi_overrides=tuple(phi) if phi is not None else None,
-        )
+        c = dict(self.values["compound"])
+        if c["phi_overrides"] is not None:
+            c["phi_overrides"] = tuple(c["phi_overrides"])
+        return PyramidParams(levels=self.values["pyramid"]["K"], **c)
 
     def boundary_params(self) -> BoundaryParams:
         return BoundaryParams(**self.values["boundary"])

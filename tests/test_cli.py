@@ -3,10 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from uscompound.boundary import BoundaryParams
 from uscompound.cli import run
+from uscompound.compound import PyramidParams
+from uscompound.confidence import DEFAULT_ABSORPTION, DEFAULT_DECAY
 from uscompound.config import Config, load_config, merge_config
 from uscompound.errors import SpecError
 from uscompound.image import Image, load_image, save_image
+from uscompound.pyramid import layer_shapes
 
 
 @pytest.fixture
@@ -77,13 +81,21 @@ def test_compound_provenance_log(tmp_path, phantom_dir, capsys):
 
 
 def test_dump_intermediates(tmp_path, phantom_dir):
-    out = tmp_path / "o.pgm"
+    plain, out = tmp_path / "plain.pgm", tmp_path / "o.pgm"
     dump = tmp_path / "layers"
-    assert run(["compound", "--method", "pyramid", *_view_args(phantom_dir),
-                "--out", str(out), "--dump-intermediates", str(dump)]) == 0
-    names = {p.name for p in dump.iterdir()}
-    assert "blended_layer1.fmap" in names
-    assert "partial_layer3_pre_enhance.fmap" in names
+    args = ["compound", "--method", "pyramid", *_view_args(phantom_dir)]
+    assert run([*args, "--out", str(plain)]) == 0
+    assert run([*args, "--out", str(out), "--dump-intermediates", str(dump)]) == 0
+    shapes = layer_shapes(96, 96, 5)
+    expected = {f"{kind}_layer{k}": shapes[k - 1]
+                for kind in ("selection", "blended") for k in range(1, 6)}
+    expected.update({f"partial_layer3_{when}_enhance": shapes[2]
+                     for when in ("pre", "post")})
+    assert sorted(p.name for p in dump.iterdir()) == sorted(
+        name + ".fmap" for name in expected)
+    for name, shape in expected.items():
+        assert load_image(dump / f"{name}.fmap").data.shape == shape
+    assert out.read_bytes() == plain.read_bytes()
 
 
 def test_metrics_subcommand(tmp_path, phantom_dir, capsys):
@@ -139,6 +151,16 @@ def test_config_defaults_match_documented_constants():
     assert (b.alpha, b.beta, b.min_size, b.t1, b.t2) == (15, 20, 50, 30.0, 2.0)
     p = cfg.pyramid_params()
     assert (p.levels, p.gamma, p.enhance_layer) == (5, 0.05, 3)
+
+
+def test_config_defaults_are_the_dataclass_defaults():
+    cfg = Config()
+    assert cfg.boundary_params() == BoundaryParams()
+    assert cfg.pyramid_params() == PyramidParams()
+    assert (cfg.decay, cfg.absorption) == (DEFAULT_DECAY, DEFAULT_ABSORPTION)
+    p = Config({"pyramid": {"K": 4},
+                "compound": {"phi_overrides": [0.5] * 4}}).pyramid_params()
+    assert (p.levels, p.phi_overrides) == (4, (0.5,) * 4)
 
 
 def test_config_unknown_key_rejected():

@@ -1,14 +1,20 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from conftest import two_view_phantom
 from uscompound.compound import (PyramidParams, blend_layer, compound,
                                  compound_average, compound_maximum,
                                  compound_pyramid, compound_ubf,
-                                 enhance_boundaries, phi, select_view_layer,
-                                 weighted_average_layer, _local_contrast)
+                                 enhance_boundaries, phi, prepare_views,
+                                 select_view_layer, weighted_average_layer,
+                                 _fill_maps, _local_contrast)
 from uscompound.errors import DimensionError
-from uscompound.image import WarpedView
-from uscompound.pyramid import collapse, gaussian_pyramid, laplacian_pyramid
+from uscompound.image import ViewInput, WarpedView
+from uscompound.phantom import generate
+from uscompound.pyramid import (collapse, gaussian_pyramid, laplacian_pyramid,
+                                upsample)
 
 
 def make_view(img, valid=None, gc=None, gs=None, bm=None):
@@ -263,6 +269,99 @@ def test_phi_zero_matches_weighted_average_oracle(rng):
     out = compound_pyramid(views, params)
     oracle = weighted_laplacian_oracle(views, 5)
     assert np.abs(out - oracle).max() < 1e-5
+
+
+def per_view_pyramid_reference(views, params=PyramidParams()):
+    """List-based compound_pyramid: one 2-D pyramid per map and per view,
+    regrouped into per-layer lists of views."""
+    views = [_fill_maps(v) for v in views]
+    levels = params.levels
+    gi = [gaussian_pyramid(v.image, levels) for v in views]
+    lap = [laplacian_pyramid(v.image, levels) for v in views]
+    gc = [gaussian_pyramid(v.intensity_confidence, levels) for v in views]
+    gs = [gaussian_pyramid(v.structural_confidence, levels) for v in views]
+    gb = [gaussian_pyramid(v.boundary_mask.astype(np.float64), levels)
+          for v in views]
+    gv = [[layer > 0.5
+           for layer in gaussian_pyramid(v.validity.astype(np.float64), levels)]
+          for v in views]
+
+    blended = []
+    for k in range(1, levels + 1):
+        i = k - 1
+        lap_layers = [p[i] for p in lap]
+        valid_layers = [p[i] for p in gv]
+        selection = select_view_layer([p[i] for p in gi], [p[i] for p in gs],
+                                      valid_layers, params.gamma)
+        selected = np.take_along_axis(np.stack(lap_layers), selection[None],
+                                      axis=0)[0]
+        selected = np.where(np.stack(valid_layers).any(axis=0), selected, 0.0)
+        averaged = weighted_average_layer(lap_layers, [p[i] for p in gc],
+                                          valid_layers)
+        blended.append(blend_layer(selected, averaged, k, levels,
+                                   params.phi_overrides))
+
+    def enhance(partial, k):
+        i = k - 1
+        return enhance_boundaries(partial, [p[i] for p in gb],
+                                  [p[i] for p in gi], [p[i] for p in gv])
+
+    recon = blended[-1]
+    if params.enhancement_enabled and params.enhance_layer == levels:
+        recon = enhance(recon, levels)
+    for k in range(levels - 1, 0, -1):
+        recon = upsample(recon, blended[k - 1].shape) + blended[k - 1]
+        if params.enhancement_enabled and k == params.enhance_layer:
+            recon = enhance(recon, k)
+    any_valid = np.stack([v.validity for v in views]).any(axis=0)
+    return np.where(any_valid, np.clip(recon, 0.0, 1.0), 0.0).astype(np.float32)
+
+
+@pytest.mark.parametrize("params", [
+    PyramidParams(),
+    PyramidParams(levels=4, enhance_layer=4, gamma=0.2),
+    PyramidParams(phi_overrides=(0.3, 0.9, 0.1, 1.0, 0.5), enhance_layer=1),
+])
+def test_pyramid_matches_per_view_reference_random(rng, params):
+    shape = (45, 53)
+    yy, xx = np.mgrid[0:shape[0], 0:shape[1]]
+    views = []
+    for v in range(3):
+        # partial validity: a slanted half-plane per view plus scattered holes
+        valid = (xx + (v + 1) * yy < 60 + 15 * v) | (v == 0)
+        valid &= rng.random(shape) > 0.05
+        views.append(make_view(rng.random(shape), valid=valid,
+                               gc=rng.random(shape).astype(np.float32),
+                               gs=rng.random(shape).astype(np.float32),
+                               bm=rng.random(shape) > 0.9))
+    assert np.array_equal(compound_pyramid(views, params),
+                          per_view_pyramid_reference(views, params))
+
+
+def test_pyramid_matches_per_view_reference_phantom():
+    scene = generate(two_view_phantom(0))
+    warped = prepare_views([ViewInput(v.image, v.to_common) for v in scene.views],
+                           192, 192)
+    assert not all(v.validity.all() for v in warped)
+    assert np.array_equal(compound_pyramid(warped),
+                          per_view_pyramid_reference(warped))
+
+
+def test_compound_leaves_input_views_unchanged(rng):
+    shape = (32, 32)
+    views = [make_view(rng.random(shape), valid=rng.random(shape) > 0.2)
+             for _ in range(2)]
+    views[1].intensity_confidence = rng.random(shape).astype(np.float32)
+    before = [{f.name: getattr(v, f.name) for f in fields(v)} for v in views]
+    copies = [{k: None if a is None else a.copy() for k, a in b.items()}
+              for b in before]
+    for method in ("ubf", "pyramid"):
+        compound(views, method)
+        for v, objs, vals in zip(views, before, copies):
+            for name, obj in objs.items():
+                assert getattr(v, name) is obj, (method, name)
+                if obj is not None:
+                    assert np.array_equal(obj, vals[name]), (method, name)
 
 
 def test_pointwise_methods_flip_equivariant(rng):

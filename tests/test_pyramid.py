@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from uscompound.errors import DimensionError
-from uscompound.pyramid import (collapse, gaussian_pyramid, laplacian_pyramid,
+from uscompound.pyramid import (collapse, gaussian_pyramid,
+                                laplacian_from_gaussian, laplacian_pyramid,
                                 layer_shapes, partial_collapse, upsample)
 
 KERNEL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
@@ -53,6 +54,28 @@ def test_downsample_matches_brute_force():
 def test_too_small_image_raises():
     with pytest.raises(DimensionError):
         gaussian_pyramid(np.zeros((8, 8)), 5)
+    with pytest.raises(DimensionError):
+        gaussian_pyramid(np.zeros((3, 8, 8)), 5)
+    with pytest.raises(DimensionError):
+        gaussian_pyramid(np.zeros(64), 2)
+
+
+def test_stacked_pyramid_equals_per_plane(rng):
+    # leading axes are batch axes: a (V, H, W) stack gives, bit for bit,
+    # the 2-D result of each plane
+    stack = rng.random((3, 33, 47))
+    g = gaussian_pyramid(stack, 4)
+    lap = laplacian_from_gaussian(g)
+    for v, plane in enumerate(stack):
+        for stacked, single in zip(g, gaussian_pyramid(plane, 4)):
+            assert np.array_equal(stacked[v], single)
+        for stacked, single in zip(lap, laplacian_pyramid(plane, 4)):
+            assert np.array_equal(stacked[v], single)
+    coarse = rng.random((3, 17, 24))
+    up = upsample(coarse, (33, 47))
+    assert up.shape == (3, 33, 47)
+    for v in range(3):
+        assert np.array_equal(up[v], upsample(coarse[v], (33, 47)))
 
 
 def test_constant_laplacian_layers_zero():
