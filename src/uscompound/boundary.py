@@ -5,11 +5,19 @@ a strong reflector at regular depth intervals.  The pipeline here keeps the
 topmost boundary of each such stack and rejects the echoes beneath it:
 
   1. downward-looking gradient (max difference over the next `alpha` rows),
-  2. binarize + 8-connected clustering (with optional 3x3 median denoise),
+  2. binarize + 8-connected clustering, with an optional 3x3 median denoise.
+     Thresholding commutes with the rank: the 3x3 median exceeds T exactly
+     when at least 5 of the 9 values do, so the denoise is a 5-of-9 vote
+     on the binary map, not a float rank filter,
   3. drop small clusters and clusters that have another cluster directly
      above them within `beta` rows,
-  4. stack-based region growing seeded from the kept clusters, gated by an
-     absolute intensity threshold t1 and a step threshold t2.
+  4. region growing seeded from the kept clusters, gated by an absolute
+     intensity threshold t1 and a step threshold t2.  The step test is
+     symmetric and every grown pixel is brighter than t1, so the grown set
+     is the union of the connected components that hold a seed, in the
+     8-neighbour graph whose edges join two pixels that are both brighter
+     than t1 and differ by less than t2.  It is found with an array
+     union-find, and does not depend on any visit order.
 
 t1 and t2 are given in 8-bit units (0..255, as commonly quoted) and converted to
 the internal [0, 1] scale by /255.
@@ -21,6 +29,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import ndimage
+
+from .errors import DimensionError
 
 __all__ = [
     "BoundaryParams",
@@ -81,10 +91,11 @@ def vertical_gradient(image: np.ndarray, alpha: int = 15) -> np.ndarray:
 
 def extract_clusters(grad: np.ndarray, grad_threshold: float,
                      median_denoise: bool = True) -> ClusterSet:
-    g = np.asarray(grad, dtype=np.float64)
+    binary = np.asarray(grad, dtype=np.float64) > grad_threshold
     if median_denoise:
-        g = ndimage.median_filter(g, size=3, mode="nearest")
-    binary = g > grad_threshold
+        # median of the 3x3 window > T  <=>  at least 5 of its 9 values > T
+        votes = ndimage.correlate(binary.view(np.uint8), _EIGHT, mode="nearest")
+        binary = votes >= 5
     labels, n = ndimage.label(binary, structure=_EIGHT)
     return ClusterSet(labels, tuple(range(1, n + 1)))
 
@@ -118,33 +129,70 @@ def filter_clusters(clusters: ClusterSet, min_size: int = 50,
 
 def refine_boundaries(image: np.ndarray, clusters: ClusterSet,
                       threshold1: float = 30.0, threshold2: float = 2.0) -> np.ndarray:
-    """Stack-based region growing from the kept clusters.
+    """Region growing from the kept clusters.
 
-    Seeds are cluster pixels brighter than t1 (visited in row-major order);
-    growth steps to 8-neighbors that are brighter than t1 and within t2 of
-    the popped pixel.  Thresholds arrive in 8-bit units.
+    Seeds are cluster pixels brighter than t1; growth steps to 8-neighbours
+    that are brighter than t1 and within t2 of the pixel grown from.  The
+    step test is symmetric and every grown pixel is brighter than t1, so
+    the result is exactly the union of the connected components that hold
+    a seed, in the 8-neighbour graph whose edges join two pixels that are
+    both brighter than t1 and differ by less than t2: no visit order can
+    change it.  Thresholds arrive in 8-bit units.
+
+    Growth never leaves the 8-connected bright components that hold a seed,
+    so the work is confined to their bounding box.  There, one edge mask per
+    neighbour direction (E, S, SE, SW) feeds a union-find on a parent array:
+    each round hooks every root onto the smallest root it shares an edge
+    with, then pointer jumping flattens every tree, until no edge joins two
+    roots.
     """
     a = np.asarray(image, dtype=np.float64)
+    if a.ndim != 2 or clusters.labels.shape != a.shape:
+        raise DimensionError(f"cluster labels of shape {clusters.labels.shape} "
+                             f"do not match image of shape {a.shape}")
     t1 = threshold1 / 255.0
     t2 = threshold2 / 255.0
-    h, w = a.shape
-    marked = np.zeros((h, w), dtype=bool)
-    seed_mask = clusters.mask()
+    marked = np.zeros(a.shape, dtype=bool)
+    bright = a > t1
+    seeds = clusters.mask() & bright
+    if not seeds.any():
+        return marked
 
-    for i, j in zip(*np.nonzero(seed_mask)):
-        if marked[i, j] or a[i, j] <= t1:
-            continue
-        stack = [(i, j)]
-        marked[i, j] = True
-        while stack:
-            x, y = stack.pop()
-            v = a[x, y]
-            for ii in range(max(x - 1, 0), min(x + 2, h)):
-                for jj in range(max(y - 1, 0), min(y + 2, w)):
-                    if (not marked[ii, jj] and a[ii, jj] > t1
-                            and abs(v - a[ii, jj]) < t2):
-                        marked[ii, jj] = True
-                        stack.append((ii, jj))
+    comp, _ = ndimage.label(bright, structure=_EIGHT)
+    hit = np.zeros(comp.max() + 1, dtype=bool)
+    hit[comp[seeds]] = True
+    region = hit[comp]
+    box = ndimage.find_objects(region.view(np.uint8))[0]
+    a, region, seeds = a[box], region[box], seeds[box]
+    h, w = a.shape
+
+    # one edge mask per step E, S, SE, SW: node src[i, j] joins node dst[i, j]
+    steps = ((np.s_[:, :-1], np.s_[:, 1:]), (np.s_[:-1, :], np.s_[1:, :]),
+             (np.s_[:-1, :-1], np.s_[1:, 1:]), (np.s_[:-1, 1:], np.s_[1:, :-1]))
+    edges = [region[src] & region[dst] & (np.abs(a[src] - a[dst]) < t2)
+             for src, dst in steps]
+
+    # root[i, j] is the flat index of the root of pixel (i, j)'s tree
+    root = np.arange(h * w, dtype=np.intp).reshape(h, w)
+    while True:
+        for (src, dst), edge in zip(steps, edges):
+            edge &= root[src] != root[dst]   # an edge inside a tree stays so
+        if not any(edge.any() for edge in edges):
+            break
+        parent = root.ravel().copy()
+        for (src, dst), edge in zip(steps, edges):
+            ru, rv = root[src][edge], root[dst][edge]
+            np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+        root = parent.reshape(h, w)
+
+    grown = np.zeros(h * w, dtype=bool)
+    grown[root[seeds]] = True
+    marked[box] = grown[root]
     return marked
 
 

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from uscompound.boundary import (BoundaryParams, ClusterSet, detect_boundaries,
                                  extract_clusters, filter_clusters,
                                  refine_boundaries, vertical_gradient)
 
 from conftest import two_view_phantom
+from uscompound.errors import DimensionError
 from uscompound.phantom import generate
 
 
@@ -21,6 +23,35 @@ def brute_force_gradient(a, alpha):
                 best = max(best, abs(a[y, x] - a[y + j, x]))
             out[y, x] = best
     return out
+
+
+def brute_force_refine(image, clusters, threshold1=30.0, threshold2=2.0):
+    """Stack-based region growing, one pixel at a time.
+
+    Seeds are cluster pixels brighter than t1 (visited in row-major order);
+    growth steps to 8-neighbours that are brighter than t1 and within t2 of
+    the popped pixel.
+    """
+    a = np.asarray(image, dtype=np.float64)
+    t1 = threshold1 / 255.0
+    t2 = threshold2 / 255.0
+    h, w = a.shape
+    marked = np.zeros((h, w), dtype=bool)
+    for i, j in zip(*np.nonzero(clusters.mask())):
+        if marked[i, j] or a[i, j] <= t1:
+            continue
+        stack = [(i, j)]
+        marked[i, j] = True
+        while stack:
+            x, y = stack.pop()
+            v = a[x, y]
+            for ii in range(max(x - 1, 0), min(x + 2, h)):
+                for jj in range(max(y - 1, 0), min(y + 2, w)):
+                    if (not marked[ii, jj] and a[ii, jj] > t1
+                            and abs(v - a[ii, jj]) < t2):
+                        marked[ii, jj] = True
+                        stack.append((ii, jj))
+    return marked
 
 
 def test_gradient_constant_zero():
@@ -146,3 +177,84 @@ def test_phantom_reflector_kept_echoes_rejected_defaults():
     mask = detect_boundaries(view.image.data)
     assert mask[view.boundary_mask].mean() >= 0.9
     assert mask[view.artifact_mask].mean() <= 0.05
+
+
+def _assert_refine_matches(image, clusters, t1=30.0, t2=2.0):
+    got = refine_boundaries(image, clusters, t1, t2)
+    assert got.dtype == bool and got.shape == np.shape(image)
+    assert np.array_equal(got, brute_force_refine(image, clusters, t1, t2))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 23), (23, 1), (9, 14), (40, 31)])
+def test_refine_matches_brute_force_random(rng, dtype, shape):
+    for _ in range(15):
+        image = rng.random(shape).astype(dtype)
+        labels = rng.integers(0, 5, shape) * (rng.random(shape) < 0.3)
+        clusters = ClusterSet(labels, (1, 3))  # ids 2 and 4 are not seeds
+        _assert_refine_matches(image, clusters, rng.uniform(0, 240), 255.0)
+        _assert_refine_matches(image, clusters, 30.0, 60.0 * rng.random())
+
+
+@pytest.mark.parametrize("t1", [0.0, 30.0, 31.0])
+@pytest.mark.parametrize("t2", [0.5, 1.0, 2.0, 3.0])
+def test_refine_matches_brute_force_at_thresholds(rng, t1, t2):
+    # values on and around t1, with steps below, at and above t2
+    for shape in [(1, 17), (17, 1), (24, 24)]:
+        for dtype in (np.float32, np.float64):
+            steps = rng.integers(-2, 7, shape) * (t2 / 2)
+            image = ((t1 + steps) / 255.0).astype(dtype)
+            labels = rng.integers(0, 6, shape) * (rng.random(shape) < 0.2)
+            _assert_refine_matches(image, ClusterSet(labels, (2, 5, 9)), t1, t2)
+
+
+def test_refine_matches_brute_force_phantom_views():
+    for view in generate(two_view_phantom(seed=0)).views:
+        image = view.image.data
+        clusters = extract_clusters(vertical_gradient(image), 10 / 255)
+        _assert_refine_matches(image, clusters)
+        _assert_refine_matches(image, filter_clusters(clusters))
+
+
+def test_refine_matches_brute_force_serpentine():
+    # a one-pixel corridor snaking through 256x256: a single long chain
+    n = 256
+    image = np.zeros((n, n))
+    image[::2] = 100 / 255
+    image[1::4, -1] = 100 / 255
+    image[3::4, 0] = 100 / 255
+    labels = np.zeros((n, n), dtype=int)
+    labels[-1, 0] = 1  # the corridor's dead end in the bottom row
+    _assert_refine_matches(image, ClusterSet(labels, (1,)))
+    assert refine_boundaries(image, ClusterSet(labels, (1,))).sum() == (
+        n // 2 * n + n // 2)
+
+
+def test_refine_matches_brute_force_smooth_frame():
+    # a smooth ramp above t1 floods the whole frame from one corner
+    y, x = np.mgrid[0:128, 0:128]
+    image = (40 + 0.01 * x + 0.005 * y + 0.5 * np.sin(x / 7.0)) / 255
+    labels = np.zeros(image.shape, dtype=int)
+    labels[-1, -1] = 1
+    _assert_refine_matches(image, ClusterSet(labels, (1,)))
+    assert refine_boundaries(image, ClusterSet(labels, (1,))).all()
+
+
+@pytest.mark.parametrize("label_shape", [(4, 4), (12, 12), (8, 9), (64,)])
+def test_refine_rejects_mismatched_labels(label_shape):
+    labels = np.ones(label_shape, dtype=int)
+    with pytest.raises(DimensionError):
+        refine_boundaries(np.full((8, 8), 0.5), ClusterSet(labels, (1,)))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (2, 2), (33, 47)])
+def test_vote_matches_median_filter(rng, shape):
+    for _ in range(20):
+        grad = rng.integers(0, 4, shape) / 8.0
+        threshold = 0.25  # many values sit exactly at the threshold
+        expected = ndimage.label(
+            ndimage.median_filter(grad, size=3, mode="nearest") > threshold,
+            structure=np.ones((3, 3), dtype=int))[0]
+        clusters = extract_clusters(grad, threshold, median_denoise=True)
+        assert np.array_equal(clusters.labels, expected)
+        assert clusters.ids == tuple(range(1, expected.max() + 1))
