@@ -23,7 +23,7 @@ from .confidence import (attenuation_intensity_confidence,
 from .errors import DegenerateError, SpecError, UscompoundError
 from .image import (Image, RigidTransform2D, ViewInput, load_image, load_mask,
                     save_image, save_mask)
-from .metrics import PatchSpec, amr_avr, dice, segment_vessel
+from .metrics import PatchSpec, amr_avr, dice, extract_patch, segment_vessel
 from .phantom import PhantomSpec, generate
 
 EXIT_OK = 0
@@ -143,20 +143,18 @@ def _cmd_metrics(args) -> int:
     return EXIT_OK
 
 
-def _parse_patch(text: str):
+def _parse_patch(text: str) -> PatchSpec:
     try:
         x, y, w, h = (int(p) for p in text.split(","))
     except ValueError:
         raise SpecError(f"bad --patch {text!r} (expected x,y,w,h)") from None
-    return x, y, w, h
+    # The vessel lies in a boundary region; the label is not read here.
+    return PatchSpec(x, y, w, h, "boundary")
 
 
 def _cmd_segment(args) -> int:
     image = load_image(args.image).data
-    x, y, w, h = _parse_patch(args.patch)
-    patch = image[y:y + h, x:x + w]
-    if patch.shape != (h, w):
-        raise SpecError("patch extends outside the image")
+    patch = extract_patch(image, _parse_patch(args.patch))
     mask, ellipse = segment_vessel(patch)
     if args.out:
         save_mask(mask, args.out)

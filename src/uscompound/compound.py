@@ -22,7 +22,8 @@ import numpy as np
 
 from . import pyramid as pyr
 from .boundary import BoundaryParams, detect_boundaries
-from .confidence import attenuation_intensity_confidence
+from .confidence import (DEFAULT_ABSORPTION, DEFAULT_DECAY,
+                         attenuation_intensity_confidence)
 from .errors import DimensionError
 from .image import ViewInput, WarpedView, warp_to_common
 
@@ -264,22 +265,16 @@ def compound_pyramid(views: Sequence[WarpedView],
             debug_sink(f"selection_layer{k}", selection.astype(np.float64))
             debug_sink(f"blended_layer{k}", blended[-1])
 
-    def enhance(partial: np.ndarray, k: int) -> np.ndarray:
-        i = k - 1
+    e = params.enhance_layer
+    recon = pyr.partial_collapse(blended, e)
+    if params.enhancement_enabled:
         if debug_sink is not None:
-            debug_sink(f"partial_layer{k}_pre_enhance", partial)
-        out = enhance_boundaries(partial, gb[i], gi[i], gv[i])
+            debug_sink(f"partial_layer{e}_pre_enhance", recon)
+        recon = enhance_boundaries(recon, gb[e - 1], gi[e - 1], gv[e - 1])
         if debug_sink is not None:
-            debug_sink(f"partial_layer{k}_post_enhance", out)
-        return out
-
-    recon = blended[-1]
-    if params.enhancement_enabled and params.enhance_layer == k_levels:
-        recon = enhance(recon, k_levels)
-    for k in range(k_levels - 1, 0, -1):
-        recon = pyr.upsample(recon, blended[k - 1].shape) + blended[k - 1]
-        if params.enhancement_enabled and k == params.enhance_layer:
-            recon = enhance(recon, k)
+            debug_sink(f"partial_layer{e}_post_enhance", recon)
+    if e > 1:
+        recon = pyr.partial_collapse(blended[:e - 1] + [recon], 1)
 
     recon = np.where(any_valid, np.clip(recon, 0.0, 1.0), 0.0)
     return recon.astype(np.float32)
@@ -287,8 +282,8 @@ def compound_pyramid(views: Sequence[WarpedView],
 
 def prepare_views(views: Sequence[ViewInput], out_width: int, out_height: int,
                   *, boundary_params: BoundaryParams = BoundaryParams(),
-                  decay: float | None = None,
-                  absorption: float | None = None,
+                  decay: float = DEFAULT_DECAY,
+                  absorption: float = DEFAULT_ABSORPTION,
                   detect: bool = True) -> list[WarpedView]:
     """Warp native-frame views into the common frame, filling missing maps.
 
@@ -296,16 +291,11 @@ def prepare_views(views: Sequence[ViewInput], out_width: int, out_height: int,
     (where the beam direction is straight down) and then warped along with
     the image.
     """
-    kwargs = {}
-    if decay is not None:
-        kwargs["decay"] = decay
-    if absorption is not None:
-        kwargs["absorption"] = absorption
     prepared = []
     for v in views:
         gc = v.intensity_confidence
         if gc is None:
-            gc = attenuation_intensity_confidence(v.image, **kwargs).data
+            gc = attenuation_intensity_confidence(v.image, decay, absorption).data
         bmask = v.boundary_mask
         if bmask is None and detect:
             bmask = detect_boundaries(v.image.data, boundary_params)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, RangeError
-from .image import Image, load_image, save_image
+from .errors import DimensionError
+from .image import Image, load_image, save_image, unit_grid
 
 __all__ = [
     "ConfidenceMap",
@@ -42,14 +42,7 @@ class ConfidenceMap:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        a = np.asarray(self.data, dtype=np.float32)
-        if a.ndim != 2 or a.size == 0:
-            raise DimensionError("confidence map must be a non-empty 2-D grid")
-        if not np.all(np.isfinite(a)):
-            raise RangeError("confidence map contains non-finite values")
-        if a.min() < 0.0 or a.max() > 1.0:
-            raise RangeError("confidence values must lie in [0, 1]")
-        object.__setattr__(self, "data", a)
+        object.__setattr__(self, "data", unit_grid(self.data, "confidence map"))
 
     @property
     def width(self) -> int:

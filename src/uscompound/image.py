@@ -3,6 +3,10 @@
 Images are single-channel intensity grids with values in [0, 1], stored as
 float32 numpy arrays of shape (height, width), row-major, top row first.
 The y axis points down (the axial / depth direction of the probe).
+
+`warp_array` resamples the last two axes (rows, columns); any leading axes
+are batch axes, so a (N, H, W) stack of maps of one view is warped with one
+shared set of source positions and equals plane by plane the 2-D results.
 """
 
 from __future__ import annotations
@@ -27,6 +31,19 @@ __all__ = [
 ]
 
 
+def unit_grid(data, what: str) -> np.ndarray:
+    """`data` as a float32 array, checked to be a non-empty 2-D grid of
+    finite values in [0, 1]; `what` names it in error messages."""
+    a = np.asarray(data, dtype=np.float32)
+    if a.ndim != 2 or a.size == 0:
+        raise DimensionError(f"{what} must be a non-empty 2-D grid")
+    if not np.all(np.isfinite(a)):
+        raise RangeError(f"{what} contains non-finite values")
+    if a.min() < 0.0 or a.max() > 1.0:
+        raise RangeError(f"{what} values must lie in [0, 1]")
+    return a
+
+
 @dataclass(frozen=True)
 class Image:
     """Single-channel intensity image, values in [0, 1], float32."""
@@ -34,14 +51,7 @@ class Image:
     data: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.data, dtype=np.float32)
-        if a.ndim != 2 or a.size == 0:
-            raise DimensionError("image data must be a non-empty 2-D grid")
-        if not np.all(np.isfinite(a)):
-            raise RangeError("image contains non-finite values")
-        if a.min() < 0.0 or a.max() > 1.0:
-            raise RangeError("image values must lie in [0, 1]")
-        object.__setattr__(self, "data", a)
+        object.__setattr__(self, "data", unit_grid(self.data, "image"))
 
     @property
     def width(self) -> int:
@@ -176,13 +186,9 @@ def _read_fmap(data: bytes) -> np.ndarray:
     payload = data[nl + 1:]
     if len(payload) < 4 * width * height:
         raise FormatError("FMAP payload shorter than 4*width*height")
+    # frombuffer is read-only; load_image checks the values via Image.
     a = np.frombuffer(payload[:4 * width * height], dtype="<f4")
-    a = a.reshape(height, width)
-    if not np.all(np.isfinite(a)):
-        raise RangeError("FMAP contains non-finite values")
-    if a.min() < 0.0 or a.max() > 1.0:
-        raise RangeError("FMAP values must lie in [0, 1]")
-    return a.copy()
+    return a.reshape(height, width).copy()
 
 
 def load_image(path) -> Image:
@@ -244,53 +250,62 @@ def warp_array(data: np.ndarray, transform: RigidTransform2D,
                out_width: int, out_height: int, nearest: bool = False):
     """Inverse-map `data` (native frame) into the common frame.
 
-    Returns (warped, validity).  A common-frame pixel is valid iff its four
-    bilinear source neighbors lie inside the source grid; source coordinates
-    exactly on the far edge use the edge cell with fractional weight 1, so an
-    identity transform is fully valid.  Invalid pixels get value 0.
+    `data` is (..., H, W); leading axes are batch axes, and every (H, W)
+    plane shares one computation of source positions, validity, corner
+    indices and weights, so a stack equals plane by plane the 2-D results.
+
+    Returns (warped, validity): warped is (..., out_height, out_width),
+    float32 if bilinear, `data`'s dtype if nearest; validity is 2-D.  A
+    common-frame pixel is valid iff its four bilinear source neighbors lie
+    inside the source grid; source coordinates exactly on the far edge use
+    the edge cell with fractional weight 1, so an identity transform is
+    fully valid.  Invalid pixels get value 0.
     """
     if out_width <= 0 or out_height <= 0:
         raise DimensionError("output dimensions must be positive")
     src = np.asarray(data)
-    h, w = src.shape
+    h, w = src.shape[-2:]
     sx, sy = _source_coords(transform, out_width, out_height)
     valid = (sx >= 0.0) & (sx <= w - 1.0) & (sy >= 0.0) & (sy <= h - 1.0)
 
     if nearest:
         ix = np.clip(np.rint(sx).astype(np.intp), 0, w - 1)
         iy = np.clip(np.rint(sy).astype(np.intp), 0, h - 1)
-        out = np.where(valid, src[iy, ix], 0)
+        out = np.where(valid, src[..., iy, ix], 0)
         return out.astype(src.dtype), valid
 
     x0 = np.clip(np.floor(sx).astype(np.intp), 0, w - 2) if w > 1 else np.zeros_like(sx, np.intp)
     y0 = np.clip(np.floor(sy).astype(np.intp), 0, h - 2) if h > 1 else np.zeros_like(sy, np.intp)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    fx = sx - x0
-    fy = sy - y0
-    vals = (src[y0, x0] * (1 - fx) * (1 - fy) + src[y0, x1] * fx * (1 - fy)
-            + src[y1, x0] * (1 - fx) * fy + src[y1, x1] * fx * fy)
-    out = np.where(valid, vals, 0.0)
-    return out.astype(np.float32), valid
+    # The weights overwrite the source coordinates, which are not needed again.
+    fx = np.subtract(sx, x0, out=sx)
+    fy = np.subtract(sy, y0, out=sy)
+    out = np.zeros(src.shape[:-2] + (out_height, out_width), dtype=np.float32)
+    planes = src.reshape((-1, h, w))
+    for p, o in zip(planes, out.reshape((-1, out_height, out_width))):
+        vals = (p[y0, x0] * (1 - fx) * (1 - fy) + p[y0, x1] * fx * (1 - fy)
+                + p[y1, x0] * (1 - fx) * fy + p[y1, x1] * fx * fy)
+        np.copyto(o, vals, where=valid)
+    return out, valid
 
 
 def warp_to_common(view: ViewInput, out_width: int, out_height: int) -> WarpedView:
     """Resample a view and all its attached maps into the common frame.
 
-    Images and confidence maps are interpolated bilinearly; the boundary mask
-    uses nearest-neighbor so it stays binary.
+    The image and the confidence maps present are stacked and interpolated
+    bilinearly in one call; the boundary mask uses nearest-neighbor so it
+    stays binary.  Both calls sample the same source positions.
     """
     t = view.to_common
-    img, valid = warp_array(view.image.data, t, out_width, out_height)
-    out = WarpedView(image=np.clip(img, 0.0, 1.0), validity=valid)
-    if view.intensity_confidence is not None:
-        out.intensity_confidence, _ = warp_array(
-            view.intensity_confidence, t, out_width, out_height)
-    if view.structural_confidence is not None:
-        out.structural_confidence, _ = warp_array(
-            view.structural_confidence, t, out_width, out_height)
+    names = [n for n in ("intensity_confidence", "structural_confidence")
+             if getattr(view, n) is not None]
+    stack = np.stack([view.image.data] + [getattr(view, n) for n in names])
+    planes, valid = warp_array(stack, t, out_width, out_height)
+    out = WarpedView(np.clip(planes[0], 0.0, 1.0, out=planes[0]), valid,
+                     **dict(zip(names, planes[1:])))
     if view.boundary_mask is not None:
-        m, _ = warp_array(view.boundary_mask.astype(np.uint8), t,
-                          out_width, out_height, nearest=True)
+        m = warp_array(view.boundary_mask.astype(np.uint8), t,
+                       out_width, out_height, nearest=True)[0]
         out.boundary_mask = m.astype(bool)
     return out

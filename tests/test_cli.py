@@ -115,14 +115,20 @@ def test_metrics_subcommand(tmp_path, phantom_dir, capsys):
     assert report["boundary_avr"] >= 0
 
 
-def test_segment_subcommand(tmp_path):
-    # bright ring: segmentation succeeds
+def _ring_pgm(tmp_path):
+    """A 64x64 bright ring on a dark background, saved as PGM."""
     h = w = 64
     yy, xx = np.mgrid[0:h, 0:w]
     r = np.hypot(xx - 32, yy - 32)
     img = np.where(np.abs(r - 20) < 2, 0.9, 0.05).astype(np.float32)
     path = tmp_path / "ring.pgm"
     save_image(Image(img), path)
+    return path
+
+
+def test_segment_subcommand(tmp_path):
+    # bright ring: segmentation succeeds
+    path = _ring_pgm(tmp_path)
     assert run(["segment", "--image", str(path), "--patch", "0,0,64,64",
                 "--out", str(tmp_path / "m.pgm")]) == 0
 
@@ -131,6 +137,16 @@ def test_segment_dark_patch_exit3(tmp_path):
     path = tmp_path / "dark.pgm"
     save_image(Image(np.zeros((32, 32))), path)
     assert run(["segment", "--image", str(path), "--patch", "0,0,32,32"]) == 3
+
+
+@pytest.mark.parametrize("patch", ["-16,10,14,20", "10,-16,20,14",
+                                   "30,0,40,64", "0,0,0,64"])
+def test_segment_patch_outside_image_exit2(tmp_path, patch):
+    # Negative offsets must not wrap around to the far edge of the image.
+    path, out = _ring_pgm(tmp_path), tmp_path / "m.pgm"
+    assert run(["segment", "--image", str(path), f"--patch={patch}",
+                "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_usage_error_exit1():

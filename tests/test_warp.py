@@ -1,11 +1,20 @@
+import importlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from uscompound.compound import prepare_views
 from uscompound.errors import DimensionError
-from uscompound.image import (Image, RigidTransform2D, ViewInput, warp_array,
-                              warp_to_common)
+from uscompound.image import (Image, RigidTransform2D, ViewInput, WarpedView,
+                              warp_array, warp_to_common)
+from uscompound.phantom import generate
+
+from conftest import scene_view_inputs, two_view_phantom
+
+# The package's `compound` attribute is the function, not the module.
+compound_module = importlib.import_module("uscompound.compound")
 
 
 def brute_force_warp(src, transform, out_w, out_h):
@@ -27,6 +36,35 @@ def brute_force_warp(src, transform, out_w, out_h):
                          + src[y0 + 1, x0 + 1] * fx * fy)
             valid[y, x] = True
     return out, valid
+
+
+def per_map_warp_to_common(view, out_width, out_height):
+    """Oracle: one 2-D warp per map, each recomputing the source geometry."""
+    t = view.to_common
+    img, valid = warp_array(view.image.data, t, out_width, out_height)
+    out = WarpedView(image=np.clip(img, 0.0, 1.0), validity=valid)
+    if view.intensity_confidence is not None:
+        out.intensity_confidence, _ = warp_array(
+            view.intensity_confidence, t, out_width, out_height)
+    if view.structural_confidence is not None:
+        out.structural_confidence, _ = warp_array(
+            view.structural_confidence, t, out_width, out_height)
+    if view.boundary_mask is not None:
+        m, _ = warp_array(view.boundary_mask.astype(np.uint8), t,
+                          out_width, out_height, nearest=True)
+        out.boundary_mask = m.astype(bool)
+    return out
+
+
+def assert_same_warped(a, b):
+    for name in ("image", "validity", "intensity_confidence",
+                 "structural_confidence", "boundary_mask"):
+        x, y = getattr(a, name), getattr(b, name)
+        if x is None or y is None:
+            assert x is None and y is None, name
+            continue
+        assert x.dtype == y.dtype, name
+        assert np.array_equal(x, y), name
 
 
 def test_identity_is_identity(rng):
@@ -105,3 +143,66 @@ def test_mismatched_map_dims():
     with pytest.raises(DimensionError):
         ViewInput(Image(np.zeros((4, 4))),
                   intensity_confidence=np.zeros((3, 4), dtype=np.float32))
+
+
+WARP_TRANSFORMS = [RigidTransform2D(),
+                   RigidTransform2D(rotation=0.3, dx=1.5, dy=-0.7),
+                   RigidTransform2D(rotation=-1.1, dx=4.0, dy=2.5),
+                   RigidTransform2D(rotation=math.pi / 2, dx=6.0, dy=0.25)]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (9, 11), (33, 47)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint8])
+@pytest.mark.parametrize("nearest", [False, True])
+def test_stack_equals_per_plane_warps(rng, shape, dtype, nearest):
+    if dtype == np.uint8:
+        stack = rng.integers(0, 256, (3,) + shape).astype(dtype)
+    else:
+        stack = rng.random((3,) + shape).astype(dtype)
+    out_h, out_w = shape[0] + 2, shape[1] + 3
+    for t in WARP_TRANSFORMS:
+        out, valid = warp_array(stack, t, out_w, out_h, nearest=nearest)
+        assert out.shape == (3, out_h, out_w)
+        for plane, o in zip(stack, out):
+            exp, exp_valid = warp_array(plane, t, out_w, out_h, nearest=nearest)
+            assert o.dtype == exp.dtype
+            assert np.array_equal(o, exp)
+            assert np.array_equal(valid, exp_valid)
+
+
+def test_warp_keeps_every_leading_axis(rng):
+    stack = rng.random((2, 3, 9, 11))
+    t = WARP_TRANSFORMS[1]
+    out, _ = warp_array(stack, t, 12, 10)
+    assert out.shape == (2, 3, 10, 12)
+    assert np.array_equal(out[1, 2], warp_array(stack[1, 2], t, 12, 10)[0])
+
+
+@pytest.mark.parametrize("has_gc,has_gs,has_bm",
+                         list(itertools.product([False, True], repeat=3)))
+def test_warp_to_common_matches_per_map_oracle(rng, has_gc, has_gs, has_bm):
+    shape = (23, 31)
+    for t in WARP_TRANSFORMS:
+        view = ViewInput(
+            Image(rng.random(shape, dtype=np.float32)), t,
+            intensity_confidence=(rng.random(shape).astype(np.float32)
+                                  if has_gc else None),
+            # float64, so the stacked planes are not all float32
+            structural_confidence=rng.random(shape) if has_gs else None,
+            boundary_mask=rng.random(shape) > 0.7 if has_bm else None)
+        assert_same_warped(warp_to_common(view, 34, 27),
+                           per_map_warp_to_common(view, 34, 27))
+
+
+@pytest.mark.parametrize("oracle_maps", [False, True])
+def test_prepare_views_matches_per_map_oracle(monkeypatch, oracle_maps):
+    scene = generate(two_view_phantom(0))
+    views = (scene_view_inputs(scene) if oracle_maps else
+             [ViewInput(v.image, v.to_common) for v in scene.views])
+    warped = prepare_views(views, 192, 192)
+    monkeypatch.setattr(compound_module, "warp_to_common",
+                        per_map_warp_to_common)
+    expected = prepare_views(views, 192, 192)
+    assert not all(v.validity.all() for v in warped)
+    for a, b in zip(warped, expected):
+        assert_same_warped(a, b)
