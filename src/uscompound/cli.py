@@ -12,19 +12,20 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .boundary import detect_boundaries
 from .compound import METHODS, compound as compound_views, prepare_views
-from .config import Config, load_config
+from .config import Config, load_config, read_json
 from .confidence import (attenuation_intensity_confidence,
                          save_confidence, uniform_structural_confidence)
 from .errors import DegenerateError, SpecError, UscompoundError
 from .image import (Image, RigidTransform2D, ViewInput, load_image, load_mask,
-                    save_image, save_mask)
+                    save_image, save_mask, warp_to_common)
 from .metrics import PatchSpec, amr_avr, dice, extract_patch, segment_vessel
-from .phantom import PhantomSpec, generate
+from .phantom import PhantomSpec, SpeckleSpec, generate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -39,21 +40,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _load_transform(path) -> RigidTransform2D:
-    with open(path) as f:
-        try:
-            return RigidTransform2D.from_dict(json.load(f))
-        except json.JSONDecodeError as e:
-            raise SpecError(f"{path}: invalid JSON ({e})") from None
-
-
 def _parse_view(spec: str) -> ViewInput:
     """img.pgm:transform.json[:gc.fmap[:gs.fmap]]"""
     parts = spec.split(":")
     if not 2 <= len(parts) <= 4:
         raise SpecError(f"bad --view spec {spec!r}")
     image = load_image(parts[0])
-    transform = _load_transform(parts[1])
+    transform = RigidTransform2D.from_dict(read_json(parts[1]))
     gc = load_image(parts[2]).data if len(parts) > 2 and parts[2] else None
     gs = load_image(parts[3]).data if len(parts) > 3 and parts[3] else None
     return ViewInput(image, transform, intensity_confidence=gc,
@@ -103,10 +96,12 @@ def _cmd_compound(args) -> int:
     width = args.width or views[0].image.width
     height = args.height or views[0].image.height
     params = cfg.pyramid_params()
-    warped = prepare_views(views, width, height,
-                           boundary_params=cfg.boundary_params(),
-                           decay=cfg.decay, absorption=cfg.absorption,
-                           detect=args.method == "pyramid")
+    if args.method in ("ubf", "pyramid"):
+        warped = prepare_views(views, width, height,
+                               boundary_params=cfg.boundary_params(),
+                               decay=cfg.decay, absorption=cfg.absorption)
+    else:
+        warped = [warp_to_common(v, width, height) for v in views]
 
     sink = None
     if args.dump_intermediates:
@@ -125,8 +120,7 @@ def _cmd_compound(args) -> int:
 
 def _cmd_metrics(args) -> int:
     image = load_image(args.image).data
-    with open(args.patches) as f:
-        patch_list = json.load(f)
+    patch_list = read_json(args.patches)
     if not isinstance(patch_list, list):
         raise SpecError(f"{args.patches}: expected a JSON list of patches")
     patches = [PatchSpec.from_dict(p) for p in patch_list]
@@ -166,14 +160,11 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    with open(args.spec) as f:
-        try:
-            spec_dict = json.load(f)
-        except json.JSONDecodeError as e:
-            raise SpecError(f"{args.spec}: invalid JSON ({e})") from None
+    spec = PhantomSpec.from_dict(read_json(args.spec))
     if args.seed is not None:
-        spec_dict.setdefault("speckle", {"scale": 0.03})["seed"] = args.seed
-    scene = generate(PhantomSpec.from_dict(spec_dict))
+        spec = replace(spec, speckle=replace(spec.speckle or SpeckleSpec(),
+                                             seed=args.seed))
+    scene = generate(spec)
     os.makedirs(args.outdir, exist_ok=True)
     transforms = []
     for i, view in enumerate(scene.views):

@@ -79,6 +79,13 @@ def _stack(views: Sequence[WarpedView]):
     return imgs, valid
 
 
+def _require_maps(views: Sequence[WarpedView], *names: str) -> None:
+    """Raise ValueError naming a map in `names` that some view lacks."""
+    for name in names:
+        if any(getattr(v, name) is None for v in views):
+            raise ValueError(f"every view needs a {name} map (see prepare_views)")
+
+
 def compound_average(views: Sequence[WarpedView]) -> np.ndarray:
     """Per-pixel mean over the views that observed each pixel."""
     imgs, valid = _stack(views)
@@ -98,9 +105,7 @@ def compound_maximum(views: Sequence[WarpedView]) -> np.ndarray:
 def compound_ubf(views: Sequence[WarpedView]) -> np.ndarray:
     """Intensity-confidence weighted average (uncertainty-based fusion)."""
     imgs, valid = _stack(views)
-    for v in views:
-        if v.intensity_confidence is None:
-            raise ValueError("ubf requires an intensity confidence map per view")
+    _require_maps(views, "intensity_confidence")
     conf = np.stack([np.asarray(v.intensity_confidence, dtype=np.float64)
                      for v in views])
     return _masked_weighted_mean(imgs, conf, valid).astype(np.float32)
@@ -210,19 +215,6 @@ def enhance_boundaries(partial: np.ndarray,
     return np.where(den > 0, np.maximum(weighted, part), part)
 
 
-def _fill_maps(view: WarpedView) -> WarpedView:
-    """A copy of `view` with any missing maps defaulted (documented
-    fallbacks); `view` itself is left unchanged."""
-    filled = {}
-    if view.intensity_confidence is None:
-        filled["intensity_confidence"] = attenuation_intensity_confidence(view.image).data
-    if view.structural_confidence is None:
-        filled["structural_confidence"] = np.ones_like(view.image, dtype=np.float32)
-    if view.boundary_mask is None:
-        filled["boundary_mask"] = detect_boundaries(view.image)
-    return replace(view, **filled)
-
-
 def compound_pyramid(views: Sequence[WarpedView],
                      params: PyramidParams = PyramidParams(),
                      debug_sink: DebugSink | None = None) -> np.ndarray:
@@ -235,8 +227,9 @@ def compound_pyramid(views: Sequence[WarpedView],
     Laplacian average by the layer weight; boundary enhancement is applied to
     the partial reconstruction at `enhance_layer` on the way back down.
     """
-    views = [_fill_maps(v) for v in views]
     imgs, valid = _stack(views)
+    _require_maps(views, "intensity_confidence", "structural_confidence",
+                  "boundary_mask")
     k_levels = params.levels
     any_valid = valid.any(axis=0)
 
@@ -283,39 +276,41 @@ def compound_pyramid(views: Sequence[WarpedView],
 def prepare_views(views: Sequence[ViewInput], out_width: int, out_height: int,
                   *, boundary_params: BoundaryParams = BoundaryParams(),
                   decay: float = DEFAULT_DECAY,
-                  absorption: float = DEFAULT_ABSORPTION,
-                  detect: bool = True) -> list[WarpedView]:
+                  absorption: float = DEFAULT_ABSORPTION) -> list[WarpedView]:
     """Warp native-frame views into the common frame, filling missing maps.
 
-    Intensity confidence and boundary masks are computed in the native frame
-    (where the beam direction is straight down) and then warped along with
-    the image.
+    The one map filler.  Intensity confidence and boundary masks are computed
+    in the native frame (where the beam direction is straight down) and then
+    warped along with the image; structural confidence defaults to ones in
+    the common frame.  The caller's views are left unchanged.
     """
-    prepared = []
+    warped = []
     for v in views:
-        gc = v.intensity_confidence
-        if gc is None:
-            gc = attenuation_intensity_confidence(v.image, decay, absorption).data
-        bmask = v.boundary_mask
-        if bmask is None and detect:
-            bmask = detect_boundaries(v.image.data, boundary_params)
-        prepared.append(ViewInput(v.image, v.to_common,
-                                  intensity_confidence=gc,
-                                  structural_confidence=v.structural_confidence,
-                                  boundary_mask=bmask))
-    return [warp_to_common(v, out_width, out_height) for v in prepared]
+        if v.intensity_confidence is None:
+            v = replace(v, intensity_confidence=attenuation_intensity_confidence(
+                v.image, decay, absorption).data)
+        if v.boundary_mask is None:
+            v = replace(v, boundary_mask=detect_boundaries(v.image.data,
+                                                           boundary_params))
+        w = warp_to_common(v, out_width, out_height)
+        if w.structural_confidence is None:
+            w.structural_confidence = np.ones_like(w.image, dtype=np.float32)
+        warped.append(w)
+    return warped
 
 
 def compound(views: Sequence[WarpedView], method: str,
              params: PyramidParams = PyramidParams(),
              debug_sink: DebugSink | None = None) -> np.ndarray:
-    """Dispatch to one of the four compounding methods."""
+    """Dispatch to one of the four compounding methods.  `ubf` and `pyramid`
+    need complete views, as `prepare_views` returns; a missing map raises
+    ValueError."""
     if method == "average":
         return compound_average(views)
     if method == "maximum":
         return compound_maximum(views)
     if method == "ubf":
-        return compound_ubf([_fill_maps(v) for v in views])
+        return compound_ubf(views)
     if method == "pyramid":
         return compound_pyramid(views, params, debug_sink)
     raise ValueError(f"unknown method {method!r} (choose from {METHODS})")

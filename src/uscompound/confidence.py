@@ -44,14 +44,6 @@ class ConfidenceMap:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         object.__setattr__(self, "data", unit_grid(self.data, "confidence map"))
 
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
 
 def attenuation_intensity_confidence(image: Image | np.ndarray,
                                      decay: float = DEFAULT_DECAY,

@@ -1,8 +1,8 @@
 """JSON configuration holding every tunable of the pipeline.
 
-Unknown keys are rejected so a typo cannot silently fall back to a
-default.  CLI flags override config values, and dumping the effective
-config and re-running with it is a no-op.
+Unknown keys and wrongly typed values are rejected, so a typo cannot
+silently fall back to a default or crash a stage.  CLI flags override
+config values, and dumping the effective config and re-running is a no-op.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .compound import PyramidParams
 from .confidence import DEFAULT_ABSORPTION, DEFAULT_DECAY
 from .errors import SpecError
 
-__all__ = ["DEFAULTS", "load_config", "merge_config", "Config"]
+__all__ = ["DEFAULTS", "load_config", "merge_config", "read_json", "Config"]
 
 # Read off the parameter dataclasses.  PyramidParams.levels is exposed as
 # pyramid.K; its other fields live under "compound".
@@ -29,8 +29,16 @@ DEFAULTS = {
 }
 
 
+# The JSON types a leaf value may take, by the type of its default; the one
+# None default, compound.phi_overrides, takes null or a list of numbers.
+_LEAF_TYPES = {bool: ("true or false", (bool,)), int: ("an integer", (int,)),
+               float: ("a number", (int, float)),
+               type(None): ("null or a list of numbers", (type(None), list))}
+
+
 def merge_config(base: dict, override: dict, path: str = "") -> dict:
-    """Deep-merge `override` into a copy of `base`, rejecting unknown keys."""
+    """Deep-merge `override` into a copy of `base`, rejecting unknown keys
+    and leaf values whose type is not the default's."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
@@ -41,6 +49,11 @@ def merge_config(base: dict, override: dict, path: str = "") -> dict:
                 raise SpecError(f"config key {where!r} must be a table")
             out[key] = merge_config(base[key], value, where)
         else:
+            kind, types = _LEAF_TYPES[type(base[key])]
+            items = value if type(value) is list else []
+            if (type(value) not in types
+                    or any(type(x) not in (int, float) for x in items)):
+                raise SpecError(f"config key {where!r} must be {kind}")
             out[key] = value
     return out
 
@@ -72,12 +85,17 @@ class Config:
         return json.dumps(self.values, indent=2, sort_keys=True)
 
 
-def load_config(path) -> Config:
+def read_json(path):
+    """The JSON value held in the file `path`; invalid JSON is a SpecError."""
     with open(path) as f:
         try:
-            values = json.load(f)
+            return json.load(f)
         except json.JSONDecodeError as e:
             raise SpecError(f"{path}: invalid JSON ({e})") from None
+
+
+def load_config(path) -> Config:
+    values = read_json(path)
     if not isinstance(values, dict):
         raise SpecError(f"{path}: config must be a JSON object")
     return Config(values)

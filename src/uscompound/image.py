@@ -84,10 +84,6 @@ class RigidTransform2D:
         u, v = x - self.dx, y - self.dy
         return c * u + s * v, -s * u + c * v
 
-    @classmethod
-    def identity(cls) -> "RigidTransform2D":
-        return cls()
-
     def to_dict(self) -> dict:
         return {"rotation": self.rotation, "dx": self.dx, "dy": self.dy}
 

@@ -16,7 +16,7 @@ sampled, so fixtures are bit-identical across platforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -99,6 +99,21 @@ class SpeckleSpec:
     seed: int = 1
 
 
+def _checked(cls, table, what: str) -> dict:
+    """`table`, if it is a JSON object holding every required field of `cls`
+    and no other key; otherwise a SpecError naming the keys."""
+    if not isinstance(table, dict):
+        raise SpecError(f"{what} must be a JSON object")
+    extra = set(table) - {f.name for f in fields(cls)}
+    if extra:
+        raise SpecError(f"unknown {what} keys: {sorted(extra)}")
+    missing = [f.name for f in fields(cls)
+               if f.default is MISSING and f.name not in table]
+    if missing:
+        raise SpecError(f"{what} lacks keys: {missing}")
+    return table
+
+
 @dataclass(frozen=True)
 class PhantomSpec:
     width: int
@@ -110,18 +125,17 @@ class PhantomSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PhantomSpec":
-        known = {"width", "height", "vessel", "reflectors", "speckle", "views"}
-        extra = set(d) - known
-        if extra:
-            raise SpecError(f"unknown phantom spec keys: {sorted(extra)}")
-        vessel = VesselSpec(**d["vessel"]) if d.get("vessel") else None
+        _checked(cls, d, "phantom spec")
+        vessel, speckle = d.get("vessel"), d.get("speckle")
+        vessel = VesselSpec(**_checked(VesselSpec, vessel, "vessel")) if vessel else None
         reflectors = []
-        for r in d.get("reflectors", []):
-            r = dict(r)
-            if r.get("reverb"):
-                r["reverb"] = ReverbSpec(**r["reverb"])
-            reflectors.append(ReflectorSpec(**r))
-        speckle = SpeckleSpec(**d["speckle"]) if d.get("speckle") else None
+        for i, r in enumerate(d.get("reflectors", [])):
+            r = ReflectorSpec(**_checked(ReflectorSpec, r, f"reflectors[{i}]"))
+            reverb = r.reverb and ReverbSpec(**_checked(
+                ReverbSpec, r.reverb, f"reflectors[{i}].reverb"))
+            reflectors.append(replace(r, reverb=reverb or None))
+        speckle = (SpeckleSpec(**_checked(SpeckleSpec, speckle, "speckle"))
+                   if speckle else None)
         views = tuple(RigidTransform2D.from_dict(v) for v in d.get("views", [{}]))
         return cls(int(d["width"]), int(d["height"]), vessel,
                    tuple(reflectors), speckle, views)

@@ -1,4 +1,6 @@
+import importlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ import pytest
 from uscompound.boundary import BoundaryParams
 from uscompound.cli import run
 from uscompound.compound import PyramidParams
-from uscompound.confidence import DEFAULT_ABSORPTION, DEFAULT_DECAY
+from uscompound.confidence import (DEFAULT_ABSORPTION, DEFAULT_DECAY,
+                                   attenuation_intensity_confidence)
 from uscompound.config import Config, load_config, merge_config
 from uscompound.errors import SpecError
 from uscompound.image import Image, load_image, save_image
@@ -202,3 +205,153 @@ def test_config_overrides_applied(tmp_path, phantom_dir):
     out = tmp_path / "o.pgm"
     assert run(["compound", "--method", "pyramid", *_view_args(phantom_dir),
                 "--out", str(out), "--config", str(cfg)]) == 0
+
+
+@pytest.mark.parametrize("method,calls", [("average", 0), ("maximum", 0),
+                                          ("ubf", 2), ("pyramid", 2)])
+def test_compound_fills_maps_only_for_methods_that_read_them(
+        tmp_path, phantom_dir, monkeypatch, method, calls):
+    seen = []
+
+    def counting(image, *args):
+        seen.append(image)
+        return attenuation_intensity_confidence(image, *args)
+
+    for name in ("uscompound.cli", "uscompound.compound"):
+        monkeypatch.setattr(importlib.import_module(name),
+                            "attenuation_intensity_confidence", counting)
+    assert run(["compound", "--method", method, *_view_args(phantom_dir),
+                "--out", str(tmp_path / "o.pgm")]) == 0
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize("values,key", [
+    ({"boundary": {"alpha": "x"}}, "boundary.alpha"),
+    ({"boundary": {"alpha": 15.0}}, "boundary.alpha"),
+    ({"boundary": {"min_size": True}}, "boundary.min_size"),
+    ({"boundary": {"t1": "30"}}, "boundary.t1"),
+    ({"boundary": {"t2": False}}, "boundary.t2"),
+    ({"boundary": {"median_denoise": 1}}, "boundary.median_denoise"),
+    ({"pyramid": {"K": 5.0}}, "pyramid.K"),
+    ({"compound": {"gamma": None}}, "compound.gamma"),
+    ({"compound": {"phi_overrides": 5}}, "compound.phi_overrides"),
+    ({"compound": {"phi_overrides": [0.5, "x", 0.5, 0.5, 0.5]}},
+     "compound.phi_overrides"),
+    ({"compound": {"phi_overrides": [True] * 5}}, "compound.phi_overrides"),
+    ({"confidence": {"decay": [0.1]}}, "confidence.decay"),
+])
+def test_config_wrongly_typed_value_exit2(tmp_path, phantom_dir, capsys,
+                                          values, key):
+    with pytest.raises(SpecError, match=key):
+        Config(values)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    assert run(["boundaries", "--image", f"{phantom_dir}/view0.pgm",
+                "--out", str(tmp_path / "m.pgm"), "--config", str(cfg)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "m.pgm").exists()
+
+
+def test_config_accepts_values_of_the_default_type():
+    cfg = Config({"boundary": {"t1": 30, "alpha": 12, "median_denoise": False},
+                  "compound": {"gamma": 0, "phi_overrides": [0, 1, 0.5, 1, 0]},
+                  "confidence": {"decay": 0.01}})
+    assert cfg.boundary_params().alpha == 12
+    assert cfg.pyramid_params().phi_overrides == (0, 1, 0.5, 1, 0)
+    assert Config({"compound": {"phi_overrides": None}}).values == Config().values
+
+
+def _write_spec(tmp_path, **changes):
+    spec = {"width": 48, "height": 48,
+            "vessel": {"cx": 24, "cy": 28, "a": 10, "b": 7},
+            "reflectors": [{"row": 8, "col_start": 10, "col_end": 38,
+                            "reverb": {"count": 2, "spacing": 8,
+                                       "decay": 0.5}}],
+            "speckle": {"scale": 0.02, "seed": 5}}
+    spec.update(changes)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return path
+
+
+@pytest.mark.parametrize("changes,message", [
+    ({"vessel": {"cx": 24, "cy": 28, "a": 10, "b": 7, "r": 3}},
+     "unknown vessel keys"),
+    ({"vessel": {"cx": 24, "cy": 28, "a": 10}}, "vessel lacks keys"),
+    ({"vessel": [24, 28, 10, 7]}, "vessel must be a JSON object"),
+    ({"reflectors": [{"row": 8, "col_start": 10, "col_end": 38, "gain": 2}]},
+     r"unknown reflectors\[0\] keys"),
+    ({"reflectors": [{"row": 8, "col_start": 10, "col_end": 38,
+                      "reverb": {"count": 2, "gap": 8}}]},
+     r"unknown reflectors\[0\].reverb keys"),
+    ({"speckle": {"scale": 0.02, "sed": 5}}, "unknown speckle keys"),
+])
+def test_synth_malformed_spec_exit2(tmp_path, capsys, changes, message):
+    spec = _write_spec(tmp_path, **changes)
+    assert run(["synth", "--spec", str(spec),
+                "--outdir", str(tmp_path / "scene")]) == 2
+    assert re.search(message, capsys.readouterr().err)
+    assert not (tmp_path / "scene").exists()
+
+
+def test_synth_top_level_list_exit2(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text("[]")
+    assert run(["synth", "--spec", str(spec), "--outdir", str(tmp_path)]) == 2
+    assert "phantom spec must be a JSON object" in capsys.readouterr().err
+
+
+def test_synth_seed_overrides_speckle_seed(tmp_path):
+    def synth(name, *extra, **changes):
+        outdir = tmp_path / name
+        assert run(["synth", "--spec", str(_write_spec(tmp_path, **changes)),
+                    "--outdir", str(outdir), *extra]) == 0
+        return (outdir / "view0.pgm").read_bytes()
+
+    plain = synth("plain")
+    assert synth("same", "--seed", "5") == plain
+    assert synth("other", "--seed", "6") != plain
+    # A null speckle table takes --seed like an absent one: default scale.
+    absent = {"speckle": {"scale": 0.03, "seed": 3}}
+    assert (synth("null", "--seed", "3", speckle=None)
+            == synth("absent", **absent) != synth("none", speckle=None))
+
+
+def test_confidence_structural_is_all_ones(tmp_path, phantom_dir):
+    out = tmp_path / "gs.fmap"
+    assert run(["confidence", "--kind", "structural", "--image",
+                f"{phantom_dir}/view0.pgm", "--out", str(out)]) == 0
+    assert np.array_equal(load_image(out).data, np.ones((96, 96)))
+
+
+def test_segment_truth_reports_dice(tmp_path, capsys):
+    path, mask = _ring_pgm(tmp_path), tmp_path / "m.pgm"
+    args = ["segment", "--image", str(path), "--patch", "0,0,64,64"]
+    assert run([*args, "--out", str(mask)]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert "dice" not in first
+    assert run([*args, "--truth", str(mask)]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["dice"] == 1.0 and result["pixels"] == first["pixels"]
+
+
+def test_compound_single_view_exit2(tmp_path, phantom_dir, capsys):
+    out = tmp_path / "o.pgm"
+    assert run(["compound", "--method", "average", *_view_args(phantom_dir)[:2],
+                "--out", str(out)]) == 2
+    assert "at least two --view" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_invalid_json_exit2(tmp_path, phantom_dir, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    out = tmp_path / "o.pgm"
+    assert run(["compound", "--method", "average", *_view_args(phantom_dir),
+                "--out", str(out), "--config", str(bad)]) == 2
+    assert f"{bad}: invalid JSON" in capsys.readouterr().err
+    assert run(["compound", "--method", "average",
+                "--view", f"{phantom_dir}/view0.pgm:{bad}",
+                *_view_args(phantom_dir)[2:], "--out", str(out)]) == 2
+    assert f"{bad}: invalid JSON" in capsys.readouterr().err
+    assert not out.exists()

@@ -9,7 +9,7 @@ from uscompound.compound import (PyramidParams, blend_layer, compound,
                                  compound_pyramid, compound_ubf,
                                  enhance_boundaries, phi, prepare_views,
                                  select_view_layer, weighted_average_layer,
-                                 _fill_maps, _local_contrast)
+                                 _local_contrast)
 from uscompound.errors import DimensionError
 from uscompound.image import ViewInput, WarpedView
 from uscompound.phantom import generate
@@ -274,7 +274,6 @@ def test_phi_zero_matches_weighted_average_oracle(rng):
 def per_view_pyramid_reference(views, params=PyramidParams()):
     """List-based compound_pyramid: one 2-D pyramid per map and per view,
     regrouped into per-layer lists of views."""
-    views = [_fill_maps(v) for v in views]
     levels = params.levels
     gi = [gaussian_pyramid(v.image, levels) for v in views]
     lap = [laplacian_pyramid(v.image, levels) for v in views]
@@ -349,19 +348,53 @@ def test_pyramid_matches_per_view_reference_phantom():
 
 def test_compound_leaves_input_views_unchanged(rng):
     shape = (32, 32)
-    views = [make_view(rng.random(shape), valid=rng.random(shape) > 0.2)
+    views = [make_view(rng.random(shape), valid=rng.random(shape) > 0.2,
+                       gc=rng.random(shape).astype(np.float32),
+                       gs=rng.random(shape).astype(np.float32),
+                       bm=rng.random(shape) > 0.9)
              for _ in range(2)]
-    views[1].intensity_confidence = rng.random(shape).astype(np.float32)
     before = [{f.name: getattr(v, f.name) for f in fields(v)} for v in views]
-    copies = [{k: None if a is None else a.copy() for k, a in b.items()}
-              for b in before]
-    for method in ("ubf", "pyramid"):
+    copies = [{k: a.copy() for k, a in b.items()} for b in before]
+    for method in ("average", "maximum", "ubf", "pyramid"):
         compound(views, method)
         for v, objs, vals in zip(views, before, copies):
             for name, obj in objs.items():
                 assert getattr(v, name) is obj, (method, name)
-                if obj is not None:
-                    assert np.array_equal(obj, vals[name]), (method, name)
+                assert np.array_equal(obj, vals[name]), (method, name)
+
+
+@pytest.mark.parametrize("method,missing", [
+    ("ubf", "intensity_confidence"),
+    ("pyramid", "intensity_confidence"),
+    ("pyramid", "structural_confidence"),
+    ("pyramid", "boundary_mask"),
+])
+def test_compound_rejects_views_missing_a_map(rng, method, missing):
+    views = duplicate_views(rng)
+    setattr(views[1], missing, None)
+    with pytest.raises(ValueError, match=missing):
+        compound(views, method)
+
+
+def test_prepare_views_fills_every_map_and_leaves_inputs_unchanged():
+    scene = generate(two_view_phantom(0))
+    bare = ViewInput(scene.views[0].image, scene.views[0].to_common)
+    gs = np.full(bare.image.data.shape, 0.5, np.float32)
+    given = ViewInput(scene.views[1].image, scene.views[1].to_common,
+                      structural_confidence=gs)
+    inputs = [bare, given]
+    before = [{f.name: getattr(v, f.name) for f in fields(v)} for v in inputs]
+    warped = prepare_views(inputs, 192, 192)
+    for v, objs in zip(inputs, before):
+        for name, obj in objs.items():
+            assert getattr(v, name) is obj, name
+    assert gs.min() == gs.max() == 0.5
+    for w in warped:
+        assert all(getattr(w, f.name) is not None for f in fields(w))
+    assert np.array_equal(warped[0].structural_confidence, np.ones((192, 192)))
+    assert warped[0].structural_confidence.dtype == np.float32
+    assert not np.all(warped[1].structural_confidence == 1.0)
+    assert warped[0].boundary_mask.dtype == bool
 
 
 def test_pointwise_methods_flip_equivariant(rng):
@@ -385,8 +418,12 @@ def test_invalid_everywhere_pixels_zero(rng):
     shape = (32, 32)
     valid = np.ones(shape, bool)
     valid[:, 0] = False
-    views = [make_view(rng.random(shape), valid=valid.copy()) for _ in range(2)]
-    for method in ("average", "maximum", "pyramid"):
+    views = [make_view(rng.random(shape), valid=valid.copy(),
+                       gc=rng.random(shape).astype(np.float32),
+                       gs=rng.random(shape).astype(np.float32),
+                       bm=rng.random(shape) > 0.9)
+             for _ in range(2)]
+    for method in ("average", "maximum", "ubf", "pyramid"):
         out = compound(views, method)
         assert np.all(out[:, 0] == 0.0), method
 
