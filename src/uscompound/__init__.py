@@ -9,8 +9,7 @@ from .boundary import BoundaryParams, detect_boundaries
 from .compound import (PyramidParams, compound, compound_average,
                        compound_maximum, compound_pyramid, compound_ubf,
                        prepare_views)
-from .confidence import (ConfidenceMap, attenuation_intensity_confidence,
-                         load_confidence, uniform_structural_confidence)
+from .confidence import attenuation_intensity_confidence
 from .image import (Image, RigidTransform2D, ViewInput, WarpedView,
                     load_image, save_image, warp_to_common)
 from .metrics import (Ellipse, MetricsReport, PatchSpec, amr_avr, dice,

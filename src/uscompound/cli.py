@@ -19,8 +19,7 @@ import numpy as np
 from .boundary import detect_boundaries
 from .compound import METHODS, compound as compound_views, prepare_views
 from .config import Config, load_config, read_json
-from .confidence import (attenuation_intensity_confidence,
-                         save_confidence, uniform_structural_confidence)
+from .confidence import attenuation_intensity_confidence
 from .errors import DegenerateError, SpecError, UscompoundError
 from .image import (Image, RigidTransform2D, ViewInput, load_image, load_mask,
                     save_image, save_mask, warp_to_common)
@@ -70,13 +69,10 @@ def _cmd_confidence(args) -> int:
     cfg = _config_from_args(args)
     image = load_image(args.image)
     if args.kind == "intensity":
-        decay = args.decay if args.decay is not None else cfg.decay
-        absorption = (args.absorption if args.absorption is not None
-                      else cfg.absorption)
-        cmap = attenuation_intensity_confidence(image, decay, absorption)
+        cmap = attenuation_intensity_confidence(image, cfg.decay, cfg.absorption)
     else:
-        cmap = uniform_structural_confidence(image.width, image.height)
-    save_confidence(cmap, args.out)
+        cmap = np.ones_like(image.data)
+    save_image(Image(cmap), args.out, "fmap")
     return EXIT_OK
 
 
@@ -93,8 +89,8 @@ def _cmd_compound(args) -> int:
     views = [_parse_view(v) for v in args.view]
     if len(views) < 2:
         raise SpecError("compound needs at least two --view inputs")
-    width = args.width or views[0].image.width
-    height = args.height or views[0].image.height
+    width = args.width if args.width is not None else views[0].image.width
+    height = args.height if args.height is not None else views[0].image.height
     params = cfg.pyramid_params()
     if args.method in ("ubf", "pyramid"):
         warped = prepare_views(views, width, height,
@@ -191,8 +187,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--kind", choices=["intensity", "structural"],
                    default="intensity")
-    p.add_argument("--decay", type=float)
-    p.add_argument("--absorption", type=float)
     p.add_argument("--config")
     p.set_defaults(func=_cmd_confidence)
 

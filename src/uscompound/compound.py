@@ -288,7 +288,7 @@ def prepare_views(views: Sequence[ViewInput], out_width: int, out_height: int,
     for v in views:
         if v.intensity_confidence is None:
             v = replace(v, intensity_confidence=attenuation_intensity_confidence(
-                v.image, decay, absorption).data)
+                v.image, decay, absorption))
         if v.boundary_mask is None:
             v = replace(v, boundary_mask=detect_boundaries(v.image.data,
                                                            boundary_params))

@@ -1,8 +1,8 @@
 """JSON configuration holding every tunable of the pipeline.
 
 Unknown keys and wrongly typed values are rejected, so a typo cannot
-silently fall back to a default or crash a stage.  CLI flags override
-config values, and dumping the effective config and re-running is a no-op.
+silently fall back to a default or crash a stage.  Dumping the effective
+config and re-running is a no-op.
 """
 
 from __future__ import annotations

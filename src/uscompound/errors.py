@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the check of JSON
+tables against the dataclasses they describe."""
+
+from dataclasses import MISSING, fields
 
 
 class UscompoundError(Exception):
@@ -27,3 +30,30 @@ class EllipseFitError(DegenerateError):
 
 class SpecError(UscompoundError):
     """Invalid synthetic-scene or configuration specification."""
+
+
+# The JSON types a value may take, by the head of its field's annotation
+# (annotations are postponed, so they are strings); a bool is none of these.
+_FIELD_TYPES = {"float": ("a number", (int, float)), "int": ("an integer", (int,)),
+                "str": ("a string", (str,)), "tuple": ("a list", (list,))}
+
+
+def checked(cls, table, what: str) -> dict:
+    """`table`, if it is a JSON object holding every required field of the
+    dataclass `cls`, no other key, and values of the JSON type each field's
+    annotation asks for; otherwise a SpecError naming the keys."""
+    if not isinstance(table, dict):
+        raise SpecError(f"{what} must be a JSON object")
+    known = {f.name: f for f in fields(cls)}
+    extra = set(table) - set(known)
+    if extra:
+        raise SpecError(f"unknown {what} keys: {sorted(extra)}")
+    missing = [name for name, f in known.items()
+               if f.default is MISSING and name not in table]
+    if missing:
+        raise SpecError(f"{what} lacks keys: {missing}")
+    for key, value in table.items():
+        kind, types = _FIELD_TYPES.get(known[key].type.split("[")[0], (None, None))
+        if types is not None and type(value) not in types:
+            raise SpecError(f"{what} key {key!r} must be {kind}")
+    return table

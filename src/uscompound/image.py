@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, FormatError, RangeError
+from .errors import DimensionError, FormatError, RangeError, checked
 
 __all__ = [
     "Image",
@@ -89,11 +89,7 @@ class RigidTransform2D:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RigidTransform2D":
-        extra = set(d) - {"rotation", "dx", "dy"}
-        if extra:
-            raise FormatError(f"unknown transform keys: {sorted(extra)}")
-        return cls(float(d.get("rotation", 0.0)),
-                   float(d.get("dx", 0.0)), float(d.get("dy", 0.0)))
+        return cls(**checked(cls, d, "transform"))
 
 
 @dataclass
@@ -101,7 +97,8 @@ class ViewInput:
     """One viewpoint in its native probe frame (probe at top, beam down).
 
     Optional per-pixel maps must share the image's dimensions.  Confidence
-    maps are float arrays in [0, 1]; the boundary mask is boolean.
+    maps are float arrays of finite values in [0, 1], checked here and
+    stored as given; the boundary mask is boolean.
     """
 
     image: Image
@@ -114,9 +111,13 @@ class ViewInput:
         shape = self.image.data.shape
         for name in ("intensity_confidence", "structural_confidence", "boundary_mask"):
             m = getattr(self, name)
-            if m is not None and np.asarray(m).shape != shape:
+            if m is None:
+                continue
+            if np.asarray(m).shape != shape:
                 raise DimensionError(f"{name} shape {np.asarray(m).shape} "
                                      f"does not match image shape {shape}")
+            if name != "boundary_mask":
+                unit_grid(m, name)
 
 
 @dataclass

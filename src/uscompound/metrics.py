@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateError, DimensionError, EllipseFitError
+from .errors import DegenerateError, DimensionError, EllipseFitError, checked
 from .image import quantize8
 
 __all__ = [
@@ -47,8 +47,7 @@ class PatchSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PatchSpec":
-        return cls(int(d["x"]), int(d["y"]), int(d["width"]), int(d["height"]),
-                   str(d["label"]))
+        return cls(**checked(cls, d, "patch"))
 
 
 @dataclass(frozen=True)
@@ -65,13 +64,11 @@ class MetricsReport:
     artifact_amr: float | None
     artifact_avr: float | None
     boundary_avr: float | None
-    dice: tuple[float, ...] | None = None
 
     def to_dict(self) -> dict:
         return {"artifact_amr": self.artifact_amr,
                 "artifact_avr": self.artifact_avr,
-                "boundary_avr": self.boundary_avr,
-                "dice": list(self.dice) if self.dice is not None else None}
+                "boundary_avr": self.boundary_avr}
 
 
 def extract_patch(image: np.ndarray, patch: PatchSpec) -> np.ndarray:

@@ -16,11 +16,11 @@ sampled, so fixtures are bit-identical across platforms.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import SpecError, checked
 from .image import Image, RigidTransform2D
 
 __all__ = [
@@ -99,21 +99,6 @@ class SpeckleSpec:
     seed: int = 1
 
 
-def _checked(cls, table, what: str) -> dict:
-    """`table`, if it is a JSON object holding every required field of `cls`
-    and no other key; otherwise a SpecError naming the keys."""
-    if not isinstance(table, dict):
-        raise SpecError(f"{what} must be a JSON object")
-    extra = set(table) - {f.name for f in fields(cls)}
-    if extra:
-        raise SpecError(f"unknown {what} keys: {sorted(extra)}")
-    missing = [f.name for f in fields(cls)
-               if f.default is MISSING and f.name not in table]
-    if missing:
-        raise SpecError(f"{what} lacks keys: {missing}")
-    return table
-
-
 @dataclass(frozen=True)
 class PhantomSpec:
     width: int
@@ -125,19 +110,19 @@ class PhantomSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PhantomSpec":
-        _checked(cls, d, "phantom spec")
+        checked(cls, d, "phantom spec")
         vessel, speckle = d.get("vessel"), d.get("speckle")
-        vessel = VesselSpec(**_checked(VesselSpec, vessel, "vessel")) if vessel else None
+        vessel = VesselSpec(**checked(VesselSpec, vessel, "vessel")) if vessel else None
         reflectors = []
         for i, r in enumerate(d.get("reflectors", [])):
-            r = ReflectorSpec(**_checked(ReflectorSpec, r, f"reflectors[{i}]"))
-            reverb = r.reverb and ReverbSpec(**_checked(
+            r = ReflectorSpec(**checked(ReflectorSpec, r, f"reflectors[{i}]"))
+            reverb = r.reverb and ReverbSpec(**checked(
                 ReverbSpec, r.reverb, f"reflectors[{i}].reverb"))
             reflectors.append(replace(r, reverb=reverb or None))
-        speckle = (SpeckleSpec(**_checked(SpeckleSpec, speckle, "speckle"))
+        speckle = (SpeckleSpec(**checked(SpeckleSpec, speckle, "speckle"))
                    if speckle else None)
         views = tuple(RigidTransform2D.from_dict(v) for v in d.get("views", [{}]))
-        return cls(int(d["width"]), int(d["height"]), vessel,
+        return cls(d["width"], d["height"], vessel,
                    tuple(reflectors), speckle, views)
 
 
@@ -153,12 +138,6 @@ class PhantomView:
 class PhantomScene:
     views: list[PhantomView]
     spec: PhantomSpec
-
-    def structural_confidences(self, low: float = 0.2) -> list[np.ndarray]:
-        """Ground-truth-derived structural confidence: `low` on artifact
-        pixels, 1 elsewhere (a stand-in for external confidence estimators)."""
-        return [np.where(v.artifact_mask, low, 1.0).astype(np.float32)
-                for v in self.views]
 
 
 def _validate(spec: PhantomSpec) -> None:

@@ -32,12 +32,19 @@ def two_view_phantom(seed: int, size: int = 192, echo_decay: float = 0.6,
     )
 
 
+def structural_confidences(scene, low: float = 0.2) -> list[np.ndarray]:
+    """Ground-truth-derived structural confidence: `low` on artifact pixels,
+    1 elsewhere (a stand-in for external confidence estimators)."""
+    return [np.where(v.artifact_mask, low, 1.0).astype(np.float32)
+            for v in scene.views]
+
+
 def scene_view_inputs(scene, low_confidence: float = 0.2):
     """ViewInputs with ground-truth-derived structural confidence attached."""
     return [
         ViewInput(v.image, v.to_common, structural_confidence=g,
                   boundary_mask=v.boundary_mask)
-        for v, g in zip(scene.views, scene.structural_confidences(low_confidence))
+        for v, g in zip(scene.views, structural_confidences(scene, low_confidence))
     ]
 
 

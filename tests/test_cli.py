@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import re
@@ -285,6 +286,21 @@ def _write_spec(tmp_path, **changes):
                       "reverb": {"count": 2, "gap": 8}}]},
      r"unknown reflectors\[0\].reverb keys"),
     ({"speckle": {"scale": 0.02, "sed": 5}}, "unknown speckle keys"),
+    ({"width": None}, "phantom spec key 'width' must be an integer"),
+    ({"width": 48.0}, "phantom spec key 'width' must be an integer"),
+    ({"vessel": {"cx": "a", "cy": 28, "a": 10, "b": 7}},
+     "vessel key 'cx' must be a number"),
+    ({"vessel": {"cx": 24, "cy": 28, "a": True, "b": 7}},
+     "vessel key 'a' must be a number"),
+    ({"reflectors": [{"row": "a", "col_start": 10, "col_end": 38}]},
+     r"reflectors\[0\] key 'row' must be a number"),
+    ({"reflectors": [{"row": 8, "col_start": 10, "col_end": 38,
+                      "reverb": {"count": 1.5}}]},
+     r"reflectors\[0\].reverb key 'count' must be an integer"),
+    ({"reflectors": 5}, "phantom spec key 'reflectors' must be a list"),
+    ({"speckle": {"scale": "x"}}, "speckle key 'scale' must be a number"),
+    ({"views": [5]}, "transform must be a JSON object"),
+    ({"views": [{"rotation": "0.5"}]}, "transform key 'rotation' must be a number"),
 ])
 def test_synth_malformed_spec_exit2(tmp_path, capsys, changes, message):
     spec = _write_spec(tmp_path, **changes)
@@ -355,3 +371,88 @@ def test_invalid_json_exit2(tmp_path, phantom_dir, capsys):
                 *_view_args(phantom_dir)[2:], "--out", str(out)]) == 2
     assert f"{bad}: invalid JSON" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("transform,message", [
+    ([], "transform must be a JSON object"),
+    ({"rotation": None}, "transform key 'rotation' must be a number"),
+    ({"dx": [1]}, "transform key 'dx' must be a number"),
+    ({"dy": False}, "transform key 'dy' must be a number"),
+    ({"shear": 1}, "unknown transform keys"),
+])
+def test_compound_malformed_transform_exit2(tmp_path, phantom_dir, capsys,
+                                            transform, message):
+    bad, out = tmp_path / "t.json", tmp_path / "o.pgm"
+    bad.write_text(json.dumps(transform))
+    assert run(["compound", "--method", "average",
+                "--view", f"{phantom_dir}/view0.pgm:{bad}",
+                *_view_args(phantom_dir)[2:], "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+_PATCH = {"x": 0, "y": 0, "width": 8, "height": 8, "label": "artifact"}
+
+
+@pytest.mark.parametrize("patches,message", [
+    ([5], "patch must be a JSON object"),
+    ([{**_PATCH, "x": None}], "patch key 'x' must be an integer"),
+    ([{**_PATCH, "width": 8.0}], "patch key 'width' must be an integer"),
+    ([{**_PATCH, "label": 1}], "patch key 'label' must be a string"),
+    ([{**_PATCH, "colour": "red"}], "unknown patch keys"),
+    ([{"x": 0, "y": 0, "width": 8}], "patch lacks keys"),
+])
+def test_metrics_malformed_patch_exit2(tmp_path, phantom_dir, capsys,
+                                       patches, message):
+    path, out = tmp_path / "patches.json", tmp_path / "report.json"
+    path.write_text(json.dumps(patches))
+    assert run(["metrics", "--image", f"{phantom_dir}/view0.pgm",
+                "--patches", str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_metrics_report_has_no_dice(tmp_path, phantom_dir, capsys):
+    path = tmp_path / "patches.json"
+    path.write_text(json.dumps([_PATCH]))
+    assert run(["metrics", "--image", f"{phantom_dir}/view0.pgm",
+                "--patches", str(path)]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {
+        "artifact_amr", "artifact_avr", "boundary_avr"}
+
+
+@pytest.mark.parametrize("method", ["average", "pyramid"])
+@pytest.mark.parametrize("option", ["--width", "--height"])
+def test_compound_zero_output_size_exit2(tmp_path, phantom_dir, capsys,
+                                         method, option):
+    out = tmp_path / "o.pgm"
+    assert run(["compound", "--method", method, *_view_args(phantom_dir),
+                option, "0", "--out", str(out)]) == 2
+    assert "output dimensions must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# sha256 of the FMAPs `confidence` writes for view0 of the phantom_dir scene,
+# pinned so that the files stay byte-identical across refactors.
+@pytest.mark.parametrize("kind,digest", [
+    ("intensity", "3607ac40978b3d609e4d5c8b573c2ab8e0a6f9ada3021078a45c2cdafbafa333"),
+    ("structural", "cdd2f00baec3820e8d3facfb014605fea095901cfa2b1492f5d6e19c7da4ec3e"),
+])
+def test_confidence_fmap_bytes_pinned(tmp_path, phantom_dir, kind, digest):
+    out = tmp_path / "c.fmap"
+    assert run(["confidence", "--kind", kind, "--image",
+                f"{phantom_dir}/view0.pgm", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("option", ["--decay", "--absorption"])
+def test_confidence_attenuation_is_set_by_config_only(tmp_path, phantom_dir,
+                                                      option):
+    image, out = f"{phantom_dir}/view0.pgm", tmp_path / "c.fmap"
+    assert run(["confidence", "--image", image, "--out", str(out),
+                option, "0.1"]) == 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"confidence": {"decay": 0.0, "absorption": 0.0}}))
+    assert run(["confidence", "--image", image, "--out", str(out),
+                "--config", str(cfg)]) == 0
+    assert np.all(load_image(out).data == 1.0)

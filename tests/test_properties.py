@@ -31,8 +31,8 @@ def test_pyramid_round_trip_property(a):
 @settings(max_examples=25, deadline=None)
 def test_confidence_decreases_with_depth(a):
     c = attenuation_intensity_confidence(Image(a), decay=0.01, absorption=0.5)
-    assert np.all(np.diff(c.data, axis=0) <= 1e-7)
-    assert np.all(c.data[0] == 1.0)
+    assert np.all(np.diff(c, axis=0) <= 1e-7)
+    assert np.all(c[0] == 1.0)
 
 
 @given(bool_masks, bool_masks)

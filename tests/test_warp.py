@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from uscompound.compound import prepare_views
-from uscompound.errors import DimensionError
+from uscompound.errors import DimensionError, RangeError
 from uscompound.image import (Image, RigidTransform2D, ViewInput, WarpedView,
                               warp_array, warp_to_common)
 from uscompound.phantom import generate
@@ -143,6 +143,25 @@ def test_mismatched_map_dims():
     with pytest.raises(DimensionError):
         ViewInput(Image(np.zeros((4, 4))),
                   intensity_confidence=np.zeros((3, 4), dtype=np.float32))
+
+
+@pytest.mark.parametrize("name", ["intensity_confidence",
+                                  "structural_confidence"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, 1.5, 7.0])
+def test_view_input_rejects_confidence_outside_unit_range(name, bad):
+    m = np.full((4, 4), 0.5)
+    m[1, 2] = bad
+    with pytest.raises(RangeError, match=name):
+        ViewInput(Image(np.zeros((4, 4))), **{name: m})
+
+
+def test_view_input_stores_confidence_maps_as_given(rng):
+    gc, gs = rng.random((4, 4)), rng.random((4, 4)).astype(np.float32)
+    bm = np.full((4, 4), 3, dtype=np.uint8)  # the mask's values are not checked
+    view = ViewInput(Image(np.zeros((4, 4))), intensity_confidence=gc,
+                     structural_confidence=gs, boundary_mask=bm)
+    assert view.intensity_confidence is gc and gc.dtype == np.float64
+    assert view.structural_confidence is gs and view.boundary_mask is bm
 
 
 WARP_TRANSFORMS = [RigidTransform2D(),
