@@ -1,14 +1,15 @@
 """JSON configuration holding every tunable of the pipeline.
 
-Unknown keys and wrongly typed values are rejected, so a typo cannot
-silently fall back to a default or crash a stage.  Dumping the effective
-config and re-running is a no-op.
+Unknown keys, wrongly typed values and non-finite numbers are rejected, so
+a typo cannot silently fall back to a default or crash a stage.  Dumping
+the effective config and re-running is a no-op.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import fields
 
 from .boundary import BoundaryParams
@@ -37,8 +38,8 @@ _LEAF_TYPES = {bool: ("true or false", (bool,)), int: ("an integer", (int,)),
 
 
 def merge_config(base: dict, override: dict, path: str = "") -> dict:
-    """Deep-merge `override` into a copy of `base`, rejecting unknown keys
-    and leaf values whose type is not the default's."""
+    """Deep-merge `override` into a copy of `base`, rejecting unknown keys,
+    leaf values whose type is not the default's, and non-finite numbers."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
@@ -54,6 +55,9 @@ def merge_config(base: dict, override: dict, path: str = "") -> dict:
             if (type(value) not in types
                     or any(type(x) not in (int, float) for x in items)):
                 raise SpecError(f"config key {where!r} must be {kind}")
+            if any(type(x) is float and not math.isfinite(x)
+                   for x in [value, *items]):
+                raise SpecError(f"config key {where!r} must be finite")
             out[key] = value
     return out
 

@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the toolkit, and the check of JSON
 tables against the dataclasses they describe."""
 
+import math
 from dataclasses import MISSING, fields
 
 
@@ -41,7 +42,8 @@ _FIELD_TYPES = {"float": ("a number", (int, float)), "int": ("an integer", (int,
 def checked(cls, table, what: str) -> dict:
     """`table`, if it is a JSON object holding every required field of the
     dataclass `cls`, no other key, and values of the JSON type each field's
-    annotation asks for; otherwise a SpecError naming the keys."""
+    annotation asks for, numbers finite; otherwise a SpecError naming the
+    keys."""
     if not isinstance(table, dict):
         raise SpecError(f"{what} must be a JSON object")
     known = {f.name: f for f in fields(cls)}
@@ -56,4 +58,6 @@ def checked(cls, table, what: str) -> dict:
         kind, types = _FIELD_TYPES.get(known[key].type.split("[")[0], (None, None))
         if types is not None and type(value) not in types:
             raise SpecError(f"{what} key {key!r} must be {kind}")
+        if type(value) is float and not math.isfinite(value):
+            raise SpecError(f"{what} key {key!r} must be finite")
     return table

@@ -7,10 +7,13 @@ stay near-horizontal in a view's frame (within +/-20 degrees of the lateral
 axis) spawn a reverberation echo train straight down the beam and cast an
 acoustic shadow below; reflectors seen near-vertically do neither.
 
-Speckle is additive Rayleigh noise drawn from an explicit xorshift64* PRNG
-(state' per step: s ^= s >> 12; s ^= s << 25; s ^= s >> 27; output
-(s * 0x2545F4914F6CDD1D) >> 11 scaled to [0, 1)), inverse-transform
-sampled, so fixtures are bit-identical across platforms.
+Speckle is additive Rayleigh noise, inverse-transform sampled from an
+explicit xorshift64* stream (state' per step: s ^= s >> 12; s ^= s << 25;
+s ^= s >> 27; output (s * 0x2545F4914F6CDD1D) mod 2^64, whose top 53 bits
+scale to [0, 1)), so fixtures are bit-identical across platforms.  One step
+is linear over GF(2), a 64x64 bit matrix T, so a view's stream is cut into
+lanes that start from jump-ahead states T^(j*m) s0 and are stepped together
+as uint64 arrays; the draws equal the serial stream's bit for bit.
 """
 
 from __future__ import annotations
@@ -32,36 +35,80 @@ __all__ = [
     "PhantomView",
     "PhantomScene",
     "generate",
-    "Xorshift64Star",
 ]
 
 NEAR_HORIZONTAL_DEG = 20.0
 
 _MASK64 = (1 << 64) - 1
 _MULT = 0x2545F4914F6CDD1D
+_ZERO_SEED_STATE = 0x9E3779B97F4A7C15
+# Number of lanes the speckle stream is split into and stepped together.
+_LANES = 512
 
 
-class Xorshift64Star:
-    """Documented 64-bit xorshift* generator for reproducible speckle."""
+def _step(s: np.ndarray) -> np.ndarray:
+    """One xorshift64* state step of every uint64 in `s`, in place."""
+    s ^= s >> 12
+    s ^= s << 25
+    s ^= s >> 27
+    return s
 
-    def __init__(self, seed: int):
-        self.state = (seed & _MASK64) or 0x9E3779B97F4A7C15
 
-    def next_uint64(self) -> int:
-        s = self.state
-        s ^= s >> 12
-        s ^= (s << 25) & _MASK64
-        s ^= s >> 27
-        self.state = s
-        return (s * _MULT) & _MASK64
+def _bits(s: np.ndarray) -> np.ndarray:
+    """(k, 64) uint8 bits of the uint64 vector `s`, column i = bit i."""
+    return np.unpackbits(s.astype("<u8").view(np.uint8).reshape(-1, 8),
+                         axis=1, bitorder="little")
 
-    def next_float(self) -> float:
-        # 53 uniform mantissa bits in [0, 1)
-        return (self.next_uint64() >> 11) * (1.0 / (1 << 53))
 
-    def rayleigh(self, scale: float, n: int) -> np.ndarray:
-        u = np.array([self.next_float() for _ in range(n)])
-        return scale * np.sqrt(-2.0 * np.log1p(-u))
+def _apply(m: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The GF(2) matrix `m` applied to each uint64 of `s`."""
+    b = np.packbits(_bits(s) @ m.T & 1, axis=1, bitorder="little")
+    return b.view("<u8").ravel().astype(np.uint64)
+
+
+def _matpow(m: np.ndarray, e: int) -> np.ndarray:
+    """`m`**`e` over GF(2), for a 0/1 matrix `m`."""
+    out = np.eye(len(m), dtype=np.int64)
+    while e:
+        if e & 1:
+            out = out @ m & 1
+        m = m @ m & 1
+        e >>= 1
+    return out
+
+
+# T: the 64x64 GF(2) matrix of one step; column i is the step of bit i.
+_STEP_MATRIX = _bits(_step(np.uint64(1) << np.arange(64, dtype=np.uint64))
+                     ).T.astype(np.int64)
+
+
+def _xorshift64star(seed: int, n: int) -> np.ndarray:
+    """The first `n` >= 1 uint64 outputs of xorshift64* seeded with `seed`
+    (a zero state falls back to 0x9E3779B97F4A7C15), as one serial stream.
+
+    The stream is cut into lanes of m = ceil(n / _LANES) draws.  Lane j
+    starts at T^(j*m) s0; the starts are found by doubling (T^m, T^2m, ...
+    applied to the starts known so far), then all lanes step together.
+    """
+    m = -(-n // _LANES)
+    lanes = -(-n // m)
+    starts = np.array([(seed & _MASK64) or _ZERO_SEED_STATE], dtype=np.uint64)
+    jump = _matpow(_STEP_MATRIX, m)
+    while len(starts) < lanes:
+        starts = np.concatenate([starts, _apply(jump, starts)])
+        jump = jump @ jump & 1
+    s = starts[:lanes]
+    out = np.empty((m, lanes), dtype=np.uint64)
+    for t in range(m):
+        np.multiply(_step(s), _MULT, out=out[t])
+    return out.T.reshape(-1)[:n]
+
+
+def _rayleigh(seed: int, scale: float, n: int) -> np.ndarray:
+    """`n` Rayleigh draws of `scale`, inverse-transform sampled from the
+    top 53 bits of each xorshift64* output."""
+    u = (_xorshift64star(seed, n) >> 11).astype(np.float64) * (1.0 / (1 << 53))
+    return scale * np.sqrt(-2.0 * np.log1p(-u))
 
 
 @dataclass(frozen=True)
@@ -144,6 +191,10 @@ def _validate(spec: PhantomSpec) -> None:
     w, h = spec.width, spec.height
     if w <= 0 or h <= 0:
         raise SpecError("phantom dimensions must be positive")
+    if not spec.views:
+        raise SpecError("phantom views must list at least one view")
+    if spec.speckle is not None and spec.speckle.scale < 0:
+        raise SpecError("speckle scale must not be negative")
     if spec.vessel is not None:
         v = spec.vessel
         r = max(v.a, v.b) + v.wall_thickness
@@ -151,11 +202,17 @@ def _validate(spec: PhantomSpec) -> None:
             raise SpecError("vessel extends outside the phantom")
         if v.a <= 0 or v.b <= 0 or v.wall_thickness <= 0:
             raise SpecError("vessel axes and wall thickness must be positive")
+        if v.wall_intensity <= 0:
+            raise SpecError("vessel wall_intensity must be positive")
     for refl in spec.reflectors:
         if not (0 <= refl.col_start <= refl.col_end < w and 0 <= refl.row < h):
             raise SpecError("reflector outside the phantom")
+        if refl.thickness <= 0 or refl.intensity <= 0:
+            raise SpecError("reflector thickness and intensity must be positive")
         if refl.reverb is not None and not 0.0 < refl.reverb.decay < 1.0:
             raise SpecError("echo decay factor must lie in (0, 1)")
+        if refl.reverb is not None and refl.reverb.spacing <= 0:
+            raise SpecError("reverb spacing must be positive")
         if not 0.0 <= refl.shadow <= 1.0:
             raise SpecError("shadow factor must lie in [0, 1]")
 
@@ -227,8 +284,7 @@ def _render_view(spec: PhantomSpec, t: RigidTransform2D,
                 artifact[er, ec] = True
 
     if spec.speckle is not None:
-        rng = Xorshift64Star(rng_seed)
-        noise = rng.rayleigh(spec.speckle.scale, h * w).reshape(h, w)
+        noise = _rayleigh(rng_seed, spec.speckle.scale, h * w).reshape(h, w)
         img = img + noise
 
     artifact &= ~boundary  # ground-truth masks stay disjoint

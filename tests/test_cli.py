@@ -260,6 +260,36 @@ def test_config_accepts_values_of_the_default_type():
     assert cfg.boundary_params().alpha == 12
     assert cfg.pyramid_params().phi_overrides == (0, 1, 0.5, 1, 0)
     assert Config({"compound": {"phi_overrides": None}}).values == Config().values
+    # A large finite integer is still a number for a float key.
+    assert Config({"boundary": {"t1": 64, "grad_threshold": 64}}
+                  ).boundary_params().grad_threshold == 64
+
+
+_NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("x", _NON_FINITE, ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("command,values,key", [
+    ("compound", {"boundary": {"t1": None}}, "boundary.t1"),
+    ("compound", {"boundary": {"grad_threshold": None}}, "boundary.grad_threshold"),
+    ("compound", {"compound": {"phi_overrides": [0.5, None, 0.5, 0.5, 0.5]}},
+     "compound.phi_overrides"),
+    ("confidence", {"confidence": {"decay": None}}, "confidence.decay"),
+    ("confidence", {"confidence": {"absorption": None}}, "confidence.absorption"),
+])
+def test_config_non_finite_number_exit2(tmp_path, phantom_dir, capsys,
+                                        command, values, key, x):
+    # `json.dumps` writes NaN and Infinity, which `json.load` reads back.
+    text = json.dumps(values).replace("null", json.dumps(x))
+    with pytest.raises(SpecError, match=f"{key}' must be finite"):
+        Config(json.loads(text))
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o.pgm"
+    cfg.write_text(text)
+    args = ({"compound": ["--method", "pyramid", *_view_args(phantom_dir)],
+             "confidence": ["--image", f"{phantom_dir}/view0.pgm"]}[command])
+    assert run([command, *args, "--out", str(out), "--config", str(cfg)]) == 2
+    assert f"config key {key!r} must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _write_spec(tmp_path, **changes):
@@ -301,9 +331,39 @@ def _write_spec(tmp_path, **changes):
     ({"speckle": {"scale": "x"}}, "speckle key 'scale' must be a number"),
     ({"views": [5]}, "transform must be a JSON object"),
     ({"views": [{"rotation": "0.5"}]}, "transform key 'rotation' must be a number"),
+    ({"views": []}, "views must list at least one view"),
+    ({"reflectors": [{"row": 3, "col_start": 10, "col_end": 38,
+                      "reverb": {"spacing": -10}}]}, "spacing must be positive"),
+    ({"reflectors": [{"row": 3, "col_start": 10, "col_end": 38,
+                      "reverb": {"spacing": 0}}]}, "spacing must be positive"),
+    ({"speckle": {"scale": -0.02}}, "scale must not be negative"),
+    ({"reflectors": [{"row": 8, "col_start": 10, "col_end": 38,
+                      "thickness": 0}]}, "thickness and intensity must be positive"),
+    ({"reflectors": [{"row": 8, "col_start": 10, "col_end": 38,
+                      "intensity": -0.5}]}, "thickness and intensity must be positive"),
+    ({"vessel": {"cx": 24, "cy": 28, "a": 10, "b": 7, "wall_intensity": 0}},
+     "wall_intensity must be positive"),
 ])
 def test_synth_malformed_spec_exit2(tmp_path, capsys, changes, message):
     spec = _write_spec(tmp_path, **changes)
+    assert run(["synth", "--spec", str(spec),
+                "--outdir", str(tmp_path / "scene")]) == 2
+    assert re.search(message, capsys.readouterr().err)
+    assert not (tmp_path / "scene").exists()
+
+
+@pytest.mark.parametrize("x", _NON_FINITE, ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("changes,message", [
+    ({"views": [{}, {"rotation": None}]}, "transform key 'rotation' must be finite"),
+    ({"reflectors": [{"row": 8, "col_start": 10, "col_end": 38,
+                      "reverb": {"spacing": None}}]},
+     r"reflectors\[0\].reverb key 'spacing' must be finite"),
+    ({"vessel": {"cx": 24, "cy": None, "a": 10, "b": 7}},
+     "vessel key 'cy' must be finite"),
+])
+def test_synth_non_finite_number_exit2(tmp_path, capsys, changes, message, x):
+    spec = _write_spec(tmp_path, **changes)
+    spec.write_text(spec.read_text().replace("null", json.dumps(x)))
     assert run(["synth", "--spec", str(spec),
                 "--outdir", str(tmp_path / "scene")]) == 2
     assert re.search(message, capsys.readouterr().err)
@@ -391,6 +451,19 @@ def test_compound_malformed_transform_exit2(tmp_path, phantom_dir, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("x", _NON_FINITE, ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("key", ["rotation", "dx", "dy"])
+def test_compound_non_finite_transform_exit2(tmp_path, phantom_dir, capsys,
+                                             key, x):
+    bad, out = tmp_path / "t.json", tmp_path / "o.pgm"
+    bad.write_text(json.dumps({key: x}))
+    assert run(["compound", "--method", "average",
+                "--view", f"{phantom_dir}/view0.pgm:{bad}",
+                *_view_args(phantom_dir)[2:], "--out", str(out)]) == 2
+    assert f"transform key {key!r} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _PATCH = {"x": 0, "y": 0, "width": 8, "height": 8, "label": "artifact"}
 
 
@@ -430,6 +503,16 @@ def test_compound_zero_output_size_exit2(tmp_path, phantom_dir, capsys,
                 option, "0", "--out", str(out)]) == 2
     assert "output dimensions must be positive" in capsys.readouterr().err
     assert not out.exists()
+
+
+# sha256 of the views `synth` writes for the phantom_dir scene, pinned so
+# that the speckle stays bit-identical to the serial xorshift64* stream.
+@pytest.mark.parametrize("name,digest", [
+    ("view0.pgm", "0bda085d966eab40be2b722a77c174db37aa4c361909a0c388ba05a73e62135a"),
+    ("view1.pgm", "2a43903a64961627bed4180ecf9e67547bc093e761cc2292606dfa13d21140f6"),
+])
+def test_synth_view_bytes_pinned(phantom_dir, name, digest):
+    assert hashlib.sha256((phantom_dir / name).read_bytes()).hexdigest() == digest
 
 
 # sha256 of the FMAPs `confidence` writes for view0 of the phantom_dir scene,

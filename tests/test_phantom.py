@@ -1,13 +1,40 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from uscompound import phantom
 from uscompound.errors import SpecError
 from uscompound.image import RigidTransform2D
 from uscompound.phantom import (PhantomSpec, ReflectorSpec, ReverbSpec,
-                                SpeckleSpec, VesselSpec, Xorshift64Star,
-                                generate)
+                                SpeckleSpec, VesselSpec, generate)
+
+_MASK64 = (1 << 64) - 1
+
+
+class Xorshift64Star:
+    """Serial reference of the documented 64-bit xorshift* generator: one
+    Python integer step per draw."""
+
+    def __init__(self, seed: int):
+        self.state = (seed & _MASK64) or 0x9E3779B97F4A7C15
+
+    def next_uint64(self) -> int:
+        s = self.state
+        s ^= s >> 12
+        s ^= (s << 25) & _MASK64
+        s ^= s >> 27
+        self.state = s
+        return (s * 0x2545F4914F6CDD1D) & _MASK64
+
+    def next_float(self) -> float:
+        # 53 uniform mantissa bits in [0, 1)
+        return (self.next_uint64() >> 11) * (1.0 / (1 << 53))
+
+    def rayleigh(self, scale: float, n: int) -> np.ndarray:
+        u = np.array([self.next_float() for _ in range(n)])
+        return scale * np.sqrt(-2.0 * np.log1p(-u))
 
 
 def test_vessel_only_no_artifacts():
@@ -102,6 +129,34 @@ def test_out_of_bounds_geometry_rejected():
                                       reverb=ReverbSpec(2, 10, 1.5)),)))
 
 
+@pytest.mark.parametrize("spec,field", [
+    (PhantomSpec(32, 32, views=()), "views"),
+    (PhantomSpec(32, 32, reflectors=(ReflectorSpec(
+        3, 4, 20, reverb=ReverbSpec(2, -10, 0.5)),)), "spacing"),
+    (PhantomSpec(32, 32, reflectors=(ReflectorSpec(
+        3, 4, 20, reverb=ReverbSpec(2, 0, 0.5)),)), "spacing"),
+    (PhantomSpec(32, 32, speckle=SpeckleSpec(scale=-0.03)), "scale"),
+    (PhantomSpec(32, 32, reflectors=(ReflectorSpec(3, 4, 20, thickness=0),)),
+     "thickness"),
+    (PhantomSpec(32, 32, reflectors=(ReflectorSpec(3, 4, 20, thickness=-1),)),
+     "thickness"),
+    (PhantomSpec(32, 32, reflectors=(ReflectorSpec(3, 4, 20, intensity=0),)),
+     "intensity"),
+    (PhantomSpec(32, 32, vessel=VesselSpec(16, 16, 8, 6, wall_intensity=-0.5)),
+     "wall_intensity"),
+])
+def test_specs_that_render_wrongly_rejected(spec, field):
+    with pytest.raises(SpecError, match=field):
+        generate(spec)
+
+
+def test_zero_speckle_scale_adds_nothing():
+    spec = PhantomSpec(32, 32, vessel=VesselSpec(cx=16, cy=16, a=8, b=6))
+    plain = generate(spec).views[0].image.data
+    still = generate(replace(spec, speckle=SpeckleSpec(scale=0.0)))
+    assert np.array_equal(still.views[0].image.data, plain)
+
+
 def test_shadow_attenuates_below():
     spec = PhantomSpec(
         width=60, height=120,
@@ -116,10 +171,35 @@ def test_shadow_attenuates_below():
 def test_prng_is_stable():
     rng = Xorshift64Star(1)
     # frozen reference values of the documented xorshift64* generator
-    assert [rng.next_uint64() for _ in range(3)] == [
-        5180492295206395165, 12380297144915551517, 13389498078930870103]
+    frozen = [5180492295206395165, 12380297144915551517, 13389498078930870103]
+    assert [rng.next_uint64() for _ in range(3)] == frozen
+    assert phantom._xorshift64star(1, 3).tolist() == frozen
+    assert phantom._xorshift64star(1, 3).dtype == np.uint64
     r2 = Xorshift64Star(7)
     assert all(0.0 <= r2.next_float() < 1.0 for _ in range(5))
+
+
+_L = phantom._LANES
+
+
+@pytest.mark.parametrize("n", [1, _L - 1, _L, _L + 1, 192 * 192, 512 * 512 + 3])
+@pytest.mark.parametrize("seed", [0, (1 << 64) - 1, 0x9E3779B97F4A7C15, 7,
+                                  0x5DEECE66D, 0xD1B54A32D192ED03])
+def test_lane_stream_equals_serial_oracle(seed, n):
+    # seed 0 takes the fallback state; 0x9E3779B97F4A7C15 is that state.
+    got = phantom._rayleigh(seed, 0.03, n)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, Xorshift64Star(seed).rayleigh(0.03, n))
+
+
+def test_lane_stream_equals_serial_oracle_random_seeds(rng):
+    for seed in rng.integers(0, 1 << 63, size=4, dtype=np.int64).tolist():
+        n = int(rng.integers(1, 3 * _L * _L // 4))
+        oracle = Xorshift64Star(seed)
+        assert phantom._xorshift64star(seed, 9).tolist() == [
+            oracle.next_uint64() for _ in range(9)]
+        assert np.array_equal(phantom._rayleigh(seed, 0.05, n),
+                              Xorshift64Star(seed).rayleigh(0.05, n))
 
 
 def test_spec_from_dict_roundtrip():

@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from test_boundary import brute_force_refine
+from test_phantom import Xorshift64Star
 from uscompound.boundary import ClusterSet, refine_boundaries
 from uscompound.confidence import attenuation_intensity_confidence
 from uscompound.image import Image, quantize8
 from uscompound.metrics import dice
+from uscompound.phantom import _rayleigh
 from uscompound.pyramid import collapse, laplacian_pyramid
 
 unit_images = arrays(np.float32, (16, 16),
@@ -59,3 +61,10 @@ def test_refine_matches_brute_force_property(image, data):
     clusters = ClusterSet(labels, (1, 3))
     assert np.array_equal(refine_boundaries(image, clusters),
                           brute_force_refine(image, clusters))
+
+
+@given(st.integers(0, (1 << 64) - 1), st.integers(1, 5000))
+@settings(max_examples=25, deadline=None)
+def test_lane_speckle_equals_serial_stream_property(seed, n):
+    assert np.array_equal(_rayleigh(seed, 0.03, n),
+                          Xorshift64Star(seed).rayleigh(0.03, n))
