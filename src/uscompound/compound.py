@@ -141,17 +141,40 @@ _NEIGHBOR_OFFSETS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)
 
 def _local_contrast(layer: np.ndarray) -> np.ndarray:
     """Sum of |neighbor - center| over the 8-neighborhood of the last two
-    axes; neighbors falling outside the border are skipped."""
+    axes; neighbors falling outside the border are skipped.
+
+    Each of the 4 undirected differences is computed once and added to both
+    of its endpoints, in the order of `_NEIGHBOR_OFFSETS`."""
     a = np.asarray(layer, dtype=np.float64)
     h, w = a.shape[-2:]
     out = np.zeros_like(a)
+    diffs = {}
     for di, dj in _NEIGHBOR_OFFSETS:
         cs = slice(max(0, -di), h - max(0, di))
         cj = slice(max(0, -dj), w - max(0, dj))
-        ns = slice(max(0, di), h - max(0, -di))
-        nj = slice(max(0, dj), w - max(0, -dj))
-        out[..., cs, cj] += np.abs(a[..., ns, nj] - a[..., cs, cj])
+        if (-di, -dj) in diffs:
+            # the same pair seen from its other end: |x - y| == |y - x|
+            d = diffs.pop((-di, -dj))
+        else:
+            ns = slice(max(0, di), h - max(0, -di))
+            nj = slice(max(0, dj), w - max(0, -dj))
+            d = diffs[(di, dj)] = a[..., ns, nj] - a[..., cs, cj]
+            np.abs(d, out=d)
+        out[..., cs, cj] += d
     return out
+
+
+def _first_argmax(keys: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """`np.where(valid, keys, -inf).argmax(axis=0)`, by a running strict
+    comparison over the views, so ties keep the lowest index."""
+    best = np.where(valid[0], keys[0], -np.inf)
+    index = np.zeros(best.shape, dtype=np.intp)
+    for v in range(1, len(keys)):
+        key = np.where(valid[v], keys[v], -np.inf)
+        better = key > best
+        index[better] = v
+        best = np.where(better, key, best)
+    return index
 
 
 def select_view_layer(image_layers: Sequence[np.ndarray],
@@ -170,11 +193,8 @@ def select_view_layer(image_layers: Sequence[np.ndarray],
     gs_masked_min = np.where(valid, gs, np.inf).min(axis=0)
     any_valid = valid.any(axis=0)
     agree = np.where(any_valid, gs_masked_max - gs_masked_min < gamma, True)
-
-    contrast = _local_contrast(image_layers)
-    by_contrast = np.where(valid, contrast, -np.inf).argmax(axis=0)
-    by_confidence = np.where(valid, gs, -np.inf).argmax(axis=0)
-    return np.where(agree, by_contrast, by_confidence)
+    return _first_argmax(np.where(agree, _local_contrast(image_layers), gs),
+                         valid)
 
 
 def weighted_average_layer(laplacian_layers: Sequence[np.ndarray],

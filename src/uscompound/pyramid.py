@@ -9,6 +9,14 @@ reflect-101 borders; decimation keeps even indices.  Upsampling
 zero-inserts to the target dims and blurs with the same kernel scaled x4,
 which makes collapse an exact inverse of the analysis up to floating-point
 error.
+
+Both are evaluated only where they matter, as Burt and Adelson define
+REDUCE and EXPAND: the blur of a reduction only at the even rows and
+columns it keeps, and the blur of an expansion only over the samples that
+can be non-zero, by output phase (reflect-101 keeps parity, so the other
+taps meet inserted zeros).  The products are the same and are summed in
+the same order from 0, so both equal the full blur bit for bit, signed
+zeros included.
 """
 
 from __future__ import annotations
@@ -32,12 +40,44 @@ DEFAULT_LEVELS = 5
 _KERNEL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
 
-def _blur(a: np.ndarray) -> np.ndarray:
+def _reduce(a: np.ndarray) -> np.ndarray:
+    """The 5-tap blur of `a` at its even rows and columns only."""
     # np.pad 'reflect' is reflect-101 (edge sample not repeated).
     h, w = a.shape[-2:]
     p = np.pad(a, [(0, 0)] * (a.ndim - 2) + [(2, 2), (2, 2)], mode="reflect")
-    horiz = sum(k * p[..., i:i + w] for i, k in enumerate(_KERNEL))
-    return sum(k * horiz[..., i:i + h, :] for i, k in enumerate(_KERNEL))
+    horiz = sum(k * p[..., i:i + w:2] for i, k in enumerate(_KERNEL))
+    return sum(k * horiz[..., i:i + h:2, :] for i, k in enumerate(_KERNEL))
+
+
+def _along(axis: int, s: slice) -> tuple:
+    """Index applying slice `s` to `axis` (-1 or -2) of an array."""
+    return (Ellipsis, s) if axis == -1 else (Ellipsis, s, slice(None))
+
+
+def _expand(x: np.ndarray, n: int, axis: int) -> np.ndarray:
+    """The 5-tap blur along `axis` of `x` zero-inserted to length `n`.
+
+    Reflect-101 keeps parity for n >= 2, so even outputs meet samples of `x`
+    at taps 0, 2, 4 and odd outputs at taps 1, 3; the other taps meet
+    inserted zeros and add exactly +0.0 to a sum started from 0.
+    """
+    if n == 1:
+        # a single sample reflects onto itself at every tap
+        return sum(k * x for k in _KERNEL)
+    m, half = x.shape[axis], n // 2
+    # the zero-inserted axis reflects onto x[lo] before x and x[hi] after it
+    lo, hi = (1 if n > 2 else 0), (m - 1 if n % 2 == 0 else m - 2)
+    xp = np.concatenate([x[_along(axis, slice(lo, lo + 1))], x,
+                         x[_along(axis, slice(hi, hi + 1))]], axis=axis)
+    shape = list(x.shape)
+    shape[axis] = n
+    out = np.empty(shape)
+    out[_along(axis, slice(0, None, 2))] = sum(
+        _KERNEL[2 * j] * xp[_along(axis, slice(j, j + m))] for j in range(3))
+    out[_along(axis, slice(1, None, 2))] = sum(
+        _KERNEL[2 * j + 1] * xp[_along(axis, slice(j + 1, j + 1 + half))]
+        for j in range(2))
+    return out
 
 
 def _check(image: np.ndarray, levels: int) -> np.ndarray:
@@ -67,19 +107,20 @@ def gaussian_pyramid(image: np.ndarray, levels: int = DEFAULT_LEVELS) -> list[np
     a = _check(image, levels)
     layers = [a]
     for _ in range(levels - 1):
-        layers.append(_blur(layers[-1])[..., ::2, ::2])
+        layers.append(_reduce(layers[-1]))
     return layers
 
 
 def upsample(a: np.ndarray, target_shape: tuple[int, int]) -> np.ndarray:
     """Zero-insert `a` to the rows and columns that end `target_shape`, then
     blur with the x4-scaled kernel."""
+    a = np.asarray(a, dtype=np.float64)
+    if len(target_shape) < 2:
+        raise DimensionError(f"upsample target {target_shape} must be at least 2-D")
     th, tw = target_shape[-2:]
     if ((th + 1) // 2, (tw + 1) // 2) != a.shape[-2:]:
         raise DimensionError(f"cannot upsample {a.shape} to {target_shape}")
-    z = np.zeros(a.shape[:-2] + (th, tw), dtype=np.float64)
-    z[..., ::2, ::2] = a
-    return _blur(z) * 4.0
+    return _expand(_expand(a, tw, -1), th, -2) * 4.0
 
 
 def laplacian_pyramid(image: np.ndarray, levels: int = DEFAULT_LEVELS) -> list[np.ndarray]:
@@ -96,10 +137,12 @@ def laplacian_from_gaussian(g: list[np.ndarray]) -> list[np.ndarray]:
 def _check_chain(layers: list[np.ndarray]) -> None:
     if len(layers) < 2:
         raise DimensionError("pyramid must have at least 2 layers")
-    h, w = layers[0].shape
-    expected = layer_shapes(h, w, len(layers))
+    if layers[0].ndim < 2:
+        raise DimensionError("pyramid layers must be at least 2-D")
+    batch = layers[0].shape[:-2]
+    expected = layer_shapes(*layers[0].shape[-2:], len(layers))
     for k, layer in enumerate(layers):
-        if layer.shape != expected[k]:
+        if layer.shape != batch + expected[k]:
             raise DimensionError(
                 f"layer {k + 1} shape {layer.shape} breaks the dimension chain")
 

@@ -528,6 +528,55 @@ def test_confidence_fmap_bytes_pinned(tmp_path, phantom_dir, kind, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# sha256 of the `compound` outputs for the phantom_dir scene, pinned so that
+# the fusion stays byte-identical across refactors; 95 x 93 puts odd
+# dimensions on every pyramid layer's border.
+@pytest.mark.parametrize("size,method,digest", [
+    ((), "average", "dfb05caee6dc77b9c083c4a752e52cb73d81d9d282e3e2cdbddf4ba06dfa2168"),
+    ((), "maximum", "7aea502c7f6ee0501f1023ced12264b1d6b0d0b02af97913f48c587189947290"),
+    ((), "ubf", "bde93ddf2c09f751434c2d1215e3adf8c303341e446095b9bac75224d492101b"),
+    ((), "pyramid", "19c82d6635fb3909a52ab877ced4bae6507b7039978deed749900afc9547dc97"),
+    ((95, 93), "average", "640de38a56ae29140ad88f99b370e843e6c16c846d609d9c85715e5abfdd6eed"),
+    ((95, 93), "maximum", "f36ad09663963bc4d19fe35a71c1d2da4e74713ab034763d11c1ce1e36ff0285"),
+    ((95, 93), "ubf", "3ac7aad32cb21ff6e72a424dd877da097471ce05dd59919e7754686bb651a9bf"),
+    ((95, 93), "pyramid", "909f2dadf040b7129ce4a0b4bb3327c1ea04e65ddf601dc21c9dd7537c929978"),
+])
+def test_compound_output_bytes_pinned(tmp_path, phantom_dir, size, method,
+                                      digest):
+    out = tmp_path / "o.pgm"
+    dims = ["--width", str(size[0]), "--height", str(size[1])] if size else []
+    assert run(["compound", "--method", method, *_view_args(phantom_dir),
+                *dims, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# sha256 of the intermediates `--dump-intermediates` writes for the pyramid
+# run on the phantom_dir scene: the pyramid layers of the fusion, pinned.
+_INTERMEDIATE_DIGESTS = {
+    "blended_layer1": "03e70f1b83b0fb1e3b193c31749d07b50d66932931f1a46fdeab1e025273c786",
+    "blended_layer2": "1fe07956313e3946c4d11c8841cdc2975867a8f5b14ed9c2dbba4e8c45c7d05f",
+    "blended_layer3": "ff164a378a0f54395376fbaf8c9d6492dd9c29e4e753b9e332b137053a8d466f",
+    "blended_layer4": "c8285e024ac79bb011baa62fe9212dcb6b46633753806ee2f079a2d65e655aed",
+    "blended_layer5": "9c6f1eb1791a3a3fe271934c4bc43f0d2a774d8988a24aaa517f6905140df7b7",
+    "partial_layer3_post_enhance": "2ec5a13979385d5e23ff28c855e84193f2effc98c33beb78f21ae99a610b2912",
+    "partial_layer3_pre_enhance": "c22828f154774e2aae90ac2d61fd0ad9cf04770dce87f582bc56e05390cadb0b",
+    "selection_layer1": "c09c9dfccbfc7869082edaafcfd0bbd33ba831288c84a4adf8c8e8cfccf0f79b",
+    "selection_layer2": "01c09123341ac6bcec801b0774b442bf15ee9bc6b528b54a4c8965dedee87708",
+    "selection_layer3": "a9418e8f80bb33055a237663a4625028ae0b6f34b6cb0c4482802d273eb46830",
+    "selection_layer4": "671633f80c353246fdb3017b64fb73aae09ec4c2d3378a026741742997b9f15f",
+    "selection_layer5": "7c6229919be3327e8c2090bdb5cfcde531ef8fbe5a26b65641adff9194aceb54",
+}
+
+
+def test_pyramid_intermediate_bytes_pinned(tmp_path, phantom_dir):
+    dump = tmp_path / "layers"
+    assert run(["compound", "--method", "pyramid", *_view_args(phantom_dir),
+                "--out", str(tmp_path / "o.pgm"),
+                "--dump-intermediates", str(dump)]) == 0
+    assert {p.stem: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in dump.iterdir()} == _INTERMEDIATE_DIGESTS
+
+
 @pytest.mark.parametrize("option", ["--decay", "--absorption"])
 def test_confidence_attenuation_is_set_by_config_only(tmp_path, phantom_dir,
                                                       option):

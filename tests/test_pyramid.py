@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from uscompound.errors import DimensionError
 from uscompound.pyramid import (collapse, gaussian_pyramid,
@@ -7,6 +10,79 @@ from uscompound.pyramid import (collapse, gaussian_pyramid,
                                 layer_shapes, partial_collapse, upsample)
 
 KERNEL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
+
+
+def blur_oracle(a):
+    """The 5-tap separable blur with reflect-101 borders at every pixel."""
+    h, w = a.shape[-2:]
+    p = np.pad(a, [(0, 0)] * (a.ndim - 2) + [(2, 2), (2, 2)], mode="reflect")
+    horiz = sum(k * p[..., i:i + w] for i, k in enumerate(KERNEL))
+    return sum(k * horiz[..., i:i + h, :] for i, k in enumerate(KERNEL))
+
+
+def reduce_oracle(a):
+    """Blur every pixel, then keep the even rows and columns."""
+    return blur_oracle(np.asarray(a, dtype=np.float64))[..., ::2, ::2]
+
+
+def upsample_oracle(a, target_shape):
+    """Zero-insert to the full target size, then blur it all with the
+    x4-scaled kernel."""
+    th, tw = target_shape[-2:]
+    z = np.zeros(a.shape[:-2] + (th, tw), dtype=np.float64)
+    z[..., ::2, ::2] = a
+    return blur_oracle(z) * 4.0
+
+
+def same_bits(x, y):
+    """Equal shape, dtype and values, signed zeros included."""
+    return (x.shape == y.shape and x.dtype == y.dtype and np.array_equal(x, y)
+            and np.array_equal(np.signbit(x), np.signbit(y)))
+
+
+# both signed zeros are drawn often, so that a sign flip would show
+_values = st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0)
+
+
+@st.composite
+def batched_grids(draw, axis=st.integers(2, 64)):
+    """float64 with signed zeros, or bool as the validity pyramid gets, with
+    0-2 leading batch axes."""
+    shape = (tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+             + (draw(axis), draw(axis)))
+    if draw(st.booleans()):
+        return draw(arrays(bool, shape))
+    return draw(arrays(np.float64, shape, elements=_values))
+
+
+@given(batched_grids())
+@settings(max_examples=60, deadline=None)
+def test_pyramid_matches_full_blur_oracles(a):
+    levels = min(a.shape[-2:]).bit_length()   # the deepest pyramid that fits
+    g = gaussian_pyramid(a, levels)
+    assert same_bits(g[0], a.astype(np.float64))
+    for fine, coarse in zip(g, g[1:]):
+        assert same_bits(coarse, reduce_oracle(fine))
+        assert same_bits(upsample(coarse, fine.shape),
+                         upsample_oracle(coarse, fine.shape))
+
+
+@given(batched_grids(axis=st.integers(1, 32)), st.integers(0, 1),
+       st.integers(0, 1))
+@settings(max_examples=60, deadline=None)
+def test_upsample_matches_zero_insert_oracle(a, drop_row, drop_col):
+    # target axes 1..64, odd and even; `a` itself carries the signed zeros
+    target = (2 * a.shape[-2] - drop_row, 2 * a.shape[-1] - drop_col)
+    assert same_bits(upsample(a, target), upsample_oracle(a, target))
+
+
+@pytest.mark.parametrize("coarse,target", [
+    ((1, 1), (1, 1)), ((1, 3), (1, 5)), ((3, 1), (6, 1)), ((2, 1, 4), (2, 1, 7)),
+])
+def test_upsample_to_a_single_row_or_column(rng, coarse, target):
+    # an axis of length 1 reflects onto itself, so every tap meets the sample
+    a = rng.random(coarse)
+    assert same_bits(upsample(a, target), upsample_oracle(a, target))
 
 
 def brute_force_blur_decimate(a):
@@ -76,6 +152,26 @@ def test_stacked_pyramid_equals_per_plane(rng):
     assert up.shape == (3, 33, 47)
     for v in range(3):
         assert np.array_equal(up[v], upsample(coarse[v], (33, 47)))
+
+
+def test_stacked_collapse_equals_per_plane(rng):
+    stack = rng.random((2, 3, 33, 47))
+    lap = laplacian_pyramid(stack, 4)
+    out = collapse(lap)
+    assert out.shape == stack.shape
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(out[idx], collapse([layer[idx] for layer in lap]))
+    assert collapse(laplacian_pyramid(np.zeros((2, 16, 16)), 3)).shape == (2, 16, 16)
+
+
+def test_bad_batched_inputs_raise_dimension_error():
+    lap = laplacian_pyramid(np.zeros((2, 16, 16)), 3)
+    with pytest.raises(DimensionError):
+        collapse([lap[0], lap[1][:1], lap[2]])   # unequal leading axes
+    with pytest.raises(DimensionError):
+        collapse([np.zeros(16), np.zeros(8)])
+    with pytest.raises(DimensionError):
+        upsample(np.zeros((4, 4)), (8,))
 
 
 def test_constant_laplacian_layers_zero():
