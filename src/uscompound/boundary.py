@@ -74,7 +74,8 @@ class ClusterSet:
         return len(self.ids)
 
 
-def vertical_gradient(image: np.ndarray, alpha: int = 15) -> np.ndarray:
+def vertical_gradient(image: np.ndarray,
+                      alpha: int = BoundaryParams.alpha) -> np.ndarray:
     """max_{j=1..alpha} |I(x,y) - I(x,y+j)|, truncated at the bottom edge.
 
     The bottom row has no pixels beneath it and gets gradient 0.
@@ -90,7 +91,8 @@ def vertical_gradient(image: np.ndarray, alpha: int = 15) -> np.ndarray:
 
 
 def extract_clusters(grad: np.ndarray, grad_threshold: float,
-                     median_denoise: bool = True) -> ClusterSet:
+                     median_denoise: bool = BoundaryParams.median_denoise
+                     ) -> ClusterSet:
     binary = np.asarray(grad, dtype=np.float64) > grad_threshold
     if median_denoise:
         # median of the 3x3 window > T  <=>  at least 5 of its 9 values > T
@@ -100,8 +102,9 @@ def extract_clusters(grad: np.ndarray, grad_threshold: float,
     return ClusterSet(labels, tuple(range(1, n + 1)))
 
 
-def filter_clusters(clusters: ClusterSet, min_size: int = 50,
-                    beta: int = 20) -> ClusterSet:
+def filter_clusters(clusters: ClusterSet,
+                    min_size: int = BoundaryParams.min_size,
+                    beta: int = BoundaryParams.beta) -> ClusterSet:
     """Size filter, then reject clusters shadowed from above.
 
     A cluster is dropped when any pixel of another size-surviving cluster
@@ -128,7 +131,8 @@ def filter_clusters(clusters: ClusterSet, min_size: int = 50,
 
 
 def refine_boundaries(image: np.ndarray, clusters: ClusterSet,
-                      threshold1: float = 30.0, threshold2: float = 2.0) -> np.ndarray:
+                      threshold1: float = BoundaryParams.t1,
+                      threshold2: float = BoundaryParams.t2) -> np.ndarray:
     """Region growing from the kept clusters.
 
     Seeds are cluster pixels brighter than t1; growth steps to 8-neighbours

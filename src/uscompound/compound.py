@@ -67,23 +67,28 @@ class PyramidParams:
                 raise ValueError("phi override values must lie in [0, 1]")
 
 
-def _stack(views: Sequence[WarpedView]):
+def _stack(views: Sequence[WarpedView], *maps: str):
+    """Each view's image, validity and map named in `maps`, stacked over the
+    views into (V, H, W) arrays, images and maps as float64.  Raises
+    DimensionError unless all share the common frame, and ValueError naming
+    a map that some view lacks."""
     if len(views) < 1:
         raise ValueError("need at least one view")
     shape = views[0].image.shape
     for v in views:
         if v.image.shape != shape or v.validity.shape != shape:
             raise DimensionError("views must share common-frame dimensions")
-    imgs = np.stack([np.asarray(v.image, dtype=np.float64) for v in views])
-    valid = np.stack([v.validity for v in views])
-    return imgs, valid
-
-
-def _require_maps(views: Sequence[WarpedView], *names: str) -> None:
-    """Raise ValueError naming a map in `names` that some view lacks."""
-    for name in names:
+    for name in maps:
         if any(getattr(v, name) is None for v in views):
             raise ValueError(f"every view needs a {name} map (see prepare_views)")
+        if any(np.shape(getattr(v, name)) != shape for v in views):
+            raise DimensionError(f"{name} maps must share common-frame dimensions")
+
+    def stacked(name: str) -> np.ndarray:
+        return np.stack([np.asarray(getattr(v, name), np.float64) for v in views])
+
+    return (stacked("image"), np.stack([v.validity for v in views]),
+            *map(stacked, maps))
 
 
 def compound_average(views: Sequence[WarpedView]) -> np.ndarray:
@@ -104,10 +109,7 @@ def compound_maximum(views: Sequence[WarpedView]) -> np.ndarray:
 
 def compound_ubf(views: Sequence[WarpedView]) -> np.ndarray:
     """Intensity-confidence weighted average (uncertainty-based fusion)."""
-    imgs, valid = _stack(views)
-    _require_maps(views, "intensity_confidence")
-    conf = np.stack([np.asarray(v.intensity_confidence, dtype=np.float64)
-                     for v in views])
+    imgs, valid, conf = _stack(views, "intensity_confidence")
     return _masked_weighted_mean(imgs, conf, valid).astype(np.float32)
 
 
@@ -180,7 +182,7 @@ def _first_argmax(keys: np.ndarray, valid: np.ndarray) -> np.ndarray:
 def select_view_layer(image_layers: Sequence[np.ndarray],
                       structural_layers: Sequence[np.ndarray],
                       validity_layers: Sequence[np.ndarray],
-                      gamma: float = 0.05) -> np.ndarray:
+                      gamma: float = PyramidParams.gamma) -> np.ndarray:
     """Per-pixel chosen view index at one pyramid layer.
 
     Where the valid views' structural confidences agree to within `gamma`,
@@ -247,20 +249,13 @@ def compound_pyramid(views: Sequence[WarpedView],
     Laplacian average by the layer weight; boundary enhancement is applied to
     the partial reconstruction at `enhance_layer` on the way back down.
     """
-    imgs, valid = _stack(views)
-    _require_maps(views, "intensity_confidence", "structural_confidence",
-                  "boundary_mask")
+    imgs, valid, *maps = _stack(views, "intensity_confidence",
+                                "structural_confidence", "boundary_mask")
     k_levels = params.levels
     any_valid = valid.any(axis=0)
 
-    def pyramid_of(maps: list[np.ndarray]) -> list[np.ndarray]:
-        return pyr.gaussian_pyramid(np.stack(maps), k_levels)
-
-    gi = pyr.gaussian_pyramid(imgs, k_levels)
-    lap = pyr.laplacian_from_gaussian(gi)
-    gc = pyramid_of([v.intensity_confidence for v in views])
-    gs = pyramid_of([v.structural_confidence for v in views])
-    gb = pyramid_of([v.boundary_mask for v in views])
+    gi, gc, gs, gb = [pyr.gaussian_pyramid(a, k_levels) for a in (imgs, *maps)]
+    lap = pyr.laplacian_pyramid(gi)
     # A coarse pixel counts as observed only if the blurred validity stays
     # above 0.5, so never-seen regions do not bleed through the blur.
     gv = [layer > 0.5 for layer in pyr.gaussian_pyramid(valid, k_levels)]

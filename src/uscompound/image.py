@@ -98,7 +98,7 @@ class ViewInput:
 
     Optional per-pixel maps must share the image's dimensions.  Confidence
     maps are float arrays of finite values in [0, 1], checked here and
-    stored as given; the boundary mask is boolean.
+    stored as given; in the boundary mask, nonzero marks a boundary pixel.
     """
 
     image: Image
@@ -108,6 +108,8 @@ class ViewInput:
     boundary_mask: np.ndarray | None = None
 
     def __post_init__(self):
+        if not isinstance(self.image, Image):
+            raise TypeError(f"image must be an Image, not {type(self.image).__name__}")
         shape = self.image.data.shape
         for name in ("intensity_confidence", "structural_confidence", "boundary_mask"):
             m = getattr(self, name)
@@ -268,8 +270,7 @@ def warp_array(data: np.ndarray, transform: RigidTransform2D,
     if nearest:
         ix = np.clip(np.rint(sx).astype(np.intp), 0, w - 1)
         iy = np.clip(np.rint(sy).astype(np.intp), 0, h - 1)
-        out = np.where(valid, src[..., iy, ix], 0)
-        return out.astype(src.dtype), valid
+        return np.where(valid, src[..., iy, ix], np.zeros((), src.dtype)), valid
 
     x0 = np.clip(np.floor(sx).astype(np.intp), 0, w - 2) if w > 1 else np.zeros_like(sx, np.intp)
     y0 = np.clip(np.floor(sy).astype(np.intp), 0, h - 2) if h > 1 else np.zeros_like(sy, np.intp)
@@ -291,8 +292,8 @@ def warp_to_common(view: ViewInput, out_width: int, out_height: int) -> WarpedVi
     """Resample a view and all its attached maps into the common frame.
 
     The image and the confidence maps present are stacked and interpolated
-    bilinearly in one call; the boundary mask uses nearest-neighbor so it
-    stays binary.  Both calls sample the same source positions.
+    bilinearly in one call; the boundary mask uses nearest-neighbor, and any
+    nonzero value becomes True.  Both calls sample the same source positions.
     """
     t = view.to_common
     names = [n for n in ("intensity_confidence", "structural_confidence")
@@ -302,7 +303,7 @@ def warp_to_common(view: ViewInput, out_width: int, out_height: int) -> WarpedVi
     out = WarpedView(np.clip(planes[0], 0.0, 1.0, out=planes[0]), valid,
                      **dict(zip(names, planes[1:])))
     if view.boundary_mask is not None:
-        m = warp_array(view.boundary_mask.astype(np.uint8), t,
-                       out_width, out_height, nearest=True)[0]
+        m = warp_array(view.boundary_mask, t, out_width, out_height,
+                       nearest=True)[0]
         out.boundary_mask = m.astype(bool)
     return out

@@ -8,7 +8,8 @@ kernel is the 5-tap binomial (1, 4, 6, 4, 1)/16 applied separably with
 reflect-101 borders; decimation keeps even indices.  Upsampling
 zero-inserts to the target dims and blurs with the same kernel scaled x4,
 which makes collapse an exact inverse of the analysis up to floating-point
-error.
+error.  A Laplacian pyramid is built from a Gaussian pyramid the caller
+holds: `laplacian_pyramid(gaussian_pyramid(image, levels))`.
 
 Both are evaluated only where they matter, as Burt and Adelson define
 REDUCE and EXPAND: the blur of a reduction only at the even rows and
@@ -28,7 +29,6 @@ from .errors import DimensionError
 __all__ = [
     "gaussian_pyramid",
     "laplacian_pyramid",
-    "laplacian_from_gaussian",
     "collapse",
     "partial_collapse",
     "upsample",
@@ -123,13 +123,11 @@ def upsample(a: np.ndarray, target_shape: tuple[int, int]) -> np.ndarray:
     return _expand(_expand(a, tw, -1), th, -2) * 4.0
 
 
-def laplacian_pyramid(image: np.ndarray, levels: int = DEFAULT_LEVELS) -> list[np.ndarray]:
-    """Band-pass layers 1..K-1 plus the coarsest Gaussian layer as layer K."""
-    return laplacian_from_gaussian(gaussian_pyramid(image, levels))
-
-
-def laplacian_from_gaussian(g: list[np.ndarray]) -> list[np.ndarray]:
-    """The Laplacian pyramid of an already built Gaussian pyramid `g`."""
+def laplacian_pyramid(g: list[np.ndarray]) -> list[np.ndarray]:
+    """The Laplacian pyramid of the Gaussian pyramid `g`, as the caller holds
+    it from `gaussian_pyramid`: band-pass layers g[k] - EXPAND(g[k+1]) for
+    layers 1..K-1, plus the coarsest Gaussian layer as layer K."""
+    _check_chain(g)
     layers = [g[k] - upsample(g[k + 1], g[k].shape) for k in range(len(g) - 1)]
     return layers + [g[-1]]
 

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -258,3 +260,17 @@ def test_vote_matches_median_filter(rng, shape):
         clusters = extract_clusters(grad, threshold, median_denoise=True)
         assert np.array_equal(clusters.labels, expected)
         assert clusters.ids == tuple(range(1, expected.max() + 1))
+
+
+@pytest.mark.parametrize("fn,param,field", [
+    (vertical_gradient, "alpha", "alpha"),
+    (extract_clusters, "median_denoise", "median_denoise"),
+    (filter_clusters, "min_size", "min_size"),
+    (filter_clusters, "beta", "beta"),
+    (refine_boundaries, "threshold1", "t1"),
+    (refine_boundaries, "threshold2", "t2"),
+])
+def test_step_defaults_are_the_params_defaults(fn, param, field):
+    default = inspect.signature(fn).parameters[param].default
+    assert default == getattr(BoundaryParams(), field)
+    assert type(default) is type(getattr(BoundaryParams(), field))

@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import fields
 
 import numpy as np
@@ -10,7 +11,7 @@ from uscompound.compound import (PyramidParams, blend_layer, compound,
                                  compound_pyramid, compound_ubf,
                                  enhance_boundaries, phi, prepare_views,
                                  select_view_layer, weighted_average_layer,
-                                 _local_contrast)
+                                 _local_contrast, _stack)
 from uscompound.errors import DimensionError
 from uscompound.image import ViewInput, WarpedView
 from uscompound.phantom import generate
@@ -322,7 +323,7 @@ def test_select_matches_argmax_oracle(n_views, gamma, seed):
 def weighted_laplacian_oracle(views, levels):
     """Independent implementation: per-layer GC-weighted Laplacian average,
     collapsed."""
-    lap = [laplacian_pyramid(v.image, levels) for v in views]
+    lap = [laplacian_pyramid(gaussian_pyramid(v.image, levels)) for v in views]
     gc = [gaussian_pyramid(v.intensity_confidence, levels) for v in views]
     layers = []
     for k in range(levels):
@@ -350,7 +351,7 @@ def per_view_pyramid_reference(views, params=PyramidParams()):
     regrouped into per-layer lists of views."""
     levels = params.levels
     gi = [gaussian_pyramid(v.image, levels) for v in views]
-    lap = [laplacian_pyramid(v.image, levels) for v in views]
+    lap = [laplacian_pyramid(gaussian_pyramid(v.image, levels)) for v in views]
     gc = [gaussian_pyramid(v.intensity_confidence, levels) for v in views]
     gs = [gaussian_pyramid(v.structural_confidence, levels) for v in views]
     gb = [gaussian_pyramid(v.boundary_mask.astype(np.float64), levels)
@@ -421,9 +422,9 @@ def test_pyramid_matches_per_view_reference_phantom():
 
 
 def test_pyramid_builds_traced_by_name(monkeypatch):
-    # the benchmark's trace counts these two public functions by name, so
-    # the fusion must reach them through the module, not an inlined helper
-    calls = {"gaussian_pyramid": 0, "upsample": 0}
+    # the benchmark's trace counts these public functions by name, so the
+    # fusion must reach them through the module, not an inlined helper
+    calls = {"gaussian_pyramid": 0, "laplacian_pyramid": 0, "upsample": 0}
 
     def counting(name):
         fn = getattr(pyr, name)
@@ -439,7 +440,8 @@ def test_pyramid_builds_traced_by_name(monkeypatch):
     for name in calls:
         monkeypatch.setattr(pyr, name, counting(name))
     compound_pyramid(warped)
-    assert calls == {"gaussian_pyramid": 5, "upsample": 8}
+    assert calls == {"gaussian_pyramid": 5, "laplacian_pyramid": 1,
+                     "upsample": 8}
 
 
 def test_compound_leaves_input_views_unchanged(rng):
@@ -470,6 +472,42 @@ def test_compound_rejects_views_missing_a_map(rng, method, missing):
     setattr(views[1], missing, None)
     with pytest.raises(ValueError, match=missing):
         compound(views, method)
+
+
+@pytest.mark.parametrize("method,name", [
+    ("ubf", "intensity_confidence"),
+    ("pyramid", "intensity_confidence"),
+    ("pyramid", "structural_confidence"),
+    ("pyramid", "boundary_mask"),
+])
+@pytest.mark.parametrize("shape", [(1, 32), (16, 16), (32, 32, 1)])
+def test_compound_rejects_a_map_of_another_shape(rng, method, name, shape):
+    # a (1, 32) map would broadcast silently against (32, 32) images
+    views = duplicate_views(rng)
+    for v in views:
+        setattr(v, name, np.ones(shape, getattr(v, name).dtype))
+    with pytest.raises(DimensionError, match=name):
+        compound(views, method)
+
+
+def test_stack_checks_maps_before_stacking_them(rng):
+    views = duplicate_views(rng, n=3)
+    imgs, valid, gc, bm = _stack(views, "intensity_confidence", "boundary_mask")
+    for name, stacked in [("image", imgs), ("intensity_confidence", gc),
+                          ("boundary_mask", bm)]:
+        assert stacked.shape == (3, 32, 32) and stacked.dtype == np.float64
+        for v, plane in zip(views, stacked):
+            assert np.array_equal(plane, getattr(v, name))
+    assert valid.shape == (3, 32, 32) and valid.dtype == bool
+    # a missing map must not stack to NaN (np.asarray(None, float) is NaN)
+    views[2].boundary_mask = None
+    with pytest.raises(ValueError, match="every view needs a boundary_mask map"):
+        _stack(views, "intensity_confidence", "boundary_mask")
+
+
+def test_select_default_gamma_is_the_params_default():
+    gamma = inspect.signature(select_view_layer).parameters["gamma"].default
+    assert gamma == PyramidParams.gamma
 
 
 def test_prepare_views_fills_every_map_and_leaves_inputs_unchanged():

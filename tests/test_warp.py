@@ -50,8 +50,8 @@ def per_map_warp_to_common(view, out_width, out_height):
         out.structural_confidence, _ = warp_array(
             view.structural_confidence, t, out_width, out_height)
     if view.boundary_mask is not None:
-        m, _ = warp_array(view.boundary_mask.astype(np.uint8), t,
-                          out_width, out_height, nearest=True)
+        m, _ = warp_array(view.boundary_mask, t, out_width, out_height,
+                          nearest=True)
         out.boundary_mask = m.astype(bool)
     return out
 
@@ -131,6 +131,23 @@ def test_warp_to_common_carries_maps(rng):
     assert np.array_equal(warped.boundary_mask[:, 1:], bm[:, :5])
     assert np.allclose(warped.intensity_confidence[:, 1:], gc[:, :5])
     assert warped.boundary_mask.dtype == bool
+
+
+@pytest.mark.parametrize("mask", [np.full((16, 16), 0.7),
+                                  np.full((16, 16), 256, dtype=np.uint16)])
+def test_any_nonzero_mask_value_marks_a_boundary(mask):
+    view = ViewInput(Image(np.zeros((16, 16))), boundary_mask=mask)
+    warped = warp_to_common(view, 16, 16).boundary_mask
+    assert warped.dtype == bool and warped.all()
+
+
+@pytest.mark.parametrize("nan", [False, True])
+def test_view_input_rejects_a_raw_array_image(rng, nan):
+    raw = rng.random((8, 8), dtype=np.float32)
+    if nan:
+        raw[3, 4] = np.nan
+    with pytest.raises(TypeError, match="Image"):
+        ViewInput(raw)
 
 
 def test_bad_output_dims():
