@@ -55,6 +55,15 @@ class BoundaryParams:
     t2: float = 2.0           # growth step threshold, 8-bit units
     median_denoise: bool = True
 
+    def __post_init__(self):
+        # The rules vertical_gradient and filter_clusters enforce.
+        if self.alpha < 1:
+            raise ValueError("alpha must be >= 1")
+        if self.beta < 0:
+            raise ValueError("beta must be >= 0")
+        if self.min_size < 1:
+            raise ValueError("min_size must be >= 1")
+
 
 @dataclass(frozen=True)
 class ClusterSet:

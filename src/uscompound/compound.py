@@ -56,6 +56,8 @@ class PyramidParams:
     phi_overrides: tuple[float, ...] | None = None  # per-layer, length `levels`
 
     def __post_init__(self):
+        if self.levels < 2:
+            raise ValueError("levels must be >= 2")
         if not 1 <= self.enhance_layer <= self.levels:
             raise ValueError("enhance_layer must lie in 1..levels")
         if not 0.0 <= self.gamma <= 1.0:

@@ -66,16 +66,23 @@ class Config:
     """Effective configuration resolved from defaults plus overrides."""
 
     def __init__(self, values: dict | None = None):
+        """Merge `values` over the defaults and check every range, so a
+        config is accepted or rejected whatever stage reads it."""
         self.values = merge_config(DEFAULTS, values or {})
-
-    def pyramid_params(self) -> PyramidParams:
         c = dict(self.values["compound"])
         if c["phi_overrides"] is not None:
             c["phi_overrides"] = tuple(c["phi_overrides"])
-        return PyramidParams(levels=self.values["pyramid"]["K"], **c)
+        self._pyramid = PyramidParams(levels=self.values["pyramid"]["K"], **c)
+        self._boundary = BoundaryParams(**self.values["boundary"])
+        for key, value in self.values["confidence"].items():
+            if value < 0:
+                raise SpecError(f"config key 'confidence.{key}' must not be negative")
+
+    def pyramid_params(self) -> PyramidParams:
+        return self._pyramid
 
     def boundary_params(self) -> BoundaryParams:
-        return BoundaryParams(**self.values["boundary"])
+        return self._boundary
 
     @property
     def decay(self) -> float:

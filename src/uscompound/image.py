@@ -68,7 +68,8 @@ class RigidTransform2D:
 
     A native-frame point p = (x, y) maps to q = R(rotation) @ p + (dx, dy),
     with x the column and y the row (y increasing downward).  Translation is
-    expressed in pixels of the common frame.
+    expressed in pixels of the common frame.  `apply` and `inverse_apply`
+    broadcast: a row of x and a column of y give the whole (H, W) grid.
     """
 
     rotation: float = 0.0
@@ -239,12 +240,6 @@ def load_mask(path) -> np.ndarray:
 # Warping
 # ---------------------------------------------------------------------------
 
-def _source_coords(transform: RigidTransform2D, out_width: int, out_height: int):
-    qx, qy = np.meshgrid(np.arange(out_width, dtype=np.float64),
-                         np.arange(out_height, dtype=np.float64))
-    return transform.inverse_apply(qx, qy)
-
-
 def warp_array(data: np.ndarray, transform: RigidTransform2D,
                out_width: int, out_height: int, nearest: bool = False):
     """Inverse-map `data` (native frame) into the common frame.
@@ -264,7 +259,8 @@ def warp_array(data: np.ndarray, transform: RigidTransform2D,
         raise DimensionError("output dimensions must be positive")
     src = np.asarray(data)
     h, w = src.shape[-2:]
-    sx, sy = _source_coords(transform, out_width, out_height)
+    sx, sy = transform.inverse_apply(np.arange(out_width, dtype=np.float64),
+                                     np.arange(out_height, dtype=np.float64)[:, None])
     valid = (sx >= 0.0) & (sx <= w - 1.0) & (sy >= 0.0) & (sy <= h - 1.0)
 
     if nearest:
@@ -272,8 +268,8 @@ def warp_array(data: np.ndarray, transform: RigidTransform2D,
         iy = np.clip(np.rint(sy).astype(np.intp), 0, h - 1)
         return np.where(valid, src[..., iy, ix], np.zeros((), src.dtype)), valid
 
-    x0 = np.clip(np.floor(sx).astype(np.intp), 0, w - 2) if w > 1 else np.zeros_like(sx, np.intp)
-    y0 = np.clip(np.floor(sy).astype(np.intp), 0, h - 2) if h > 1 else np.zeros_like(sy, np.intp)
+    x0 = np.clip(np.floor(sx).astype(np.intp), 0, max(w - 2, 0))
+    y0 = np.clip(np.floor(sy).astype(np.intp), 0, max(h - 2, 0))
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
     # The weights overwrite the source coordinates, which are not needed again.

@@ -190,9 +190,8 @@ def fit_ellipse(points: np.ndarray) -> Ellipse:
 
 def ellipse_mask(ellipse: Ellipse, height: int, width: int) -> np.ndarray:
     """Boolean mask of the ellipse interior over pixel centers."""
-    yy, xx = np.mgrid[0:height, 0:width]
-    dx = xx - ellipse.cx
-    dy = yy - ellipse.cy
+    dx = np.arange(width) - ellipse.cx
+    dy = np.arange(height)[:, None] - ellipse.cy
     c, s = np.cos(ellipse.rotation), np.sin(ellipse.rotation)
     u = c * dx + s * dy
     v = -s * dx + c * dy

@@ -146,6 +146,12 @@ class SpeckleSpec:
     seed: int = 1
 
 
+def _optional(kind, value, what: str):
+    """`kind` built from the JSON table `value`, or None if `value` is null;
+    any other value that is not a table is a SpecError."""
+    return None if value is None else kind(**checked(kind, value, what))
+
+
 @dataclass(frozen=True)
 class PhantomSpec:
     width: int
@@ -158,16 +164,13 @@ class PhantomSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "PhantomSpec":
         checked(cls, d, "phantom spec")
-        vessel, speckle = d.get("vessel"), d.get("speckle")
-        vessel = VesselSpec(**checked(VesselSpec, vessel, "vessel")) if vessel else None
+        vessel = _optional(VesselSpec, d.get("vessel"), "vessel")
         reflectors = []
         for i, r in enumerate(d.get("reflectors", [])):
             r = ReflectorSpec(**checked(ReflectorSpec, r, f"reflectors[{i}]"))
-            reverb = r.reverb and ReverbSpec(**checked(
-                ReverbSpec, r.reverb, f"reflectors[{i}].reverb"))
-            reflectors.append(replace(r, reverb=reverb or None))
-        speckle = (SpeckleSpec(**checked(SpeckleSpec, speckle, "speckle"))
-                   if speckle else None)
+            reflectors.append(replace(r, reverb=_optional(
+                ReverbSpec, r.reverb, f"reflectors[{i}].reverb")))
+        speckle = _optional(SpeckleSpec, d.get("speckle"), "speckle")
         views = tuple(RigidTransform2D.from_dict(v) for v in d.get("views", [{}]))
         return cls(d["width"], d["height"], vessel,
                    tuple(reflectors), speckle, views)
@@ -227,19 +230,14 @@ def _wrap_angle(a: float) -> float:
     return a
 
 
-def _common_coords(t: RigidTransform2D, width: int, height: int):
-    px, py = np.meshgrid(np.arange(width, dtype=np.float64),
-                         np.arange(height, dtype=np.float64))
-    return t.apply(px, py)
-
-
 def _render_view(spec: PhantomSpec, t: RigidTransform2D,
                  rng_seed: int) -> PhantomView:
     w, h = spec.width, spec.height
     img = np.zeros((h, w), dtype=np.float64)
     boundary = np.zeros((h, w), dtype=bool)
     artifact = np.zeros((h, w), dtype=bool)
-    qx, qy = _common_coords(t, w, h)
+    qx, qy = t.apply(np.arange(w, dtype=np.float64),
+                     np.arange(h, dtype=np.float64)[:, None])
 
     if spec.vessel is not None:
         v = spec.vessel

@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from uscompound.boundary import BoundaryParams, detect_boundaries
 from uscompound.cli import run
@@ -16,7 +17,7 @@ from uscompound.compound import (PyramidParams, compound, compound_pyramid,
                                  phi, prepare_views, select_view_layer,
                                  _local_contrast)
 from uscompound.errors import EllipseFitError
-from uscompound.image import RigidTransform2D
+from uscompound.image import RigidTransform2D, ViewInput
 from uscompound.metrics import (Ellipse, PatchSpec, dice, ellipse_mask,
                                 extract_patch, fit_ellipse, otsu_threshold,
                                 segment_vessel, variance_ratio)
@@ -118,73 +119,120 @@ def test_criterion_5_degenerate_reductions():
             f"selection exact: {select_ok}, weighted-average error {err:.2e}")
 
 
-def _compound_all(seed, **phantom_kwargs):
+def _view_inputs(scene, oracle):
+    """The scene's views with the ground-truth maps attached (`oracle`), or
+    bare, as the CLI passes them."""
+    if oracle:
+        return scene_view_inputs(scene)
+    return [ViewInput(v.image, v.to_common) for v in scene.views]
+
+
+def _compound_all(seed, oracle=True, **phantom_kwargs):
+    """All four fusions of `two_view_phantom(seed, ...)` through
+    `prepare_views`."""
     spec = two_view_phantom(seed, **phantom_kwargs)
-    scene = generate(spec)
-    warped = prepare_views(scene_view_inputs(scene), spec.width, spec.height)
+    warped = prepare_views(_view_inputs(generate(spec), oracle),
+                           spec.width, spec.height)
     return {m: compound(warped, m) for m in ("average", "maximum", "ubf",
                                              "pyramid")}
 
 
-def test_criterion_6_variance_ratio_ordering():
+def _variance_ratio_ordering(seed, oracle=True, **phantom_kwargs):
+    """(holds, report row) of criterion 6 on one scene."""
     artifact = PatchSpec(60, 50, 80, 42, "artifact")
     boundary = PatchSpec(40, 36, 110, 12, "boundary")
+    out = _compound_all(seed, oracle, **phantom_kwargs)
+    avr = {m: variance_ratio(o, artifact) for m, o in out.items()}
+    bvr = {m: variance_ratio(o, boundary) for m, o in out.items()}
+    good = (avr["pyramid"] < avr["ubf"] <= avr["maximum"]
+            and avr["pyramid"] < avr["average"]
+            and bvr["pyramid"] >= 0.95 * bvr["maximum"])
+    return good, (f"seed {seed}: artifact AVR pyr {avr['pyramid']:.3f} "
+                  f"ubf {avr['ubf']:.3f} max {avr['maximum']:.3f} "
+                  f"avg {avr['average']:.3f}; boundary AVR pyr "
+                  f"{bvr['pyramid']:.2f} max {bvr['maximum']:.2f}"
+                  + ("" if good else "  <-- violated"))
+
+
+def test_criterion_6_variance_ratio_ordering():
     start = time.perf_counter()
     ok = True
     rows = []
     for seed in range(10):
-        out = _compound_all(seed)
-        avr = {m: variance_ratio(o, artifact) for m, o in out.items()}
-        bvr = {m: variance_ratio(o, boundary) for m, o in out.items()}
-        good = (avr["pyramid"] < avr["ubf"] <= avr["maximum"]
-                and avr["pyramid"] < avr["average"]
-                and bvr["pyramid"] >= 0.95 * bvr["maximum"])
+        good, row = _variance_ratio_ordering(seed)
         ok &= good
-        rows.append(f"seed {seed}: artifact AVR pyr {avr['pyramid']:.3f} "
-                    f"ubf {avr['ubf']:.3f} max {avr['maximum']:.3f} "
-                    f"avg {avr['average']:.3f}; boundary AVR pyr "
-                    f"{bvr['pyramid']:.2f} max {bvr['maximum']:.2f}"
-                    + ("" if good else "  <-- violated"))
+        rows.append(row)
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 60.0
     _report("criterion 6 (artifact/boundary variance-ratio ordering)", ok,
             f"{elapsed:.1f}s\n" + "\n".join(rows))
 
 
-def test_criterion_7_segmentation_ordering():
+# The bounds of the two bare-input twins below are fixed before the pipeline
+# can meet them; a change that makes them pass removes the xfail marker and
+# must not lower the bounds.
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "no structural-confidence estimator: prepare_views fills uniform "
+    "structural confidence, so the pyramid gate picks the echo train by "
+    "contrast"))
+def test_criterion_6_twin_bare_inputs():
+    held_out = [_variance_ratio_ordering(s, oracle=False, echo_spacing=10.0)
+                for s in range(10, 20)]
+    seeds = [_variance_ratio_ordering(s, oracle=False) for s in range(10)]
+    passed = [sum(good for good, _ in rows) for rows in (seeds, held_out)]
+    ok = passed[0] >= 8 and passed[1] >= 8
+    _report("criterion 6 twin (bare inputs, xfail)", ok,
+            f"{passed[0]}/10 on seeds 0-9, {passed[1]}/10 held out "
+            f"(echo spacing 10, seeds 10-19)\n"
+            + "\n".join(row for rows in (seeds, held_out) for _, row in rows))
+
+
+def _segmentation_ordering(seed, oracle=True):
+    """(holds, report row) of criterion 7 on one scene."""
     # echo train from the shallow reflector crosses the vessel's top wall
     size = 192
     patch = PatchSpec(45, 78, 105, 82, "boundary")
     truth = ellipse_mask(Ellipse(96 - 45, 120 - 78, 38.0, 28.0, 0.0),
                          patch.height, patch.width)
+    spec = PhantomSpec(
+        width=size, height=size,
+        vessel=VesselSpec(cx=96, cy=120, a=38, b=28, wall_thickness=4,
+                          wall_intensity=0.85),
+        reflectors=(ReflectorSpec(row=60, col_start=40, col_end=150,
+                                  intensity=0.9, thickness=3,
+                                  reverb=ReverbSpec(2, 31, 0.8),
+                                  shadow=0.7),),
+        speckle=SpeckleSpec(scale=0.02, seed=seed + 1),
+        views=(RigidTransform2D(),
+               RigidTransform2D(rotation=math.radians(90), dx=size - 1)),
+    )
+    warped = prepare_views(_view_inputs(generate(spec), oracle), size, size)
+    scores = {}
+    for m in ("average", "ubf", "pyramid"):
+        mask, _ = segment_vessel(extract_patch(compound(warped, m), patch))
+        scores[m] = dice(mask, truth)
+    good = (scores["pyramid"] >= scores["average"]
+            and scores["pyramid"] >= scores["ubf"])
+    return good, (f"seed {seed}: dice pyr {scores['pyramid']:.3f} "
+                  f"avg {scores['average']:.3f} ubf {scores['ubf']:.3f}"
+                  + ("" if good else "  <-- violated"))
+
+
+def test_criterion_7_segmentation_ordering():
     ok = True
     rows = []
     for seed in range(10):
-        spec = PhantomSpec(
-            width=size, height=size,
-            vessel=VesselSpec(cx=96, cy=120, a=38, b=28, wall_thickness=4,
-                              wall_intensity=0.85),
-            reflectors=(ReflectorSpec(row=60, col_start=40, col_end=150,
-                                      intensity=0.9, thickness=3,
-                                      reverb=ReverbSpec(2, 31, 0.8),
-                                      shadow=0.7),),
-            speckle=SpeckleSpec(scale=0.02, seed=seed + 1),
-            views=(RigidTransform2D(),
-                   RigidTransform2D(rotation=math.radians(90), dx=size - 1)),
-        )
-        scene = generate(spec)
-        warped = prepare_views(scene_view_inputs(scene), size, size)
-        scores = {}
-        for m in ("average", "ubf", "pyramid"):
-            mask, _ = segment_vessel(extract_patch(compound(warped, m), patch))
-            scores[m] = dice(mask, truth)
-        good = (scores["pyramid"] >= scores["average"]
-                and scores["pyramid"] >= scores["ubf"])
+        good, row = _segmentation_ordering(seed)
         ok &= good
-        rows.append(f"seed {seed}: dice pyr {scores['pyramid']:.3f} "
-                    f"avg {scores['average']:.3f} ubf {scores['ubf']:.3f}"
-                    + ("" if good else "  <-- violated"))
+        rows.append(row)
     _report("criterion 7 (vessel segmentation ordering)", ok, "\n" + "\n".join(rows))
+
+
+def test_criterion_7_twin_bare_inputs():
+    rows = [_segmentation_ordering(seed, oracle=False) for seed in range(10)]
+    passed = sum(good for good, _ in rows)
+    _report("criterion 7 twin (bare inputs)", passed >= 9,
+            f"{passed}/10 on seeds 0-9\n" + "\n".join(row for _, row in rows))
 
 
 def test_criterion_8_otsu_oracle():

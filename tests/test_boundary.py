@@ -159,6 +159,18 @@ def test_mask_subset_of_bright_pixels(rng):
     assert np.all(img[mask] > 30 / 255)
 
 
+@pytest.mark.parametrize("changes,message", [
+    ({"alpha": 0}, "alpha must be >= 1"),
+    ({"beta": -1}, "beta must be >= 0"),
+    ({"min_size": 0}, "min_size must be >= 1"),
+])
+def test_boundary_params_validation(changes, message):
+    with pytest.raises(ValueError, match=message):
+        BoundaryParams(**changes)
+    # The edge of each range is accepted.
+    BoundaryParams(alpha=1, beta=0, min_size=1)
+
+
 def test_blank_image_empty_mask():
     assert not detect_boundaries(np.zeros((64, 64))).any()
 

@@ -265,6 +265,42 @@ def test_config_accepts_values_of_the_default_type():
                   ).boundary_params().grad_threshold == 64
 
 
+_COMMANDS = {
+    "confidence": lambda d: ["confidence", "--image", f"{d}/view0.pgm"],
+    "boundaries": lambda d: ["boundaries", "--image", f"{d}/view0.pgm"],
+    "average": lambda d: ["compound", "--method", "average", *_view_args(d)],
+    "pyramid": lambda d: ["compound", "--method", "pyramid", *_view_args(d)],
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+@pytest.mark.parametrize("values,message", [
+    ({"compound": {"enhance_layer": 9}}, "enhance_layer must lie in 1..levels"),
+    ({"pyramid": {"K": 1}, "compound": {"enhance_layer": 1}},
+     "levels must be >= 2"),
+    ({"boundary": {"alpha": 0}}, "alpha must be >= 1"),
+    ({"boundary": {"min_size": 0}}, "min_size must be >= 1"),
+    ({"confidence": {"decay": -1}}, "'confidence.decay' must not be negative"),
+    ({"confidence": {"absorption": -0.5}},
+     "'confidence.absorption' must not be negative"),
+])
+def test_out_of_range_config_exit2_for_every_command(
+        tmp_path, phantom_dir, capsys, command, values, message):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o.pgm"
+    cfg.write_text(json.dumps(values))
+    assert run([*_COMMANDS[command](phantom_dir), "--out", str(out),
+                "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_builds_its_params_once():
+    cfg = Config({"boundary": {"alpha": 6}, "pyramid": {"K": 4}})
+    assert cfg.boundary_params() is cfg.boundary_params()
+    assert cfg.pyramid_params() is cfg.pyramid_params()
+    assert (cfg.boundary_params().alpha, cfg.pyramid_params().levels) == (6, 4)
+
+
 _NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
@@ -343,6 +379,21 @@ def _write_spec(tmp_path, **changes):
                       "intensity": -0.5}]}, "thickness and intensity must be positive"),
     ({"vessel": {"cx": 24, "cy": 28, "a": 10, "b": 7, "wall_intensity": 0}},
      "wall_intensity must be positive"),
+    # A falsy value is not an absent table: only null is.
+    ({"vessel": {}}, "vessel lacks keys"),
+    ({"vessel": 0}, "vessel must be a JSON object"),
+    ({"vessel": False}, "vessel must be a JSON object"),
+    ({"vessel": []}, "vessel must be a JSON object"),
+    ({"speckle": 0}, "speckle must be a JSON object"),
+    ({"speckle": False}, "speckle must be a JSON object"),
+    ({"speckle": []}, "speckle must be a JSON object"),
+    ({"reflectors": [{"row": 8, "col_start": 10, "col_end": 38, "reverb": 0}]},
+     r"reflectors\[0\].reverb must be a JSON object"),
+    ({"reflectors": [{"row": 8, "col_start": 10, "col_end": 38,
+                      "reverb": False}]},
+     r"reflectors\[0\].reverb must be a JSON object"),
+    ({"reflectors": [{"row": 8, "col_start": 10, "col_end": 38, "reverb": []}]},
+     r"reflectors\[0\].reverb must be a JSON object"),
 ])
 def test_synth_malformed_spec_exit2(tmp_path, capsys, changes, message):
     spec = _write_spec(tmp_path, **changes)
@@ -375,6 +426,25 @@ def test_synth_top_level_list_exit2(tmp_path, capsys):
     spec.write_text("[]")
     assert run(["synth", "--spec", str(spec), "--outdir", str(tmp_path)]) == 2
     assert "phantom spec must be a JSON object" in capsys.readouterr().err
+
+
+def test_synth_empty_table_takes_the_defaults(tmp_path):
+    def synth(name, **changes):
+        outdir = tmp_path / name
+        assert run(["synth", "--spec", str(_write_spec(tmp_path, **changes)),
+                    "--outdir", str(outdir)]) == 0
+        return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+
+    def reflector(reverb):
+        return [{"row": 8, "col_start": 10, "col_end": 38, "reverb": reverb}]
+
+    assert (synth("empty_speckle", speckle={})
+            == synth("default_speckle", speckle={"scale": 0.03, "seed": 1})
+            != synth("no_speckle", speckle=None))
+    assert (synth("empty_reverb", reflectors=reflector({}))
+            == synth("default_reverb", reflectors=reflector(
+                {"count": 3, "spacing": 30.0, "decay": 0.5}))
+            != synth("no_reverb", reflectors=reflector(None)))
 
 
 def test_synth_seed_overrides_speckle_seed(tmp_path):

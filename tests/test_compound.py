@@ -570,6 +570,8 @@ def test_unknown_method_rejected(rng):
 def test_pyramid_params_validation():
     with pytest.raises(ValueError):
         PyramidParams(enhance_layer=9)
+    with pytest.raises(ValueError, match="levels must be >= 2"):
+        PyramidParams(levels=1, enhance_layer=1)
     with pytest.raises(ValueError):
         PyramidParams(gamma=2.0)
     with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uscompound.errors import DegenerateError, DimensionError, EllipseFitError
 from uscompound.image import quantize8
@@ -179,6 +181,30 @@ def test_dice_symmetric(rng):
     b = rng.random((8, 8)) > 0.5
     assert dice(a, b) == dice(b, a)
     assert (dice(a, a) == 1.0) and (dice(a, b) == 1.0) == np.array_equal(a, b)
+
+
+def mgrid_ellipse_mask(ellipse, height, width):
+    """Oracle: `ellipse_mask` evaluated on materialised np.mgrid grids."""
+    yy, xx = np.mgrid[0:height, 0:width]
+    dx = xx - ellipse.cx
+    dy = yy - ellipse.cy
+    c, s = np.cos(ellipse.rotation), np.sin(ellipse.rotation)
+    u = c * dx + s * dy
+    v = -s * dx + c * dy
+    return (u / ellipse.a) ** 2 + (v / ellipse.b) ** 2 <= 1.0
+
+
+@given(height=st.integers(1, 64), width=st.integers(1, 64),
+       cx=st.floats(-10, 74), cy=st.floats(-10, 74),
+       a=st.floats(0.5, 40), b=st.floats(0.5, 40),
+       rotation=st.one_of(st.sampled_from([0.0, np.pi / 2, -np.pi / 2]),
+                          st.floats(0.0, np.pi)))
+@settings(max_examples=200, deadline=None)
+def test_ellipse_mask_equals_mgrid_oracle(height, width, cx, cy, a, b,
+                                          rotation):
+    e = Ellipse(cx, cy, a, b, rotation)
+    assert np.array_equal(ellipse_mask(e, height, width),
+                          mgrid_ellipse_mask(e, height, width))
 
 
 def test_ellipse_mask_interior():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uscompound.compound import prepare_views
 from uscompound.errors import DimensionError, RangeError
@@ -36,6 +38,14 @@ def brute_force_warp(src, transform, out_w, out_h):
                          + src[y0 + 1, x0 + 1] * fx * fy)
             valid[y, x] = True
     return out, valid
+
+
+def meshgrid_coords(apply, width, height):
+    """Oracle: a rigid map evaluated on materialised (height, width) grids,
+    the form the warp and the phantom renderer used before broadcasting."""
+    qx, qy = np.meshgrid(np.arange(width, dtype=np.float64),
+                         np.arange(height, dtype=np.float64))
+    return apply(qx, qy)
 
 
 def per_map_warp_to_common(view, out_width, out_height):
@@ -72,6 +82,38 @@ def test_identity_is_identity(rng):
     out, valid = warp_array(src, RigidTransform2D(), 7, 5)
     assert np.allclose(out, src)
     assert valid.all()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1)])
+@pytest.mark.parametrize("nearest", [False, True])
+def test_identity_warp_of_one_pixel_axes_is_the_source(rng, shape, nearest):
+    src = rng.random(shape).astype(np.float32)
+    out, valid = warp_array(src, RigidTransform2D(), shape[1], shape[0],
+                            nearest=nearest)
+    assert valid.all()
+    assert out.dtype == np.float32 and np.array_equal(out, src)
+
+
+_SPECIAL_ROTATIONS = st.sampled_from([0.0, -0.0, math.pi / 2, -math.pi / 2,
+                                 math.radians(90), math.pi])
+
+
+@given(width=st.integers(1, 64), height=st.integers(1, 64),
+       rotation=st.one_of(_SPECIAL_ROTATIONS, st.floats(-7.0, 7.0)),
+       dx=st.one_of(st.sampled_from([0.0, -0.0, 511.0]), st.floats(-600, 600)),
+       dy=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-600, 600)),
+       inverse=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_broadcast_coords_equal_meshgrid_oracle(width, height, rotation,
+                                                dx, dy, inverse):
+    t = RigidTransform2D(rotation, dx, dy)
+    apply = t.inverse_apply if inverse else t.apply
+    got = apply(np.arange(width, dtype=np.float64),
+                np.arange(height, dtype=np.float64)[:, None])
+    for g, e in zip(got, meshgrid_coords(apply, width, height)):
+        assert g.shape == e.shape == (height, width)
+        assert np.array_equal(g, e)
+        assert np.array_equal(np.signbit(g), np.signbit(e))
 
 
 def test_translation_invalidates_offside_column(rng):
