@@ -7,6 +7,10 @@ The y axis points down (the axial / depth direction of the probe).
 `warp_array` resamples the last two axes (rows, columns); any leading axes
 are batch axes, so a (N, H, W) stack of maps of one view is warped with one
 shared set of source positions and equals plane by plane the 2-D results.
+It works through the output in cache-sized blocks of whole rows, gathering
+from the flattened planes and summing the bilinear products in one fixed
+order, so its working memory is bounded by a block and its result does not
+depend on the block size.
 """
 
 from __future__ import annotations
@@ -240,6 +244,12 @@ def load_mask(path) -> np.ndarray:
 # Warping
 # ---------------------------------------------------------------------------
 
+# Output pixels per block of whole rows in `warp_array`: a float64 block
+# temporary is then 128 KiB, so a block's working set stays in cache
+# whatever the frame size.
+_BLOCK_PIXELS = 16384
+
+
 def warp_array(data: np.ndarray, transform: RigidTransform2D,
                out_width: int, out_height: int, nearest: bool = False):
     """Inverse-map `data` (native frame) into the common frame.
@@ -254,34 +264,90 @@ def warp_array(data: np.ndarray, transform: RigidTransform2D,
     inside the source grid; source coordinates exactly on the far edge use
     the edge cell with fractional weight 1, so an identity transform is
     fully valid.  Invalid pixels get value 0.
+
+    The output is evaluated in blocks of whole rows of about
+    `_BLOCK_PIXELS` pixels, so the working memory is bounded by one block,
+    not by the frame.  Each block gathers from the flattened planes at one
+    flat index per pixel, plus scalar offsets for the other three bilinear
+    taps, and sums the float64 products in the fixed order
+    ((p00 (1-fx)) (1-fy) + (p01 fx) (1-fy)) + (p10 (1-fx)) fy + (p11 fx) fy.
+    Every step is elementwise, so the result is the same bit for bit
+    whatever the block size.
     """
     if out_width <= 0 or out_height <= 0:
         raise DimensionError("output dimensions must be positive")
     src = np.asarray(data)
     h, w = src.shape[-2:]
-    sx, sy = transform.inverse_apply(np.arange(out_width, dtype=np.float64),
-                                     np.arange(out_height, dtype=np.float64)[:, None])
-    valid = (sx >= 0.0) & (sx <= w - 1.0) & (sy >= 0.0) & (sy <= h - 1.0)
+    out = np.zeros(src.shape[:-2] + (out_height, out_width),
+                   dtype=src.dtype if nearest else np.float32)
+    valid = np.empty((out_height, out_width), dtype=bool)
+    planes = src.reshape((-1, h * w))
+    outs = out.reshape((-1, out_height * out_width))
+    xs = np.arange(out_width, dtype=np.float64)
+    ys = np.arange(out_height, dtype=np.float64)[:, None]
+    rows = max(1, _BLOCK_PIXELS // out_width)
+    for r0 in range(0, out_height, rows):
+        # A finite transform far off the frame can overflow to +-inf, which
+        # fails the range test, so such a pixel is merely invalid.
+        with np.errstate(over="ignore"):
+            sx, sy = transform.inverse_apply(xs, ys[r0:r0 + rows])
+        block = slice(r0 * out_width, r0 * out_width + sx.size)
+        _resample_block(planes, outs[:, block], valid.reshape(-1)[block],
+                        sx.ravel(), sy.ravel(), w, h, nearest)
+    return out, valid
+
+
+def _resample_block(planes, outs, valid, sx, sy, w, h, nearest):
+    """Write one block of `warp_array`'s output.
+
+    `planes` are the source planes flattened to (P, h * w) and `outs` the
+    block's span of each flattened output plane.  `sx` and `sy` are the
+    block's flat source coordinates, overwritten here; `valid` receives the
+    block's validity.  The block's temporaries are freed on return, so they
+    do not outlive it into the next block.
+    """
+    np.greater_equal(sx, 0.0, out=valid)
+    valid &= sx <= w - 1.0
+    valid &= sy >= 0.0
+    valid &= sy <= h - 1.0
+    # Clamped in float, so every cast below is defined; valid pixels keep
+    # their coordinates.
+    np.clip(sx, 0.0, w - 1.0, out=sx)
+    np.clip(sy, 0.0, h - 1.0, out=sy)
 
     if nearest:
-        ix = np.clip(np.rint(sx).astype(np.intp), 0, w - 1)
-        iy = np.clip(np.rint(sy).astype(np.intp), 0, h - 1)
-        return np.where(valid, src[..., iy, ix], np.zeros((), src.dtype)), valid
+        base = np.rint(sy).astype(np.intp)
+        base *= w
+        base += np.rint(sx).astype(np.intp)
+        for p, o in zip(planes, outs):
+            np.copyto(o, p.take(base), where=valid)
+        return
 
-    x0 = np.clip(np.floor(sx).astype(np.intp), 0, max(w - 2, 0))
-    y0 = np.clip(np.floor(sy).astype(np.intp), 0, max(h - 2, 0))
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
+    x0 = np.floor(sx).astype(np.intp)
+    y0 = np.floor(sy).astype(np.intp)
+    np.minimum(x0, max(w - 2, 0), out=x0)
+    np.minimum(y0, max(h - 2, 0), out=y0)
     # The weights overwrite the source coordinates, which are not needed again.
     fx = np.subtract(sx, x0, out=sx)
     fy = np.subtract(sy, y0, out=sy)
-    out = np.zeros(src.shape[:-2] + (out_height, out_width), dtype=np.float32)
-    planes = src.reshape((-1, h, w))
-    for p, o in zip(planes, out.reshape((-1, out_height, out_width))):
-        vals = (p[y0, x0] * (1 - fx) * (1 - fy) + p[y0, x1] * fx * (1 - fy)
-                + p[y1, x0] * (1 - fx) * fy + p[y1, x1] * fx * fy)
-        np.copyto(o, vals, where=valid)
-    return out, valid
+    gx, gy = 1 - fx, 1 - fy
+    base = y0  # the flat index y0 * w + x0, formed in y0's buffer
+    base *= w
+    base += x0
+    # Flat offsets of the right and lower taps; 0 on a one-pixel axis,
+    # where the bilinear neighbor is the edge pixel itself.
+    right, down = int(w > 1), w if h > 1 else 0
+    taps = [(base + right, fx, gy), (base + down, gx, fy),
+            (base + (right + down), fx, fy)]
+    acc, tmp = np.empty_like(fx), np.empty_like(fx)
+    for p, o in zip(planes, outs):
+        np.multiply(p.take(base), gx, out=acc)
+        acc *= gy
+        for tap, wx, wy in taps:
+            np.multiply(p.take(tap), wx, out=tmp)
+            tmp *= wy
+            acc += tmp
+        np.copyto(o, acc, where=valid)
 
 
 def warp_to_common(view: ViewInput, out_width: int, out_height: int) -> WarpedView:

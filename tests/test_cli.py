@@ -534,6 +534,15 @@ def test_compound_non_finite_transform_exit2(tmp_path, phantom_dir, capsys,
     assert not out.exists()
 
 
+def test_compound_view_far_off_the_frame_exit0(tmp_path, phantom_dir):
+    far, out = tmp_path / "t.json", tmp_path / "o.pgm"
+    far.write_text(json.dumps({"dx": 1e300}))
+    assert run(["compound", "--method", "average",
+                "--view", f"{phantom_dir}/view0.pgm:{far}",
+                *_view_args(phantom_dir)[2:], "--out", str(out)]) == 0
+    assert load_image(out).width == 96
+
+
 _PATCH = {"x": 0, "y": 0, "width": 8, "height": 8, "label": "artifact"}
 
 

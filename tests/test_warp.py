@@ -1,6 +1,8 @@
 import importlib
 import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from conftest import scene_view_inputs, two_view_phantom
 
 # The package's `compound` attribute is the function, not the module.
 compound_module = importlib.import_module("uscompound.compound")
+image_module = importlib.import_module("uscompound.image")
 
 
 def brute_force_warp(src, transform, out_w, out_h):
@@ -37,6 +40,35 @@ def brute_force_warp(src, transform, out_w, out_h):
                          + src[y0 + 1, x0] * (1 - fx) * fy
                          + src[y0 + 1, x0 + 1] * fx * fy)
             valid[y, x] = True
+    return out, valid
+
+
+def fancy_index_warp(data, transform, out_width, out_height, nearest=False):
+    """Oracle: the whole-frame warp, gathering each tap of each plane with
+    2-D fancy indexing and summing the products in the library's order."""
+    src = np.asarray(data)
+    h, w = src.shape[-2:]
+    sx, sy = transform.inverse_apply(np.arange(out_width, dtype=np.float64),
+                                     np.arange(out_height, dtype=np.float64)[:, None])
+    valid = (sx >= 0.0) & (sx <= w - 1.0) & (sy >= 0.0) & (sy <= h - 1.0)
+
+    if nearest:
+        ix = np.clip(np.rint(sx).astype(np.intp), 0, w - 1)
+        iy = np.clip(np.rint(sy).astype(np.intp), 0, h - 1)
+        return np.where(valid, src[..., iy, ix], np.zeros((), src.dtype)), valid
+
+    x0 = np.clip(np.floor(sx).astype(np.intp), 0, max(w - 2, 0))
+    y0 = np.clip(np.floor(sy).astype(np.intp), 0, max(h - 2, 0))
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = np.subtract(sx, x0, out=sx)
+    fy = np.subtract(sy, y0, out=sy)
+    out = np.zeros(src.shape[:-2] + (out_height, out_width), dtype=np.float32)
+    planes = src.reshape((-1, h, w))
+    for p, o in zip(planes, out.reshape((-1, out_height, out_width))):
+        vals = (p[y0, x0] * (1 - fx) * (1 - fy) + p[y0, x1] * fx * (1 - fy)
+                + p[y1, x0] * (1 - fx) * fy + p[y1, x1] * fx * fy)
+        np.copyto(o, vals, where=valid)
     return out, valid
 
 
@@ -284,3 +316,102 @@ def test_prepare_views_matches_per_map_oracle(monkeypatch, oracle_maps):
     assert not all(v.validity.all() for v in warped)
     for a, b in zip(warped, expected):
         assert_same_warped(a, b)
+
+
+_WARP_DTYPES = [np.float32, np.float64, np.uint8, np.bool_]
+
+
+def _warp_source(seed, shape, dtype):
+    """Random planes of `dtype`; floats are signed and about a quarter of
+    them are zeros of either sign, so the sign of a zero output is tested."""
+    rng = np.random.default_rng(seed)
+    if dtype == np.bool_:
+        return rng.random(shape) < 0.5
+    if dtype == np.uint8:
+        return rng.integers(0, 256, shape, dtype=np.uint8)
+    a = (rng.random(shape) * 2 - 1).astype(dtype)
+    a[rng.random(shape) < 0.2] = 0.0
+    a[rng.random(shape) < 0.1] = -0.0
+    return a
+
+
+@given(src_h=st.integers(1, 40), src_w=st.integers(1, 40),
+       out_h=st.integers(1, 70), out_w=st.integers(1, 70),
+       batch=st.lists(st.integers(1, 3), max_size=2),
+       dtype=st.sampled_from(_WARP_DTYPES),
+       rotation=st.one_of(_SPECIAL_ROTATIONS, st.floats(-7.0, 7.0)),
+       dx=st.one_of(st.sampled_from([0.0, -0.0, -90.0, 150.0]),
+                    st.floats(-120, 120)),
+       dy=st.one_of(st.sampled_from([0.0, -0.0, 90.0, -150.0]),
+                    st.floats(-120, 120)),
+       nearest=st.booleans(),
+       block=st.sampled_from([1, 7, 64, image_module._BLOCK_PIXELS]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=400, deadline=None)
+def test_warp_equals_fancy_index_oracle(src_h, src_w, out_h, out_w, batch,
+                                        dtype, rotation, dx, dy, nearest,
+                                        block, seed):
+    src = _warp_source(seed, tuple(batch) + (src_h, src_w), dtype)
+    t = RigidTransform2D(rotation, dx, dy)
+    expected, expected_valid = fancy_index_warp(src, t, out_w, out_h, nearest)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(image_module, "_BLOCK_PIXELS", block)
+        out, valid = warp_array(src, t, out_w, out_h, nearest=nearest)
+    assert out.dtype == expected.dtype and out.shape == expected.shape
+    assert np.array_equal(out, expected)
+    assert np.array_equal(np.signbit(out), np.signbit(expected))
+    assert valid.dtype == bool and np.array_equal(valid, expected_valid)
+
+
+def test_clamping_keeps_the_sign_of_a_zero_source_coordinate():
+    # At rotation -pi, output pixel (0, 0) samples source x = -0.0, so its
+    # x weight is -0.0 and the four signed-zero products sum to -0.0.
+    src = np.array([[-0.0, 1.0], [-0.0, 1.0]], dtype=np.float32)
+    t = RigidTransform2D(-math.pi)
+    out, valid = warp_array(src, t, 2, 2)
+    expected, _ = fancy_index_warp(src, t, 2, 2)
+    assert valid[0, 0] and np.signbit(expected[0, 0])
+    assert np.signbit(out[0, 0])
+
+
+_FAR = [1e300, -1e300, 1.7e308, -1.7e308]
+
+
+@pytest.mark.parametrize("rotation", [0.0, 0.7, math.pi / 2, 3.0])
+@pytest.mark.parametrize("nearest", [False, True])
+def test_finite_transform_far_off_the_frame_is_invalid_without_warning(
+        rng, rotation, nearest):
+    src = rng.random((9, 11)) + 0.5
+    for dx, dy in itertools.product(_FAR, repeat=2):
+        t = RigidTransform2D(rotation, dx, dy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, valid = warp_array(src, t, 12, 10, nearest=nearest)
+        assert not valid.any(), (dx, dy)
+        assert np.array_equal(out, np.zeros((10, 12)))
+        assert not np.signbit(out).any()
+
+
+def _traced_peak_mib(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+# Each bound is the outputs and validity plus about one block's working set;
+# the whole-frame warp peaked at 22.25 and 10.25 MiB on these calls.
+def test_bilinear_warp_memory_is_bounded_by_a_block(rng):
+    stack = rng.random((2, 512, 512), dtype=np.float32)
+    t = RigidTransform2D(math.pi / 2, dx=511.0)
+    # 2 MiB output and 0.25 MiB validity leave 2.25 MiB for working memory.
+    assert _traced_peak_mib(lambda: warp_array(stack, t, 512, 512)) <= 4.5
+
+
+def test_nearest_warp_memory_is_bounded_by_a_block(rng):
+    mask = (rng.random((512, 512)) > 0.9).astype(np.uint8)
+    t = RigidTransform2D(math.pi / 2, dx=511.0)
+    assert _traced_peak_mib(
+        lambda: warp_array(mask, t, 512, 512, nearest=True)) <= 1.5
