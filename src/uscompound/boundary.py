@@ -25,7 +25,7 @@ the internal [0, 1] scale by /255.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy import ndimage
@@ -56,6 +56,10 @@ class BoundaryParams:
     median_denoise: bool = True
 
     def __post_init__(self):
+        for f in fields(self):  # a NaN or infinite threshold empties the mask
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
         # The rules vertical_gradient and filter_clusters enforce.
         if self.alpha < 1:
             raise ValueError("alpha must be >= 1")

@@ -25,7 +25,7 @@ from .boundary import BoundaryParams, detect_boundaries
 from .confidence import (DEFAULT_ABSORPTION, DEFAULT_DECAY,
                          attenuation_intensity_confidence)
 from .errors import DimensionError
-from .image import ViewInput, WarpedView, warp_to_common
+from .image import MAPS, ViewInput, WarpedView, warp_to_common
 
 __all__ = [
     "PyramidParams",
@@ -251,8 +251,7 @@ def compound_pyramid(views: Sequence[WarpedView],
     Laplacian average by the layer weight; boundary enhancement is applied to
     the partial reconstruction at `enhance_layer` on the way back down.
     """
-    imgs, valid, *maps = _stack(views, "intensity_confidence",
-                                "structural_confidence", "boundary_mask")
+    imgs, valid, *maps = _stack(views, *MAPS)
     k_levels = params.levels
     any_valid = valid.any(axis=0)
 

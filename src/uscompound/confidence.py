@@ -36,8 +36,9 @@ def attenuation_intensity_confidence(image: Image,
     Monotone non-increasing down every column; row 0 is all ones.  Returns
     a float32 array of the image's shape.
     """
-    if decay < 0 or absorption < 0:
-        raise ValueError("decay and absorption must be non-negative")
+    for name, value in (("decay", decay), ("absorption", absorption)):
+        if not 0 <= value < np.inf:
+            raise ValueError(f"{name} must be finite and non-negative")
     a = image.data
     h = a.shape[0]
     depth = np.arange(h, dtype=np.float64)[:, None]

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import DimensionError, FormatError, RangeError, checked
 
 __all__ = [
+    "MAPS",
     "Image",
     "RigidTransform2D",
     "ViewInput",
@@ -33,6 +34,10 @@ __all__ = [
     "warp_array",
     "warp_to_common",
 ]
+
+
+# The optional per-view maps that `ViewInput` and `WarpedView` carry.
+MAPS = ("intensity_confidence", "structural_confidence", "boundary_mask")
 
 
 def unit_grid(data, what: str) -> np.ndarray:
@@ -116,7 +121,7 @@ class ViewInput:
         if not isinstance(self.image, Image):
             raise TypeError(f"image must be an Image, not {type(self.image).__name__}")
         shape = self.image.data.shape
-        for name in ("intensity_confidence", "structural_confidence", "boundary_mask"):
+        for name in MAPS:
             m = getattr(self, name)
             if m is None:
                 continue
@@ -129,7 +134,9 @@ class ViewInput:
 
 @dataclass
 class WarpedView:
-    """A viewpoint resampled into the common frame with a validity mask."""
+    """A viewpoint resampled into the common frame with a validity mask; as
+    `warp_to_common` returns it, its maps are float32 and the boundary mask
+    is a weight in [0, 1], fractional on edges and 0 where invalid."""
 
     image: np.ndarray
     validity: np.ndarray
@@ -251,15 +258,15 @@ _BLOCK_PIXELS = 16384
 
 
 def warp_array(data: np.ndarray, transform: RigidTransform2D,
-               out_width: int, out_height: int, nearest: bool = False):
-    """Inverse-map `data` (native frame) into the common frame.
+               out_width: int, out_height: int):
+    """Inverse-map `data` (native frame) bilinearly into the common frame.
 
     `data` is (..., H, W); leading axes are batch axes, and every (H, W)
     plane shares one computation of source positions, validity, corner
     indices and weights, so a stack equals plane by plane the 2-D results.
 
-    Returns (warped, validity): warped is (..., out_height, out_width),
-    float32 if bilinear, `data`'s dtype if nearest; validity is 2-D.  A
+    Returns (warped, validity): warped is float32 of shape
+    (..., out_height, out_width), and validity is 2-D.  A
     common-frame pixel is valid iff its four bilinear source neighbors lie
     inside the source grid; source coordinates exactly on the far edge use
     the edge cell with fractional weight 1, so an identity transform is
@@ -278,8 +285,7 @@ def warp_array(data: np.ndarray, transform: RigidTransform2D,
         raise DimensionError("output dimensions must be positive")
     src = np.asarray(data)
     h, w = src.shape[-2:]
-    out = np.zeros(src.shape[:-2] + (out_height, out_width),
-                   dtype=src.dtype if nearest else np.float32)
+    out = np.zeros(src.shape[:-2] + (out_height, out_width), dtype=np.float32)
     valid = np.empty((out_height, out_width), dtype=bool)
     planes = src.reshape((-1, h * w))
     outs = out.reshape((-1, out_height * out_width))
@@ -293,11 +299,11 @@ def warp_array(data: np.ndarray, transform: RigidTransform2D,
             sx, sy = transform.inverse_apply(xs, ys[r0:r0 + rows])
         block = slice(r0 * out_width, r0 * out_width + sx.size)
         _resample_block(planes, outs[:, block], valid.reshape(-1)[block],
-                        sx.ravel(), sy.ravel(), w, h, nearest)
+                        sx.ravel(), sy.ravel(), w, h)
     return out, valid
 
 
-def _resample_block(planes, outs, valid, sx, sy, w, h, nearest):
+def _resample_block(planes, outs, valid, sx, sy, w, h):
     """Write one block of `warp_array`'s output.
 
     `planes` are the source planes flattened to (P, h * w) and `outs` the
@@ -314,14 +320,6 @@ def _resample_block(planes, outs, valid, sx, sy, w, h, nearest):
     # their coordinates.
     np.clip(sx, 0.0, w - 1.0, out=sx)
     np.clip(sy, 0.0, h - 1.0, out=sy)
-
-    if nearest:
-        base = np.rint(sy).astype(np.intp)
-        base *= w
-        base += np.rint(sx).astype(np.intp)
-        for p, o in zip(planes, outs):
-            np.copyto(o, p.take(base), where=valid)
-        return
 
     x0 = np.floor(sx).astype(np.intp)
     y0 = np.floor(sy).astype(np.intp)
@@ -353,19 +351,15 @@ def _resample_block(planes, outs, valid, sx, sy, w, h, nearest):
 def warp_to_common(view: ViewInput, out_width: int, out_height: int) -> WarpedView:
     """Resample a view and all its attached maps into the common frame.
 
-    The image and the confidence maps present are stacked and interpolated
-    bilinearly in one call; the boundary mask uses nearest-neighbor, and any
-    nonzero value becomes True.  Both calls sample the same source positions.
+    The image and the maps present are stacked and interpolated bilinearly
+    in one `warp_array` call.  The boundary mask enters the stack as its 0/1
+    plane (any nonzero value is 1), so it comes out as a weight in [0, 1].
     """
-    t = view.to_common
-    names = [n for n in ("intensity_confidence", "structural_confidence")
-             if getattr(view, n) is not None]
-    stack = np.stack([view.image.data] + [getattr(view, n) for n in names])
-    planes, valid = warp_array(stack, t, out_width, out_height)
-    out = WarpedView(np.clip(planes[0], 0.0, 1.0, out=planes[0]), valid,
-                     **dict(zip(names, planes[1:])))
-    if view.boundary_mask is not None:
-        m = warp_array(view.boundary_mask, t, out_width, out_height,
-                       nearest=True)[0]
-        out.boundary_mask = m.astype(bool)
-    return out
+    names = [n for n in MAPS if getattr(view, n) is not None]
+    # np.stack promotes the mask's bools, so the other planes keep their dtype.
+    planes = [np.asarray(view.boundary_mask) != 0 if n == "boundary_mask"
+              else getattr(view, n) for n in names]
+    warped, valid = warp_array(np.stack([view.image.data, *planes]),
+                               view.to_common, out_width, out_height)
+    return WarpedView(np.clip(warped[0], 0.0, 1.0, out=warped[0]), valid,
+                      **dict(zip(names, warped[1:])))

@@ -171,6 +171,14 @@ def test_boundary_params_validation(changes, message):
     BoundaryParams(alpha=1, beta=0, min_size=1)
 
 
+@pytest.mark.parametrize("name", ["grad_threshold", "t1", "t2"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_boundary_params_reject_non_finite_thresholds(name, bad):
+    # Each was accepted and silently gave an empty mask.
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        BoundaryParams(**{name: bad})
+
+
 def test_blank_image_empty_mask():
     assert not detect_boundaries(np.zeros((64, 64))).any()
 

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,6 +172,13 @@ def test_config_defaults_match_documented_constants():
     assert (b.alpha, b.beta, b.min_size, b.t1, b.t2) == (15, 20, 50, 30.0, 2.0)
     p = cfg.pyramid_params()
     assert (p.levels, p.gamma, p.enhance_layer) == (5, 0.05, 3)
+
+
+def test_readme_defaults_block_is_the_config_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^Defaults:\n\n```json\n(.*?)^```", readme,
+                      re.S | re.M).group(1)
+    assert json.loads(block) == json.loads(Config().dump())
 
 
 def test_config_defaults_are_the_dataclass_defaults():
@@ -614,11 +622,11 @@ def test_confidence_fmap_bytes_pinned(tmp_path, phantom_dir, kind, digest):
     ((), "average", "dfb05caee6dc77b9c083c4a752e52cb73d81d9d282e3e2cdbddf4ba06dfa2168"),
     ((), "maximum", "7aea502c7f6ee0501f1023ced12264b1d6b0d0b02af97913f48c587189947290"),
     ((), "ubf", "bde93ddf2c09f751434c2d1215e3adf8c303341e446095b9bac75224d492101b"),
-    ((), "pyramid", "19c82d6635fb3909a52ab877ced4bae6507b7039978deed749900afc9547dc97"),
+    ((), "pyramid", "4b385c847dc7c1215acded1ef055f0aa8ee57931b275c1bebea2ed0d1a0d2df0"),
     ((95, 93), "average", "640de38a56ae29140ad88f99b370e843e6c16c846d609d9c85715e5abfdd6eed"),
     ((95, 93), "maximum", "f36ad09663963bc4d19fe35a71c1d2da4e74713ab034763d11c1ce1e36ff0285"),
     ((95, 93), "ubf", "3ac7aad32cb21ff6e72a424dd877da097471ce05dd59919e7754686bb651a9bf"),
-    ((95, 93), "pyramid", "909f2dadf040b7129ce4a0b4bb3327c1ea04e65ddf601dc21c9dd7537c929978"),
+    ((95, 93), "pyramid", "81369bd8f9164c5b0ec1f33971736f58055f2cb274f3a0cffb2894663f6bd894"),
 ])
 def test_compound_output_bytes_pinned(tmp_path, phantom_dir, size, method,
                                       digest):
@@ -637,7 +645,7 @@ _INTERMEDIATE_DIGESTS = {
     "blended_layer3": "ff164a378a0f54395376fbaf8c9d6492dd9c29e4e753b9e332b137053a8d466f",
     "blended_layer4": "c8285e024ac79bb011baa62fe9212dcb6b46633753806ee2f079a2d65e655aed",
     "blended_layer5": "9c6f1eb1791a3a3fe271934c4bc43f0d2a774d8988a24aaa517f6905140df7b7",
-    "partial_layer3_post_enhance": "2ec5a13979385d5e23ff28c855e84193f2effc98c33beb78f21ae99a610b2912",
+    "partial_layer3_post_enhance": "7676190e9f1b4d0996d9b8b69f23394436005e936804312a8a986802dc93747e",
     "partial_layer3_pre_enhance": "c22828f154774e2aae90ac2d61fd0ad9cf04770dce87f582bc56e05390cadb0b",
     "selection_layer1": "c09c9dfccbfc7869082edaafcfd0bbd33ba831288c84a4adf8c8e8cfccf0f79b",
     "selection_layer2": "01c09123341ac6bcec801b0774b442bf15ee9bc6b528b54a4c8965dedee87708",

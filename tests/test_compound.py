@@ -528,7 +528,19 @@ def test_prepare_views_fills_every_map_and_leaves_inputs_unchanged():
     assert np.array_equal(warped[0].structural_confidence, np.ones((192, 192)))
     assert warped[0].structural_confidence.dtype == np.float32
     assert not np.all(warped[1].structural_confidence == 1.0)
-    assert warped[0].boundary_mask.dtype == bool
+    for w in warped:
+        m = w.boundary_mask
+        assert m.dtype == np.float32 and m.min() >= 0.0 and m.max() <= 1.0
+        assert np.all(m[~w.validity] == 0.0)
+
+
+@pytest.mark.parametrize("name", ["decay", "absorption"])
+def test_prepare_views_names_a_non_finite_attenuation_parameter(name):
+    # NaN was reported as non-finite values in the intensity confidence map.
+    scene = generate(two_view_phantom(0))
+    views = [ViewInput(v.image, v.to_common) for v in scene.views]
+    with pytest.raises(ValueError, match=name):
+        prepare_views(views, 192, 192, **{name: np.nan})
 
 
 def test_pointwise_methods_flip_equivariant(rng):

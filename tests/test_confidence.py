@@ -47,3 +47,12 @@ def test_brighter_image_never_more_confident(rng):
 def test_negative_params_rejected():
     with pytest.raises(ValueError):
         attenuation_intensity_confidence(Image(np.zeros((2, 2))), decay=-1)
+
+
+@pytest.mark.parametrize("name", ["decay", "absorption"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_params_rejected_by_name(name, bad):
+    # NaN gave an all-NaN map; inf warned from inside numpy.
+    with pytest.raises(ValueError, match=name):
+        attenuation_intensity_confidence(Image(np.zeros((32, 32))),
+                                         **{name: bad})

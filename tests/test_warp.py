@@ -43,20 +43,19 @@ def brute_force_warp(src, transform, out_w, out_h):
     return out, valid
 
 
-def fancy_index_warp(data, transform, out_width, out_height, nearest=False):
+def _source_coords(transform, out_width, out_height, w, h):
+    sx, sy = transform.inverse_apply(np.arange(out_width, dtype=np.float64),
+                                     np.arange(out_height, dtype=np.float64)[:, None])
+    valid = (sx >= 0.0) & (sx <= w - 1.0) & (sy >= 0.0) & (sy <= h - 1.0)
+    return sx, sy, valid
+
+
+def fancy_index_warp(data, transform, out_width, out_height):
     """Oracle: the whole-frame warp, gathering each tap of each plane with
     2-D fancy indexing and summing the products in the library's order."""
     src = np.asarray(data)
     h, w = src.shape[-2:]
-    sx, sy = transform.inverse_apply(np.arange(out_width, dtype=np.float64),
-                                     np.arange(out_height, dtype=np.float64)[:, None])
-    valid = (sx >= 0.0) & (sx <= w - 1.0) & (sy >= 0.0) & (sy <= h - 1.0)
-
-    if nearest:
-        ix = np.clip(np.rint(sx).astype(np.intp), 0, w - 1)
-        iy = np.clip(np.rint(sy).astype(np.intp), 0, h - 1)
-        return np.where(valid, src[..., iy, ix], np.zeros((), src.dtype)), valid
-
+    sx, sy, valid = _source_coords(transform, out_width, out_height, w, h)
     x0 = np.clip(np.floor(sx).astype(np.intp), 0, max(w - 2, 0))
     y0 = np.clip(np.floor(sy).astype(np.intp), 0, max(h - 2, 0))
     x1 = np.minimum(x0 + 1, w - 1)
@@ -70,6 +69,16 @@ def fancy_index_warp(data, transform, out_width, out_height, nearest=False):
                 + p[y1, x0] * (1 - fx) * fy + p[y1, x1] * fx * fy)
         np.copyto(o, vals, where=valid)
     return out, valid
+
+
+def nearest_mask_warp(mask, transform, out_width, out_height):
+    """Oracle: the nearest-neighbour mask warp the library used before the
+    mask joined the bilinear stack; any nonzero value is True."""
+    h, w = mask.shape
+    sx, sy, valid = _source_coords(transform, out_width, out_height, w, h)
+    ix = np.clip(np.rint(sx).astype(np.intp), 0, w - 1)
+    iy = np.clip(np.rint(sy).astype(np.intp), 0, h - 1)
+    return valid & (mask[iy, ix] != 0)
 
 
 def meshgrid_coords(apply, width, height):
@@ -92,9 +101,8 @@ def per_map_warp_to_common(view, out_width, out_height):
         out.structural_confidence, _ = warp_array(
             view.structural_confidence, t, out_width, out_height)
     if view.boundary_mask is not None:
-        m, _ = warp_array(view.boundary_mask, t, out_width, out_height,
-                          nearest=True)
-        out.boundary_mask = m.astype(bool)
+        out.boundary_mask, _ = warp_array(
+            np.asarray(view.boundary_mask) != 0, t, out_width, out_height)
     return out
 
 
@@ -117,11 +125,9 @@ def test_identity_is_identity(rng):
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1)])
-@pytest.mark.parametrize("nearest", [False, True])
-def test_identity_warp_of_one_pixel_axes_is_the_source(rng, shape, nearest):
+def test_identity_warp_of_one_pixel_axes_is_the_source(rng, shape):
     src = rng.random(shape).astype(np.float32)
-    out, valid = warp_array(src, RigidTransform2D(), shape[1], shape[0],
-                            nearest=nearest)
+    out, valid = warp_array(src, RigidTransform2D(), shape[1], shape[0])
     assert valid.all()
     assert out.dtype == np.float32 and np.array_equal(out, src)
 
@@ -201,10 +207,11 @@ def test_warp_to_common_carries_maps(rng):
                      boundary_mask=bm)
     warped = warp_to_common(view, 6, 6)
     assert warped.image.shape == (6, 6)
-    # integer shift: nearest-neighbor mask equals exact shifting on overlap
+    # integer shift: the bilinear mask equals exact shifting on overlap
     assert np.array_equal(warped.boundary_mask[:, 1:], bm[:, :5])
+    assert np.all(warped.boundary_mask[:, 0] == 0)
     assert np.allclose(warped.intensity_confidence[:, 1:], gc[:, :5])
-    assert warped.boundary_mask.dtype == bool
+    assert warped.boundary_mask.dtype == np.float32
 
 
 @pytest.mark.parametrize("mask", [np.full((16, 16), 0.7),
@@ -212,7 +219,7 @@ def test_warp_to_common_carries_maps(rng):
 def test_any_nonzero_mask_value_marks_a_boundary(mask):
     view = ViewInput(Image(np.zeros((16, 16))), boundary_mask=mask)
     warped = warp_to_common(view, 16, 16).boundary_mask
-    assert warped.dtype == bool and warped.all()
+    assert warped.dtype == np.float32 and np.all(warped == 1.0)
 
 
 @pytest.mark.parametrize("nan", [False, True])
@@ -263,18 +270,17 @@ WARP_TRANSFORMS = [RigidTransform2D(),
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (9, 11), (33, 47)])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint8])
-@pytest.mark.parametrize("nearest", [False, True])
-def test_stack_equals_per_plane_warps(rng, shape, dtype, nearest):
+def test_stack_equals_per_plane_warps(rng, shape, dtype):
     if dtype == np.uint8:
         stack = rng.integers(0, 256, (3,) + shape).astype(dtype)
     else:
         stack = rng.random((3,) + shape).astype(dtype)
     out_h, out_w = shape[0] + 2, shape[1] + 3
     for t in WARP_TRANSFORMS:
-        out, valid = warp_array(stack, t, out_w, out_h, nearest=nearest)
+        out, valid = warp_array(stack, t, out_w, out_h)
         assert out.shape == (3, out_h, out_w)
         for plane, o in zip(stack, out):
-            exp, exp_valid = warp_array(plane, t, out_w, out_h, nearest=nearest)
+            exp, exp_valid = warp_array(plane, t, out_w, out_h)
             assert o.dtype == exp.dtype
             assert np.array_equal(o, exp)
             assert np.array_equal(valid, exp_valid)
@@ -318,6 +324,72 @@ def test_prepare_views_matches_per_map_oracle(monkeypatch, oracle_maps):
         assert_same_warped(a, b)
 
 
+def test_prepare_views_warps_each_view_once_through_the_module(monkeypatch):
+    # the benchmark's trace counts warp_array by name and reads the output
+    # size from its positional arguments 2 and 3
+    calls = []
+    warp = image_module.warp_array
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return warp(*args, **kwargs)
+
+    scene = generate(two_view_phantom(0))
+    monkeypatch.setattr(image_module, "warp_array", counting)
+    warped = prepare_views([ViewInput(v.image, v.to_common) for v in scene.views],
+                           192, 192)
+    assert any(w.boundary_mask.any() for w in warped)  # masks were detected
+    assert len(calls) == 2
+    for (data, transform, width, height), kwargs in calls:
+        assert kwargs == {}
+        assert data.shape == (3, 192, 192)
+        assert isinstance(transform, RigidTransform2D)
+        assert (width, height) == (192, 192)
+
+
+_MASK_VALUES = {np.bool_: True, np.float32: 0.7, np.float64: 0.7,
+                np.uint16: 256}
+
+
+@given(src_h=st.integers(1, 30), src_w=st.integers(1, 30),
+       out_h=st.integers(1, 40), out_w=st.integers(1, 40),
+       dtype=st.sampled_from(list(_MASK_VALUES)),
+       density=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+       rotation=st.one_of(_SPECIAL_ROTATIONS, st.floats(-7.0, 7.0)),
+       dx=st.floats(-40, 40), dy=st.floats(-40, 40),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_warped_mask_is_the_bilinear_warp_of_its_indicator(
+        src_h, src_w, out_h, out_w, dtype, density, rotation, dx, dy, seed):
+    rng = np.random.default_rng(seed)
+    shape = (src_h, src_w)
+    mask = np.where(rng.random(shape) < density, _MASK_VALUES[dtype],
+                    0).astype(dtype)
+    if dtype in (np.float32, np.float64):
+        mask[rng.random(shape) < 0.3] = -0.0  # a signed zero is no boundary
+    t = RigidTransform2D(rotation, dx, dy)
+    warped = warp_to_common(ViewInput(Image(np.zeros(shape)), t,
+                                      boundary_mask=mask), out_w, out_h)
+    m = warped.boundary_mask
+    expected, valid = fancy_index_warp(mask != 0, t, out_w, out_h)
+    assert m.dtype == np.float32 and np.array_equal(m, expected)
+    assert np.array_equal(warped.validity, valid)
+    assert m.min() >= 0.0 and m.max() <= 1.0
+    assert np.all(m[~valid] == 0.0)
+
+    # Where the four bilinear taps agree, the weight is the old nearest
+    # label exactly.
+    sx, sy, _ = _source_coords(t, out_w, out_h, src_w, src_h)
+    x0 = np.clip(np.floor(sx), 0, max(src_w - 2, 0)).astype(np.intp)
+    y0 = np.clip(np.floor(sy), 0, max(src_h - 2, 0)).astype(np.intp)
+    x1, y1 = np.minimum(x0 + 1, src_w - 1), np.minimum(y0 + 1, src_h - 1)
+    b = mask != 0
+    taps = [b[y0, x0], b[y0, x1], b[y1, x0], b[y1, x1]]
+    agree = ~valid | np.all(taps == taps[0], axis=0)
+    nearest = nearest_mask_warp(mask, t, out_w, out_h)
+    assert np.array_equal(m[agree], nearest[agree].astype(np.float32))
+
+
 _WARP_DTYPES = [np.float32, np.float64, np.uint8, np.bool_]
 
 
@@ -344,19 +416,17 @@ def _warp_source(seed, shape, dtype):
                     st.floats(-120, 120)),
        dy=st.one_of(st.sampled_from([0.0, -0.0, 90.0, -150.0]),
                     st.floats(-120, 120)),
-       nearest=st.booleans(),
        block=st.sampled_from([1, 7, 64, image_module._BLOCK_PIXELS]),
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=400, deadline=None)
 def test_warp_equals_fancy_index_oracle(src_h, src_w, out_h, out_w, batch,
-                                        dtype, rotation, dx, dy, nearest,
-                                        block, seed):
+                                        dtype, rotation, dx, dy, block, seed):
     src = _warp_source(seed, tuple(batch) + (src_h, src_w), dtype)
     t = RigidTransform2D(rotation, dx, dy)
-    expected, expected_valid = fancy_index_warp(src, t, out_w, out_h, nearest)
+    expected, expected_valid = fancy_index_warp(src, t, out_w, out_h)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(image_module, "_BLOCK_PIXELS", block)
-        out, valid = warp_array(src, t, out_w, out_h, nearest=nearest)
+        out, valid = warp_array(src, t, out_w, out_h)
     assert out.dtype == expected.dtype and out.shape == expected.shape
     assert np.array_equal(out, expected)
     assert np.array_equal(np.signbit(out), np.signbit(expected))
@@ -378,15 +448,14 @@ _FAR = [1e300, -1e300, 1.7e308, -1.7e308]
 
 
 @pytest.mark.parametrize("rotation", [0.0, 0.7, math.pi / 2, 3.0])
-@pytest.mark.parametrize("nearest", [False, True])
 def test_finite_transform_far_off_the_frame_is_invalid_without_warning(
-        rng, rotation, nearest):
+        rng, rotation):
     src = rng.random((9, 11)) + 0.5
     for dx, dy in itertools.product(_FAR, repeat=2):
         t = RigidTransform2D(rotation, dx, dy)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out, valid = warp_array(src, t, 12, 10, nearest=nearest)
+            out, valid = warp_array(src, t, 12, 10)
         assert not valid.any(), (dx, dy)
         assert np.array_equal(out, np.zeros((10, 12)))
         assert not np.signbit(out).any()
@@ -401,17 +470,10 @@ def _traced_peak_mib(call):
         tracemalloc.stop()
 
 
-# Each bound is the outputs and validity plus about one block's working set;
-# the whole-frame warp peaked at 22.25 and 10.25 MiB on these calls.
+# The bound is the output and validity plus about one block's working set;
+# the whole-frame warp peaked at 22.25 MiB on this call.
 def test_bilinear_warp_memory_is_bounded_by_a_block(rng):
     stack = rng.random((2, 512, 512), dtype=np.float32)
     t = RigidTransform2D(math.pi / 2, dx=511.0)
     # 2 MiB output and 0.25 MiB validity leave 2.25 MiB for working memory.
     assert _traced_peak_mib(lambda: warp_array(stack, t, 512, 512)) <= 4.5
-
-
-def test_nearest_warp_memory_is_bounded_by_a_block(rng):
-    mask = (rng.random((512, 512)) > 0.9).astype(np.uint8)
-    t = RigidTransform2D(math.pi / 2, dx=511.0)
-    assert _traced_peak_mib(
-        lambda: warp_array(mask, t, 512, 512, nearest=True)) <= 1.5
