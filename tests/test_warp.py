@@ -132,6 +132,17 @@ def test_identity_warp_of_one_pixel_axes_is_the_source(rng, shape):
     assert out.dtype == np.float32 and np.array_equal(out, src)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1)])
+def test_identity_warp_to_common_of_one_pixel_axes_keeps_the_mask(rng, shape):
+    mask = rng.random(shape) < 0.5
+    mask.flat[0] = True
+    view = ViewInput(Image(rng.random(shape)), boundary_mask=mask)
+    warped = warp_to_common(view, shape[1], shape[0])
+    assert warped.validity.all()
+    assert warped.boundary_mask.dtype == np.float32
+    assert np.array_equal(warped.boundary_mask, mask.astype(np.float32))
+
+
 _SPECIAL_ROTATIONS = st.sampled_from([0.0, -0.0, math.pi / 2, -math.pi / 2,
                                  math.radians(90), math.pi])
 
@@ -461,6 +472,27 @@ def test_finite_transform_far_off_the_frame_is_invalid_without_warning(
         assert not np.signbit(out).any()
 
 
+@pytest.mark.parametrize("rotation", [0.0, 0.7, math.pi / 2, 3.0])
+def test_view_far_off_the_frame_warps_to_empty_maps_without_warning(
+        rng, rotation):
+    shape = (9, 11)
+    maps = {"intensity_confidence": rng.random(shape, dtype=np.float32),
+            "structural_confidence": rng.random(shape),
+            "boundary_mask": np.ones(shape, dtype=bool)}
+    for dx, dy in itertools.product(_FAR, repeat=2):
+        view = ViewInput(Image(rng.random(shape)),
+                         RigidTransform2D(rotation, dx, dy), **maps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warped = warp_to_common(view, 12, 10)
+        assert not warped.validity.any(), (dx, dy)
+        for name in ("image", *maps):
+            a = getattr(warped, name)
+            assert a.dtype == np.float32, name
+            assert np.array_equal(a, np.zeros((10, 12))), name
+            assert not np.signbit(a).any(), name
+
+
 def _traced_peak_mib(call):
     tracemalloc.start()
     try:
@@ -477,3 +509,17 @@ def test_bilinear_warp_memory_is_bounded_by_a_block(rng):
     t = RigidTransform2D(math.pi / 2, dx=511.0)
     # 2 MiB output and 0.25 MiB validity leave 2.25 MiB for working memory.
     assert _traced_peak_mib(lambda: warp_array(stack, t, 512, 512)) <= 4.5
+
+
+# One call per view: the stacked input and the output are whole frames, the
+# rest is one block.  The peak was 10.02 MiB on this call.
+def test_warp_to_common_memory_is_bounded_by_its_stack_and_a_block(rng):
+    shape = (512, 512)
+    view = ViewInput(Image(rng.random(shape, dtype=np.float32)),
+                     RigidTransform2D(math.pi / 2, dx=511.0),
+                     intensity_confidence=rng.random(shape, dtype=np.float32),
+                     structural_confidence=rng.random(shape, dtype=np.float32),
+                     boundary_mask=rng.random(shape) > 0.5)
+    # A 4 MiB float32 stack, its 4 MiB output, 0.25 MiB each for the mask's
+    # indicator and the validity leave 2.25 MiB for working memory.
+    assert _traced_peak_mib(lambda: warp_to_common(view, 512, 512)) <= 10.75
