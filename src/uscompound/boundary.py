@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 from scipy import ndimage
 
-from .errors import DimensionError
+from .errors import DimensionError, check_integers
 
 __all__ = [
     "BoundaryParams",
@@ -60,7 +60,7 @@ class BoundaryParams:
             value = getattr(self, f.name)
             if isinstance(value, float) and not np.isfinite(value):
                 raise ValueError(f"{f.name} must be finite")
-        # The rules vertical_gradient and filter_clusters enforce.
+        check_integers(self, "alpha", "beta", "min_size")
         if self.alpha < 1:
             raise ValueError("alpha must be >= 1")
         if self.beta < 0:
@@ -88,26 +88,23 @@ class ClusterSet:
 
 
 def vertical_gradient(image: np.ndarray,
-                      alpha: int = BoundaryParams.alpha) -> np.ndarray:
+                      params: BoundaryParams = BoundaryParams()) -> np.ndarray:
     """max_{j=1..alpha} |I(x,y) - I(x,y+j)|, truncated at the bottom edge.
 
     The bottom row has no pixels beneath it and gets gradient 0.
     """
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
     a = np.asarray(image, dtype=np.float64)
     h = a.shape[0]
     grad = np.zeros_like(a)
-    for j in range(1, min(alpha, h - 1) + 1):
+    for j in range(1, min(params.alpha, h - 1) + 1):
         np.maximum(grad[:h - j], np.abs(a[:h - j] - a[j:]), out=grad[:h - j])
     return grad
 
 
-def extract_clusters(grad: np.ndarray, grad_threshold: float,
-                     median_denoise: bool = BoundaryParams.median_denoise
-                     ) -> ClusterSet:
-    binary = np.asarray(grad, dtype=np.float64) > grad_threshold
-    if median_denoise:
+def extract_clusters(grad: np.ndarray,
+                     params: BoundaryParams = BoundaryParams()) -> ClusterSet:
+    binary = np.asarray(grad, dtype=np.float64) > params.grad_threshold
+    if params.median_denoise:
         # median of the 3x3 window > T  <=>  at least 5 of its 9 values > T
         votes = ndimage.correlate(binary.view(np.uint8), _EIGHT, mode="nearest")
         binary = votes >= 5
@@ -116,24 +113,20 @@ def extract_clusters(grad: np.ndarray, grad_threshold: float,
 
 
 def filter_clusters(clusters: ClusterSet,
-                    min_size: int = BoundaryParams.min_size,
-                    beta: int = BoundaryParams.beta) -> ClusterSet:
+                    params: BoundaryParams = BoundaryParams()) -> ClusterSet:
     """Size filter, then reject clusters shadowed from above.
 
     A cluster is dropped when any pixel of another size-surviving cluster
     sits in the same column within `beta` rows directly above one of its
     pixels (reverberation echoes sit close beneath the true reflector).
     """
-    if min_size < 1:
-        raise ValueError("min_size must be >= 1")
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
     sizes = np.bincount(clusters.labels.ravel())
-    survivors = [i for i in clusters.ids if i < len(sizes) and sizes[i] >= min_size]
+    survivors = [i for i in clusters.ids
+                 if i < len(sizes) and sizes[i] >= params.min_size]
     lab = np.where(np.isin(clusters.labels, survivors), clusters.labels, 0)
 
     blocked: set[int] = set()
-    for d in range(1, beta + 1):
+    for d in range(1, params.beta + 1):
         if d >= lab.shape[0]:
             break
         below, above = lab[d:], lab[:-d]
@@ -144,8 +137,7 @@ def filter_clusters(clusters: ClusterSet,
 
 
 def refine_boundaries(image: np.ndarray, clusters: ClusterSet,
-                      threshold1: float = BoundaryParams.t1,
-                      threshold2: float = BoundaryParams.t2) -> np.ndarray:
+                      params: BoundaryParams = BoundaryParams()) -> np.ndarray:
     """Region growing from the kept clusters.
 
     Seeds are cluster pixels brighter than t1; growth steps to 8-neighbours
@@ -167,8 +159,8 @@ def refine_boundaries(image: np.ndarray, clusters: ClusterSet,
     if a.ndim != 2 or clusters.labels.shape != a.shape:
         raise DimensionError(f"cluster labels of shape {clusters.labels.shape} "
                              f"do not match image of shape {a.shape}")
-    t1 = threshold1 / 255.0
-    t2 = threshold2 / 255.0
+    t1 = params.t1 / 255.0
+    t2 = params.t2 / 255.0
     marked = np.zeros(a.shape, dtype=bool)
     bright = a > t1
     seeds = clusters.mask() & bright
@@ -216,7 +208,7 @@ def refine_boundaries(image: np.ndarray, clusters: ClusterSet,
 def detect_boundaries(image: np.ndarray,
                       params: BoundaryParams = BoundaryParams()) -> np.ndarray:
     """Full pipeline: gradient, clustering, filtering, refinement."""
-    grad = vertical_gradient(image, params.alpha)
-    clusters = extract_clusters(grad, params.grad_threshold, params.median_denoise)
-    kept = filter_clusters(clusters, params.min_size, params.beta)
-    return refine_boundaries(image, kept, params.t1, params.t2)
+    grad = vertical_gradient(image, params)
+    clusters = extract_clusters(grad, params)
+    kept = filter_clusters(clusters, params)
+    return refine_boundaries(image, kept, params)

@@ -24,7 +24,7 @@ from . import pyramid as pyr
 from .boundary import BoundaryParams, detect_boundaries
 from .confidence import (DEFAULT_ABSORPTION, DEFAULT_DECAY,
                          attenuation_intensity_confidence)
-from .errors import DimensionError
+from .errors import DimensionError, check_integers
 from .image import MAPS, ViewInput, WarpedView, warp_to_common
 
 __all__ = [
@@ -56,6 +56,7 @@ class PyramidParams:
     phi_overrides: tuple[float, ...] | None = None  # per-layer, length `levels`
 
     def __post_init__(self):
+        check_integers(self, "levels", "enhance_layer")
         if self.levels < 2:
             raise ValueError("levels must be >= 2")
         if not 1 <= self.enhance_layer <= self.levels:
@@ -184,7 +185,7 @@ def _first_argmax(keys: np.ndarray, valid: np.ndarray) -> np.ndarray:
 def select_view_layer(image_layers: Sequence[np.ndarray],
                       structural_layers: Sequence[np.ndarray],
                       validity_layers: Sequence[np.ndarray],
-                      gamma: float = PyramidParams.gamma) -> np.ndarray:
+                      params: PyramidParams = PyramidParams()) -> np.ndarray:
     """Per-pixel chosen view index at one pyramid layer.
 
     Where the valid views' structural confidences agree to within `gamma`,
@@ -196,7 +197,7 @@ def select_view_layer(image_layers: Sequence[np.ndarray],
     gs_masked_max = np.where(valid, gs, -np.inf).max(axis=0)
     gs_masked_min = np.where(valid, gs, np.inf).min(axis=0)
     any_valid = valid.any(axis=0)
-    agree = np.where(any_valid, gs_masked_max - gs_masked_min < gamma, True)
+    agree = ~any_valid | (gs_masked_max - gs_masked_min < params.gamma)
     return _first_argmax(np.where(agree, _local_contrast(image_layers), gs),
                          valid)
 
@@ -210,12 +211,12 @@ def weighted_average_layer(laplacian_layers: Sequence[np.ndarray],
                                  np.asarray(validity_layers, dtype=bool))
 
 
-def blend_layer(selected: np.ndarray, averaged: np.ndarray,
-                k: int, levels: int,
-                phi_overrides: Sequence[float] | None = None) -> np.ndarray:
-    """Convex combination of the selection and averaging results; the two
-    weights always sum to 1."""
-    w = phi_overrides[k - 1] if phi_overrides is not None else phi(k, levels)
+def blend_layer(selected: np.ndarray, averaged: np.ndarray, k: int,
+                params: PyramidParams = PyramidParams()) -> np.ndarray:
+    """Convex combination of the selection and averaging results at layer
+    `k`; the two weights always sum to 1."""
+    phis = params.phi_overrides
+    w = phis[k - 1] if phis is not None else phi(k, params.levels)
     return w * np.asarray(selected, np.float64) + (1.0 - w) * np.asarray(averaged, np.float64)
 
 
@@ -264,12 +265,11 @@ def compound_pyramid(views: Sequence[WarpedView],
     blended: list[np.ndarray] = []
     for k in range(1, k_levels + 1):
         i = k - 1
-        selection = select_view_layer(gi[i], gs[i], gv[i], params.gamma)
+        selection = select_view_layer(gi[i], gs[i], gv[i], params)
         selected = np.take_along_axis(lap[i], selection[None], axis=0)[0]
         selected = np.where(gv[i].any(axis=0), selected, 0.0)
         averaged = weighted_average_layer(lap[i], gc[i], gv[i])
-        blended.append(blend_layer(selected, averaged, k, k_levels,
-                                   params.phi_overrides))
+        blended.append(blend_layer(selected, averaged, k, params))
         if debug_sink is not None:
             debug_sink(f"selection_layer{k}", selection.astype(np.float64))
             debug_sink(f"blended_layer{k}", blended[-1])

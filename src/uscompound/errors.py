@@ -1,7 +1,8 @@
-"""Exception hierarchy shared across the toolkit, and the check of JSON
-tables against the dataclasses they describe."""
+"""Exception hierarchy shared across the toolkit, the check of JSON tables
+against the dataclasses they describe, and the check of integer fields."""
 
 import math
+import numbers
 from dataclasses import MISSING, fields
 
 
@@ -61,3 +62,12 @@ def checked(cls, table, what: str) -> dict:
         if type(value) is float and not math.isfinite(value):
             raise SpecError(f"{what} key {key!r} must be finite")
     return table
+
+
+def check_integers(obj, *names: str) -> None:
+    """ValueError naming the first field of `obj` among `names` that is not
+    an integer; a numpy integer is one, a bool is not."""
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer")

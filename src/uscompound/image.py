@@ -85,6 +85,11 @@ class RigidTransform2D:
     dx: float = 0.0
     dy: float = 0.0
 
+    def __post_init__(self):
+        for name, value in self.to_dict().items():  # NaN or inf breaks the warp
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+
     def apply(self, x, y):
         c, s = math.cos(self.rotation), math.sin(self.rotation)
         return c * x - s * y + self.dx, s * x + c * y + self.dy

@@ -86,10 +86,11 @@ def _check(image: np.ndarray, levels: int) -> np.ndarray:
         raise DimensionError("pyramid input must be at least 2-D")
     if levels < 2:
         raise DimensionError("need at least 2 pyramid levels")
-    if min(a.shape[-2:]) < 2 ** (levels - 1):
+    # a shift, not 2 ** (levels - 1), whose size and cost grow with levels
+    if min(a.shape[-2:]) >> (levels - 1) == 0:
         raise DimensionError(
             f"image {a.shape[-2:]} too small for {levels} levels "
-            f"(needs >= {2 ** (levels - 1)} in both axes)")
+            f"(needs >= 2**{levels - 1} in both axes)")
     return a
 
 

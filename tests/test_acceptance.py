@@ -57,7 +57,7 @@ def test_criterion_1_pyramid_round_trip():
 def test_criterion_2_gradient_oracle():
     from uscompound.boundary import vertical_gradient
     rng = np.random.default_rng(2)
-    ok = all(np.array_equal(vertical_gradient(img, alpha),
+    ok = all(np.array_equal(vertical_gradient(img, BoundaryParams(alpha=alpha)),
                             brute_force_gradient(img, alpha))
              for img in (rng.random((32, 32)) for _ in range(20))
              for alpha in (1, 3, 15))

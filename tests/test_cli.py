@@ -302,6 +302,22 @@ def test_out_of_range_config_exit2_for_every_command(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("levels", [10**4, 10**6])
+def test_pyramid_deeper_than_the_frame_exit2(tmp_path, phantom_dir, capsys,
+                                             levels):
+    # The message printed 2 ** (levels - 1) in full: 3,010 digits at 10**4
+    # levels, and past Python's integer-to-string limit at 10**6.
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o.pgm"
+    cfg.write_text(json.dumps({"pyramid": {"K": levels},
+                               "compound": {"enhance_layer": 1}}))
+    assert run([*_COMMANDS["pyramid"](phantom_dir), "--out", str(out),
+                "--config", str(cfg)]) == 2
+    line, = [x for x in capsys.readouterr().err.splitlines() if "error" in x]
+    assert f"too small for {levels} levels" in line
+    assert f"2**{levels - 1}" in line and len(line) < 200
+    assert not out.exists()
+
+
 def test_config_builds_its_params_once():
     cfg = Config({"boundary": {"alpha": 6}, "pyramid": {"K": 4}})
     assert cfg.boundary_params() is cfg.boundary_params()

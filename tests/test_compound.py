@@ -1,3 +1,4 @@
+import importlib
 import inspect
 from dataclasses import fields
 
@@ -17,6 +18,9 @@ from uscompound.image import ViewInput, WarpedView
 from uscompound.phantom import generate
 from uscompound.pyramid import (collapse, gaussian_pyramid, laplacian_pyramid,
                                 upsample)
+
+# The package's `compound` attribute is the function, not the module.
+compound_module = importlib.import_module("uscompound.compound")
 
 
 def make_view(img, valid=None, gc=None, gs=None, bm=None):
@@ -166,7 +170,7 @@ def test_select_confidence_branch_wins():
     gs = [np.full((5, 5), 0.9), np.full((5, 5), 0.3)]
     valid = [np.ones((5, 5), bool)] * 2
     # spread 0.6 >= gamma: the higher-structural-confidence view wins
-    sel = select_view_layer([flat, noisy], gs, valid, gamma=0.05)
+    sel = select_view_layer([flat, noisy], gs, valid, PyramidParams(gamma=0.05))
     assert np.all(sel == 0)
 
 
@@ -193,9 +197,9 @@ def test_weighted_average_layer_cases():
 def test_blend_layer_overrides():
     sel = np.array([[0.2]])
     avg = np.array([[0.4]])
-    assert blend_layer(sel, avg, 1, 5, (1.0,) * 5)[0, 0] == pytest.approx(0.2)
-    assert blend_layer(sel, avg, 1, 5, (0.0,) * 5)[0, 0] == pytest.approx(0.4)
-    assert blend_layer(sel, avg, 1, 5, (0.5,) * 5)[0, 0] == pytest.approx(0.3)
+    for w, want in [(1.0, 0.2), (0.0, 0.4), (0.5, 0.3)]:
+        params = PyramidParams(levels=5, phi_overrides=(w,) * 5)
+        assert blend_layer(sel, avg, 1, params)[0, 0] == pytest.approx(want)
 
 
 def test_enhance_empty_masks_identity(rng):
@@ -242,7 +246,7 @@ def test_uniform_structural_confidence_reduces_to_contrast(rng):
     gi = [rng.random(shape) for _ in range(3)]
     ones = [np.ones(shape) for _ in range(3)]
     valid = [np.ones(shape, bool) for _ in range(3)]
-    sel = select_view_layer(gi, ones, valid, gamma=0.05)
+    sel = select_view_layer(gi, ones, valid, PyramidParams(gamma=0.05))
     contrast = np.stack([_local_contrast(g) for g in gi])
     assert np.array_equal(sel, contrast.argmax(axis=0))
 
@@ -309,7 +313,7 @@ def test_local_contrast_matches_8_offset_oracle(n_views, seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_select_matches_argmax_oracle(n_views, gamma, seed):
     image, gs, valid = tie_prone_layers(np.random.default_rng(seed), n_views)
-    sel = select_view_layer(image, gs, valid, gamma)
+    sel = select_view_layer(image, gs, valid, PyramidParams(gamma=gamma))
     assert sel.dtype == np.intp
     assert np.array_equal(sel, select_oracle(image, gs, valid, gamma))
     # the ties and the pixels invalid everywhere are really there
@@ -366,14 +370,13 @@ def per_view_pyramid_reference(views, params=PyramidParams()):
         lap_layers = [p[i] for p in lap]
         valid_layers = [p[i] for p in gv]
         selection = select_view_layer([p[i] for p in gi], [p[i] for p in gs],
-                                      valid_layers, params.gamma)
+                                      valid_layers, params)
         selected = np.take_along_axis(np.stack(lap_layers), selection[None],
                                       axis=0)[0]
         selected = np.where(np.stack(valid_layers).any(axis=0), selected, 0.0)
         averaged = weighted_average_layer(lap_layers, [p[i] for p in gc],
                                           valid_layers)
-        blended.append(blend_layer(selected, averaged, k, levels,
-                                   params.phi_overrides))
+        blended.append(blend_layer(selected, averaged, k, params))
 
     def enhance(partial, k):
         i = k - 1
@@ -444,6 +447,26 @@ def test_pyramid_builds_traced_by_name(monkeypatch):
                      "upsample": 8}
 
 
+def test_selection_traced_by_name_with_the_pyramid_params(monkeypatch):
+    # the benchmark's trace wraps select_view_layer by name, so the fusion
+    # must reach it once per layer through the module, with its own params
+    seen = []
+    select = compound_module.select_view_layer
+
+    def recording(*args, **kwargs):
+        seen.append(inspect.signature(select).bind(*args, **kwargs)
+                    .arguments["params"])
+        return select(*args, **kwargs)
+
+    scene = generate(two_view_phantom(0))
+    warped = prepare_views([ViewInput(v.image, v.to_common) for v in scene.views],
+                           192, 192)
+    params = PyramidParams(levels=4, enhance_layer=2, gamma=0.2)
+    monkeypatch.setattr(compound_module, "select_view_layer", recording)
+    compound_pyramid(warped, params)
+    assert len(seen) == 4 and all(p is params for p in seen)
+
+
 def test_compound_leaves_input_views_unchanged(rng):
     shape = (32, 32)
     views = [make_view(rng.random(shape), valid=rng.random(shape) > 0.2,
@@ -503,11 +526,6 @@ def test_stack_checks_maps_before_stacking_them(rng):
     views[2].boundary_mask = None
     with pytest.raises(ValueError, match="every view needs a boundary_mask map"):
         _stack(views, "intensity_confidence", "boundary_mask")
-
-
-def test_select_default_gamma_is_the_params_default():
-    gamma = inspect.signature(select_view_layer).parameters["gamma"].default
-    assert gamma == PyramidParams.gamma
 
 
 def test_prepare_views_fills_every_map_and_leaves_inputs_unchanged():
@@ -579,12 +597,23 @@ def test_unknown_method_rejected(rng):
         compound(duplicate_views(rng), "median")
 
 
-def test_pyramid_params_validation():
-    with pytest.raises(ValueError):
-        PyramidParams(enhance_layer=9)
-    with pytest.raises(ValueError, match="levels must be >= 2"):
-        PyramidParams(levels=1, enhance_layer=1)
-    with pytest.raises(ValueError):
-        PyramidParams(gamma=2.0)
-    with pytest.raises(ValueError):
-        PyramidParams(phi_overrides=(0.5,))
+@pytest.mark.parametrize("changes,message", [
+    ({"enhance_layer": 9}, "enhance_layer must lie in 1..levels"),
+    ({"levels": 1, "enhance_layer": 1}, "levels must be >= 2"),
+    ({"gamma": 2.0}, "gamma must lie in"),
+    ({"phi_overrides": (0.5,)}, "phi_overrides must have one entry per layer"),
+    # A fractional enhance_layer failed inside compound_pyramid with a
+    # TypeError, and a fractional levels was blamed on enhance_layer.
+    ({"levels": 2.5}, "levels must be an integer"),
+    ({"enhance_layer": 2.5}, "enhance_layer must be an integer"),
+    ({"levels": 4.0, "enhance_layer": 1}, "levels must be an integer"),
+    ({"levels": True, "enhance_layer": 1}, "levels must be an integer"),
+    ({"enhance_layer": True}, "enhance_layer must be an integer"),
+    ({"enhance_layer": None}, "enhance_layer must be an integer"),
+])
+def test_pyramid_params_validation(changes, message):
+    with pytest.raises(ValueError, match=message):
+        PyramidParams(**changes)
+    # Numpy integers are integers.
+    p = PyramidParams(levels=np.int64(4), enhance_layer=np.int32(4))
+    assert p.levels == 4 and p.enhance_layer == 4

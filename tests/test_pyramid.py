@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,6 +135,16 @@ def test_too_small_image_raises():
         gaussian_pyramid(np.zeros((3, 8, 8)), 5)
     with pytest.raises(DimensionError):
         gaussian_pyramid(np.zeros(64), 2)
+
+
+@pytest.mark.parametrize("levels", [10**6, 10**9])
+def test_too_many_levels_raise_at_once(levels):
+    # The check built 2 ** (levels - 1) and printed it: a 301,030-digit
+    # integer at 10**6 levels, beyond Python's integer-to-string limit.
+    start = time.perf_counter()
+    with pytest.raises(DimensionError, match=rf"needs >= 2\*\*{levels - 1} "):
+        gaussian_pyramid(np.zeros((48, 48)), levels)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_stacked_pyramid_equals_per_plane(rng):

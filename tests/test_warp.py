@@ -455,6 +455,15 @@ def test_clamping_keeps_the_sign_of_a_zero_source_coordinate():
     assert np.signbit(out[0, 0])
 
 
+@pytest.mark.parametrize("name", ["rotation", "dx", "dy"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_transform_rejects_a_non_finite_field_by_name(name, bad):
+    # A NaN or infinite shift warped with a cast warning and then an
+    # IndexError; an infinite rotation raised "math domain error".
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        RigidTransform2D(**{name: bad})
+
+
 _FAR = [1e300, -1e300, 1.7e308, -1.7e308]
 
 
