@@ -25,12 +25,12 @@ the internal [0, 1] scale by /255.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import ndimage
 
-from .errors import DimensionError, check_integers
+from .errors import DimensionError, check_fields
 
 __all__ = [
     "BoundaryParams",
@@ -56,11 +56,7 @@ class BoundaryParams:
     median_denoise: bool = True
 
     def __post_init__(self):
-        for f in fields(self):  # a NaN or infinite threshold empties the mask
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not np.isfinite(value):
-                raise ValueError(f"{f.name} must be finite")
-        check_integers(self, "alpha", "beta", "min_size")
+        check_fields(self)  # a NaN or infinite threshold empties the mask
         if self.alpha < 1:
             raise ValueError("alpha must be >= 1")
         if self.beta < 0:

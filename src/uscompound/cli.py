@@ -69,7 +69,7 @@ def _cmd_confidence(args) -> int:
     cfg = _config_from_args(args)
     image = load_image(args.image)
     if args.kind == "intensity":
-        cmap = attenuation_intensity_confidence(image, cfg.decay, cfg.absorption)
+        cmap = attenuation_intensity_confidence(image, cfg.attenuation_params())
     else:
         cmap = np.ones_like(image.data)
     save_image(Image(cmap), args.out, "fmap")
@@ -95,7 +95,7 @@ def _cmd_compound(args) -> int:
     if args.method in ("ubf", "pyramid"):
         warped = prepare_views(views, width, height,
                                boundary_params=cfg.boundary_params(),
-                               decay=cfg.decay, absorption=cfg.absorption)
+                               attenuation_params=cfg.attenuation_params())
     else:
         warped = [warp_to_common(v, width, height) for v in views]
 
@@ -162,7 +162,6 @@ def _cmd_synth(args) -> int:
                                              seed=args.seed))
     scene = generate(spec)
     os.makedirs(args.outdir, exist_ok=True)
-    transforms = []
     for i, view in enumerate(scene.views):
         save_image(view.image, os.path.join(args.outdir, f"view{i}.pgm"))
         save_mask(view.boundary_mask,
@@ -171,9 +170,6 @@ def _cmd_synth(args) -> int:
                   os.path.join(args.outdir, f"view{i}_artifact.pgm"))
         with open(os.path.join(args.outdir, f"view{i}_transform.json"), "w") as f:
             json.dump(view.to_common.to_dict(), f)
-        transforms.append(view.to_common.to_dict())
-    with open(os.path.join(args.outdir, "transforms.json"), "w") as f:
-        json.dump(transforms, f, indent=2)
     return EXIT_OK
 
 

@@ -22,9 +22,8 @@ import numpy as np
 
 from . import pyramid as pyr
 from .boundary import BoundaryParams, detect_boundaries
-from .confidence import (DEFAULT_ABSORPTION, DEFAULT_DECAY,
-                         attenuation_intensity_confidence)
-from .errors import DimensionError, check_integers
+from .confidence import AttenuationParams, attenuation_intensity_confidence
+from .errors import DimensionError, check_fields
 from .image import MAPS, ViewInput, WarpedView, warp_to_common
 
 __all__ = [
@@ -56,7 +55,7 @@ class PyramidParams:
     phi_overrides: tuple[float, ...] | None = None  # per-layer, length `levels`
 
     def __post_init__(self):
-        check_integers(self, "levels", "enhance_layer")
+        check_fields(self)
         if self.levels < 2:
             raise ValueError("levels must be >= 2")
         if not 1 <= self.enhance_layer <= self.levels:
@@ -291,8 +290,8 @@ def compound_pyramid(views: Sequence[WarpedView],
 
 def prepare_views(views: Sequence[ViewInput], out_width: int, out_height: int,
                   *, boundary_params: BoundaryParams = BoundaryParams(),
-                  decay: float = DEFAULT_DECAY,
-                  absorption: float = DEFAULT_ABSORPTION) -> list[WarpedView]:
+                  attenuation_params: AttenuationParams = AttenuationParams(),
+                  ) -> list[WarpedView]:
     """Warp native-frame views into the common frame, filling missing maps.
 
     The one map filler.  Intensity confidence and boundary masks are computed
@@ -304,7 +303,7 @@ def prepare_views(views: Sequence[ViewInput], out_width: int, out_height: int,
     for v in views:
         if v.intensity_confidence is None:
             v = replace(v, intensity_confidence=attenuation_intensity_confidence(
-                v.image, decay, absorption))
+                v.image, attenuation_params))
         if v.boundary_mask is None:
             v = replace(v, boundary_mask=detect_boundaries(v.image.data,
                                                            boundary_params))

@@ -8,25 +8,34 @@ per-column attenuation recurrence serves as the built-in fallback.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from .errors import check_fields
 from .image import Image
 
-__all__ = [
-    "attenuation_intensity_confidence",
-    "DEFAULT_DECAY",
-    "DEFAULT_ABSORPTION",
-]
+__all__ = ["AttenuationParams", "attenuation_intensity_confidence"]
 
-# A 512-row image keeps exp(-0.002 * 511) ~ 0.36 baseline confidence at the
-# bottom with these defaults.
-DEFAULT_DECAY = 0.002
-DEFAULT_ABSORPTION = 0.5
+
+@dataclass(frozen=True)
+class AttenuationParams:
+    """Rates of the attenuation model.  A 512-row image keeps
+    exp(-0.002 * 511) ~ 0.36 baseline confidence at the bottom with these
+    defaults."""
+
+    decay: float = 0.002      # per row of depth
+    absorption: float = 0.5   # per unit of intensity above
+
+    def __post_init__(self):
+        check_fields(self)
+        for name in ("decay", "absorption"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative")
 
 
 def attenuation_intensity_confidence(image: Image,
-                                     decay: float = DEFAULT_DECAY,
-                                     absorption: float = DEFAULT_ABSORPTION,
+                                     params: AttenuationParams = AttenuationParams(),
                                      ) -> np.ndarray:
     """Depth/absorption attenuation model, per column:
 
@@ -36,13 +45,10 @@ def attenuation_intensity_confidence(image: Image,
     Monotone non-increasing down every column; row 0 is all ones.  Returns
     a float32 array of the image's shape.
     """
-    for name, value in (("decay", decay), ("absorption", absorption)):
-        if not 0 <= value < np.inf:
-            raise ValueError(f"{name} must be finite and non-negative")
     a = image.data
     h = a.shape[0]
     depth = np.arange(h, dtype=np.float64)[:, None]
     absorbed = np.zeros_like(a, dtype=np.float64)
     absorbed[1:] = np.cumsum(a[:-1], axis=0)
-    c = np.exp(-decay * depth - absorption * absorbed)
+    c = np.exp(-params.decay * depth - params.absorption * absorbed)
     return c.astype(np.float32)

@@ -9,37 +9,33 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 from dataclasses import fields
 
 from .boundary import BoundaryParams
 from .compound import PyramidParams
-from .confidence import DEFAULT_ABSORPTION, DEFAULT_DECAY
-from .errors import SpecError
+from .confidence import AttenuationParams
+from .errors import SpecError, check_value
 
 __all__ = ["DEFAULTS", "load_config", "merge_config", "read_json", "Config"]
 
-# Read off the parameter dataclasses.  PyramidParams.levels is exposed as
-# pyramid.K; its other fields live under "compound".
-_PYRAMID = {f.name: f.default for f in fields(PyramidParams)}
-DEFAULTS = {
+# Each table's fields, read off the parameter dataclasses.  PyramidParams.levels
+# is exposed as pyramid.K; its other fields live under "compound".
+_PYRAMID = {f.name: f for f in fields(PyramidParams)}
+_FIELDS = {
     "pyramid": {"K": _PYRAMID.pop("levels")},
     "compound": _PYRAMID,
-    "boundary": {f.name: f.default for f in fields(BoundaryParams)},
-    "confidence": {"decay": DEFAULT_DECAY, "absorption": DEFAULT_ABSORPTION},
+    "boundary": {f.name: f for f in fields(BoundaryParams)},
+    "confidence": {f.name: f for f in fields(AttenuationParams)},
 }
+DEFAULTS = {table: {key: f.default for key, f in table_fields.items()}
+            for table, table_fields in _FIELDS.items()}
 
 
-# The JSON types a leaf value may take, by the type of its default; the one
-# None default, compound.phi_overrides, takes null or a list of numbers.
-_LEAF_TYPES = {bool: ("true or false", (bool,)), int: ("an integer", (int,)),
-               float: ("a number", (int, float)),
-               type(None): ("null or a list of numbers", (type(None), list))}
-
-
-def merge_config(base: dict, override: dict, path: str = "") -> dict:
-    """Deep-merge `override` into a copy of `base`, rejecting unknown keys,
-    leaf values whose type is not the default's, and non-finite numbers."""
+def merge_config(base: dict, override: dict, path: str = "",
+                 spec: dict = _FIELDS) -> dict:
+    """Deep-merge `override` into a copy of `base`, rejecting unknown keys
+    and leaf values that the annotation of the dataclass field in the same
+    place of `spec` does not admit."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
@@ -48,16 +44,10 @@ def merge_config(base: dict, override: dict, path: str = "") -> dict:
         if isinstance(base[key], dict):
             if not isinstance(value, dict):
                 raise SpecError(f"config key {where!r} must be a table")
-            out[key] = merge_config(base[key], value, where)
+            out[key] = merge_config(base[key], value, where, spec[key])
         else:
-            kind, types = _LEAF_TYPES[type(base[key])]
-            items = value if type(value) is list else []
-            if (type(value) not in types
-                    or any(type(x) not in (int, float) for x in items)):
-                raise SpecError(f"config key {where!r} must be {kind}")
-            if any(type(x) is float and not math.isfinite(x)
-                   for x in [value, *items]):
-                raise SpecError(f"config key {where!r} must be finite")
+            check_value(value, spec[key].type, f"config key {where!r}",
+                        SpecError)
             out[key] = value
     return out
 
@@ -74,9 +64,7 @@ class Config:
             c["phi_overrides"] = tuple(c["phi_overrides"])
         self._pyramid = PyramidParams(levels=self.values["pyramid"]["K"], **c)
         self._boundary = BoundaryParams(**self.values["boundary"])
-        for key, value in self.values["confidence"].items():
-            if value < 0:
-                raise SpecError(f"config key 'confidence.{key}' must not be negative")
+        self._attenuation = AttenuationParams(**self.values["confidence"])
 
     def pyramid_params(self) -> PyramidParams:
         return self._pyramid
@@ -84,13 +72,8 @@ class Config:
     def boundary_params(self) -> BoundaryParams:
         return self._boundary
 
-    @property
-    def decay(self) -> float:
-        return self.values["confidence"]["decay"]
-
-    @property
-    def absorption(self) -> float:
-        return self.values["confidence"]["absorption"]
+    def attenuation_params(self) -> AttenuationParams:
+        return self._attenuation
 
     def dump(self) -> str:
         return json.dumps(self.values, indent=2, sort_keys=True)

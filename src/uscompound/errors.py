@@ -1,9 +1,12 @@
-"""Exception hierarchy shared across the toolkit, the check of JSON tables
-against the dataclasses they describe, and the check of integer fields."""
+"""Exception hierarchy shared across the toolkit, and the one check of a
+field value against its dataclass annotation, which both the parameter
+types and the JSON tables they are read from go through."""
 
 import math
 import numbers
 from dataclasses import MISSING, fields
+
+import numpy as np
 
 
 class UscompoundError(Exception):
@@ -34,17 +37,54 @@ class SpecError(UscompoundError):
     """Invalid synthetic-scene or configuration specification."""
 
 
-# The JSON types a value may take, by the head of its field's annotation
-# (annotations are postponed, so they are strings); a bool is none of these.
-_FIELD_TYPES = {"float": ("a number", (int, float)), "int": ("an integer", (int,)),
-                "str": ("a string", (str,)), "tuple": ("a list", (list,))}
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+# What a field value must be, by the head of its annotation (annotations are
+# postponed, so they are strings): the types it may take and the words
+# naming them.  A bool is no number; any other head is a type that checks
+# itself.
+_KINDS = {"float": ((numbers.Real,), "a number"),
+          "int": ((numbers.Integral,), "an integer"),
+          "bool": ((bool, np.bool_), "true or false"),
+          "str": ((str,), "a string"), "tuple": ((list, tuple), "a list")}
+
+
+def check_value(value, annotation: str, label: str, error=ValueError) -> None:
+    """`error` saying what `label` must be unless `value` is what the field
+    annotation `annotation` asks for: a trailing `| None` also admits None,
+    a float must be finite, and the items of a `tuple[X, ...]` are checked
+    as X."""
+    head = annotation.removesuffix(" | None")
+    if value is None and head != annotation:
+        return
+    head, _, item = head.partition("[")
+    if head not in _KINDS:
+        return
+    types, kind = _KINDS[head]
+    if not isinstance(value, types) or (isinstance(value, bool) and head != "bool"):
+        raise error(f"{label} must be {kind}")
+    if head == "float" and not _finite(value):
+        raise error(f"{label} must be finite")
+    for x in value if item else ():
+        check_value(x, item.removesuffix(", ...]"), label, error)
+
+
+def check_fields(obj) -> None:
+    """ValueError naming the first field of the dataclass `obj` whose value
+    is not what its annotation asks for."""
+    for f in fields(obj):
+        check_value(getattr(obj, f.name), f.type, f.name)
 
 
 def checked(cls, table, what: str) -> dict:
     """`table`, if it is a JSON object holding every required field of the
-    dataclass `cls`, no other key, and values of the JSON type each field's
-    annotation asks for, numbers finite; otherwise a SpecError naming the
-    keys."""
+    dataclass `cls`, no other key, and values each field's annotation
+    admits; otherwise a SpecError naming the keys."""
     if not isinstance(table, dict):
         raise SpecError(f"{what} must be a JSON object")
     known = {f.name: f for f in fields(cls)}
@@ -56,18 +96,5 @@ def checked(cls, table, what: str) -> dict:
     if missing:
         raise SpecError(f"{what} lacks keys: {missing}")
     for key, value in table.items():
-        kind, types = _FIELD_TYPES.get(known[key].type.split("[")[0], (None, None))
-        if types is not None and type(value) not in types:
-            raise SpecError(f"{what} key {key!r} must be {kind}")
-        if type(value) is float and not math.isfinite(value):
-            raise SpecError(f"{what} key {key!r} must be finite")
+        check_value(value, known[key].type, f"{what} key {key!r}", SpecError)
     return table
-
-
-def check_integers(obj, *names: str) -> None:
-    """ValueError naming the first field of `obj` among `names` that is not
-    an integer; a numpy integer is one, a bool is not."""
-    for name in names:
-        value = getattr(obj, name)
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, FormatError, RangeError, checked
+from .errors import DimensionError, FormatError, RangeError, check_fields, checked
 
 __all__ = [
     "MAPS",
@@ -86,9 +86,7 @@ class RigidTransform2D:
     dy: float = 0.0
 
     def __post_init__(self):
-        for name, value in self.to_dict().items():  # NaN or inf breaks the warp
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
+        check_fields(self)  # a NaN or infinite field breaks the warp
 
     def apply(self, x, y):
         c, s = math.cos(self.rotation), math.sin(self.rotation)

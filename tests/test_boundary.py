@@ -182,6 +182,13 @@ def test_mask_subset_of_bright_pixels(rng):
     ({"alpha": 0.5}, "alpha must be an integer"),
     ({"beta": -0.5}, "beta must be an integer"),
     ({"min_size": None}, "min_size must be an integer"),
+    # An integer flag was accepted, and a string threshold failed inside
+    # detection with a TypeError.
+    ({"median_denoise": 1}, "median_denoise must be true or false"),
+    ({"median_denoise": None}, "median_denoise must be true or false"),
+    ({"t1": "30"}, "t1 must be a number"),
+    ({"t2": True}, "t2 must be a number"),
+    ({"grad_threshold": None}, "grad_threshold must be a number"),
 ])
 def test_boundary_params_validation(changes, message):
     with pytest.raises(ValueError, match=message):
@@ -189,12 +196,16 @@ def test_boundary_params_validation(changes, message):
     # The edge of each range is accepted, and so are numpy integers.
     BoundaryParams(alpha=1, beta=0, min_size=1)
     BoundaryParams(alpha=np.int64(15), beta=np.int32(20), min_size=np.uint8(50))
+    # Numpy numbers and bools are numbers and flags.
+    BoundaryParams(t1=np.float32(30), t2=np.int64(2), median_denoise=np.bool_(True))
 
 
 @pytest.mark.parametrize("name", ["grad_threshold", "t1", "t2"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                 pytest.param(10**400, id="401-digit")])
 def test_boundary_params_reject_non_finite_thresholds(name, bad):
-    # Each was accepted and silently gave an empty mask.
+    # Each was accepted and silently gave an empty mask (an integer too large
+    # for a float is not finite).
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         BoundaryParams(**{name: bad})
 

@@ -10,7 +10,7 @@ import pytest
 from uscompound.boundary import BoundaryParams
 from uscompound.cli import run
 from uscompound.compound import PyramidParams
-from uscompound.confidence import (DEFAULT_ABSORPTION, DEFAULT_DECAY,
+from uscompound.confidence import (AttenuationParams,
                                    attenuation_intensity_confidence)
 from uscompound.config import Config, load_config, merge_config
 from uscompound.errors import SpecError
@@ -185,7 +185,7 @@ def test_config_defaults_are_the_dataclass_defaults():
     cfg = Config()
     assert cfg.boundary_params() == BoundaryParams()
     assert cfg.pyramid_params() == PyramidParams()
-    assert (cfg.decay, cfg.absorption) == (DEFAULT_DECAY, DEFAULT_ABSORPTION)
+    assert cfg.attenuation_params() == AttenuationParams()
     p = Config({"pyramid": {"K": 4},
                 "compound": {"phi_overrides": [0.5] * 4}}).pyramid_params()
     assert (p.levels, p.phi_overrides) == (4, (0.5,) * 4)
@@ -288,9 +288,8 @@ _COMMANDS = {
      "levels must be >= 2"),
     ({"boundary": {"alpha": 0}}, "alpha must be >= 1"),
     ({"boundary": {"min_size": 0}}, "min_size must be >= 1"),
-    ({"confidence": {"decay": -1}}, "'confidence.decay' must not be negative"),
-    ({"confidence": {"absorption": -0.5}},
-     "'confidence.absorption' must not be negative"),
+    ({"confidence": {"decay": -1}}, "decay must not be negative"),
+    ({"confidence": {"absorption": -0.5}}, "absorption must not be negative"),
 ])
 def test_out_of_range_config_exit2_for_every_command(
         tmp_path, phantom_dir, capsys, command, values, message):
@@ -319,16 +318,22 @@ def test_pyramid_deeper_than_the_frame_exit2(tmp_path, phantom_dir, capsys,
 
 
 def test_config_builds_its_params_once():
-    cfg = Config({"boundary": {"alpha": 6}, "pyramid": {"K": 4}})
+    cfg = Config({"boundary": {"alpha": 6}, "pyramid": {"K": 4},
+                  "confidence": {"decay": 0.01}})
     assert cfg.boundary_params() is cfg.boundary_params()
     assert cfg.pyramid_params() is cfg.pyramid_params()
-    assert (cfg.boundary_params().alpha, cfg.pyramid_params().levels) == (6, 4)
+    assert cfg.attenuation_params() is cfg.attenuation_params()
+    assert (cfg.boundary_params().alpha, cfg.pyramid_params().levels,
+            cfg.attenuation_params().decay) == (6, 4, 0.01)
 
 
-_NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+# An integer too large for a float is not finite either: it raised
+# OverflowError with a traceback.
+_NON_FINITE = [float("nan"), float("inf"), float("-inf"), 10**400]
+_NON_FINITE_IDS = ["NaN", "Infinity", "-Infinity", "401-digit"]
 
 
-@pytest.mark.parametrize("x", _NON_FINITE, ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("x", _NON_FINITE, ids=_NON_FINITE_IDS)
 @pytest.mark.parametrize("command,values,key", [
     ("compound", {"boundary": {"t1": None}}, "boundary.t1"),
     ("compound", {"boundary": {"grad_threshold": None}}, "boundary.grad_threshold"),
@@ -427,7 +432,7 @@ def test_synth_malformed_spec_exit2(tmp_path, capsys, changes, message):
     assert not (tmp_path / "scene").exists()
 
 
-@pytest.mark.parametrize("x", _NON_FINITE, ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("x", _NON_FINITE, ids=_NON_FINITE_IDS)
 @pytest.mark.parametrize("changes,message", [
     ({"views": [{}, {"rotation": None}]}, "transform key 'rotation' must be finite"),
     ({"reflectors": [{"row": 8, "col_start": 10, "col_end": 38,
@@ -485,6 +490,14 @@ def test_synth_seed_overrides_speckle_seed(tmp_path):
     absent = {"speckle": {"scale": 0.03, "seed": 3}}
     assert (synth("null", "--seed", "3", speckle=None)
             == synth("absent", **absent) != synth("none", speckle=None))
+
+
+def test_synth_writes_four_files_per_view(phantom_dir):
+    # It also wrote a transforms.json listing every view, which nothing read.
+    assert sorted(p.name for p in phantom_dir.iterdir()) == sorted(
+        f"view{i}{suffix}" for i in range(2)
+        for suffix in (".pgm", "_boundary.pgm", "_artifact.pgm",
+                       "_transform.json"))
 
 
 def test_confidence_structural_is_all_ones(tmp_path, phantom_dir):
@@ -545,7 +558,7 @@ def test_compound_malformed_transform_exit2(tmp_path, phantom_dir, capsys,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("x", _NON_FINITE, ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("x", _NON_FINITE, ids=_NON_FINITE_IDS)
 @pytest.mark.parametrize("key", ["rotation", "dx", "dy"])
 def test_compound_non_finite_transform_exit2(tmp_path, phantom_dir, capsys,
                                              key, x):

@@ -13,6 +13,7 @@ from uscompound.compound import (PyramidParams, blend_layer, compound,
                                  enhance_boundaries, phi, prepare_views,
                                  select_view_layer, weighted_average_layer,
                                  _local_contrast, _stack)
+from uscompound.confidence import AttenuationParams
 from uscompound.errors import DimensionError
 from uscompound.image import ViewInput, WarpedView
 from uscompound.phantom import generate
@@ -557,8 +558,19 @@ def test_prepare_views_names_a_non_finite_attenuation_parameter(name):
     # NaN was reported as non-finite values in the intensity confidence map.
     scene = generate(two_view_phantom(0))
     views = [ViewInput(v.image, v.to_common) for v in scene.views]
-    with pytest.raises(ValueError, match=name):
-        prepare_views(views, 192, 192, **{name: np.nan})
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        prepare_views(views, 192, 192,
+                      attenuation_params=AttenuationParams(**{name: np.nan}))
+
+
+def test_prepare_views_reads_its_attenuation_params():
+    scene = generate(two_view_phantom(0))
+    views = [ViewInput(v.image, v.to_common) for v in scene.views]
+    flat = prepare_views(views, 192, 192,
+                         attenuation_params=AttenuationParams(0.0, 0.0))
+    for f, d in zip(flat, prepare_views(views, 192, 192)):
+        assert np.all(f.intensity_confidence[f.validity] == 1.0)
+        assert d.intensity_confidence[d.validity].min() < 0.5
 
 
 def test_pointwise_methods_flip_equivariant(rng):
@@ -610,6 +622,13 @@ def test_unknown_method_rejected(rng):
     ({"levels": True, "enhance_layer": 1}, "levels must be an integer"),
     ({"enhance_layer": True}, "enhance_layer must be an integer"),
     ({"enhance_layer": None}, "enhance_layer must be an integer"),
+    # A string flag was accepted, and "no" turned enhancement on.
+    ({"enhancement_enabled": "no"}, "enhancement_enabled must be true or false"),
+    ({"enhancement_enabled": 0}, "enhancement_enabled must be true or false"),
+    ({"gamma": "0.05"}, "gamma must be a number"),
+    ({"gamma": 10**400}, "gamma must be finite"),
+    ({"phi_overrides": [0.5, "x", 0.5, 0.5, 0.5]}, "phi_overrides must be a number"),
+    ({"phi_overrides": 0.5}, "phi_overrides must be a list"),
 ])
 def test_pyramid_params_validation(changes, message):
     with pytest.raises(ValueError, match=message):
@@ -617,3 +636,5 @@ def test_pyramid_params_validation(changes, message):
     # Numpy integers are integers.
     p = PyramidParams(levels=np.int64(4), enhance_layer=np.int32(4))
     assert p.levels == 4 and p.enhance_layer == 4
+    # So are numpy bools for a flag.
+    assert not PyramidParams(enhancement_enabled=np.bool_(False)).enhancement_enabled

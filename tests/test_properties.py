@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from test_boundary import brute_force_refine
 from test_phantom import Xorshift64Star
 from uscompound.boundary import ClusterSet, refine_boundaries
-from uscompound.confidence import attenuation_intensity_confidence
+from uscompound.confidence import AttenuationParams, attenuation_intensity_confidence
 from uscompound.image import Image, quantize8
 from uscompound.metrics import dice
 from uscompound.phantom import _rayleigh
@@ -33,7 +33,7 @@ def test_pyramid_round_trip_property(a):
 @given(unit_images)
 @settings(max_examples=25, deadline=None)
 def test_confidence_decreases_with_depth(a):
-    c = attenuation_intensity_confidence(Image(a), decay=0.01, absorption=0.5)
+    c = attenuation_intensity_confidence(Image(a), AttenuationParams(0.01, 0.5))
     assert np.all(np.diff(c, axis=0) <= 1e-7)
     assert np.all(c[0] == 1.0)
 

@@ -456,12 +456,23 @@ def test_clamping_keeps_the_sign_of_a_zero_source_coordinate():
 
 
 @pytest.mark.parametrize("name", ["rotation", "dx", "dy"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                 pytest.param(10**400, id="401-digit")])
 def test_transform_rejects_a_non_finite_field_by_name(name, bad):
     # A NaN or infinite shift warped with a cast warning and then an
-    # IndexError; an infinite rotation raised "math domain error".
+    # IndexError; an infinite rotation raised "math domain error"; an
+    # integer too large for a float raised OverflowError.
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         RigidTransform2D(**{name: bad})
+
+
+@pytest.mark.parametrize("name", ["rotation", "dx", "dy"])
+@pytest.mark.parametrize("bad", ["0.5", None, True, [1.0]])
+def test_transform_rejects_a_non_number_by_name(name, bad):
+    # A string rotation raised a bare TypeError from math.cos.
+    with pytest.raises(ValueError, match=f"{name} must be a number"):
+        RigidTransform2D(**{name: bad})
+    RigidTransform2D(**{name: np.float32(0.5)})
 
 
 _FAR = [1e300, -1e300, 1.7e308, -1.7e308]
