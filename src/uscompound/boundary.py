@@ -8,9 +8,14 @@ topmost boundary of each such stack and rejects the echoes beneath it:
   2. binarize + 8-connected clustering, with an optional 3x3 median denoise.
      Thresholding commutes with the rank: the 3x3 median exceeds T exactly
      when at least 5 of the 9 values do, so the denoise is a 5-of-9 vote
-     on the binary map, not a float rank filter,
+     on the binary map, not a float rank filter.  The vote is a separable
+     uint8 3x3 box sum over the edge-padded map (rows, then columns), which
+     is the border rule of `ndimage.correlate(..., mode="nearest")`,
   3. drop small clusters and clusters that have another cluster directly
-     above them within `beta` rows,
+     above them within `beta` rows.  The rule is tested only at run tops,
+     the cluster pixels whose upper neighbour carries another label: within
+     a vertical run of one label, every pixel that could block a lower
+     pixel of the run lies within `beta` rows above the run's top pixel too,
   4. region growing seeded from the kept clusters, gated by an absolute
      intensity threshold t1 and a step threshold t2.  The step test is
      symmetric and every grown pixel is brighter than t1, so the grown set
@@ -25,6 +30,7 @@ the internal [0, 1] scale by /255.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -69,15 +75,29 @@ class BoundaryParams:
 class ClusterSet:
     """8-connected components of the thresholded gradient map.
 
-    `labels` is 0 for background; `ids` lists the clusters still alive
-    (filtering narrows `ids` without relabeling).
+    `labels` is an integer array, 0 for background; `ids` lists the
+    clusters still alive (filtering narrows `ids` without relabeling).  An
+    id that labels no pixel is allowed and marks nothing.
     """
 
     labels: np.ndarray
     ids: tuple[int, ...]
 
+    def __post_init__(self):
+        # labels index lookup tables, where a negative value would wrap
+        if not (isinstance(self.labels, np.ndarray)
+                and np.issubdtype(self.labels.dtype, np.integer)):
+            raise ValueError("labels must be an integer array")
+        if self.labels.size and self.labels.min() < 0:
+            raise ValueError("labels must not be negative")
+        if min(self.ids, default=0) < 0:
+            raise ValueError("ids must not be negative")
+
     def mask(self) -> np.ndarray:
-        return np.isin(self.labels, self.ids)
+        table = np.zeros(int(self.labels.max(initial=0)) + 1, dtype=bool)
+        ids = np.asarray(self.ids, dtype=np.intp)
+        table[ids[ids < len(table)]] = True
+        return table[self.labels]
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -92,8 +112,12 @@ def vertical_gradient(image: np.ndarray,
     a = np.asarray(image, dtype=np.float64)
     h = a.shape[0]
     grad = np.zeros_like(a)
+    diff = np.empty_like(a)
     for j in range(1, min(params.alpha, h - 1) + 1):
-        np.maximum(grad[:h - j], np.abs(a[:h - j] - a[j:]), out=grad[:h - j])
+        d, g = diff[:h - j], grad[:h - j]
+        np.subtract(a[:h - j], a[j:], out=d)
+        np.abs(d, out=d)
+        np.maximum(g, d, out=g)
     return grad
 
 
@@ -101,8 +125,13 @@ def extract_clusters(grad: np.ndarray,
                      params: BoundaryParams = BoundaryParams()) -> ClusterSet:
     binary = np.asarray(grad, dtype=np.float64) > params.grad_threshold
     if params.median_denoise:
-        # median of the 3x3 window > T  <=>  at least 5 of its 9 values > T
-        votes = ndimage.correlate(binary.view(np.uint8), _EIGHT, mode="nearest")
+        # median of the 3x3 window > T  <=>  at least 5 of its 9 values > T;
+        # the window sum, edge-padded, is a row box sum then a column one
+        p = np.pad(binary.view(np.uint8), 1, mode="edge")
+        rows = p[:-2] + p[1:-1]
+        rows += p[2:]
+        votes = rows[:, :-2] + rows[:, 1:-1]
+        votes += rows[:, 2:]
         binary = votes >= 5
     labels, n = ndimage.label(binary, structure=_EIGHT)
     return ClusterSet(labels, tuple(range(1, n + 1)))
@@ -116,20 +145,34 @@ def filter_clusters(clusters: ClusterSet,
     sits in the same column within `beta` rows directly above one of its
     pixels (reverberation echoes sit close beneath the true reflector).
     """
-    sizes = np.bincount(clusters.labels.ravel())
-    survivors = [i for i in clusters.ids
-                 if i < len(sizes) and sizes[i] >= params.min_size]
-    lab = np.where(np.isin(clusters.labels, survivors), clusters.labels, 0)
+    labels = clusters.labels
+    sizes = np.bincount(labels.ravel())
+    ids = np.asarray(clusters.ids, dtype=np.intp)
+    ids = ids[ids < len(sizes)]          # an id beyond the labels has no pixel
+    big = np.zeros(len(sizes), dtype=bool)
+    big[ids] = sizes[ids] >= params.min_size
+    lab = np.where(big[labels], labels, 0)
 
-    blocked: set[int] = set()
-    for d in range(1, params.beta + 1):
-        if d >= lab.shape[0]:
-            break
-        below, above = lab[d:], lab[:-d]
-        clash = (below > 0) & (above > 0) & (below != above)
-        if clash.any():
-            blocked.update(np.unique(below[clash]).tolist())
-    return replace(clusters, ids=tuple(i for i in survivors if i not in blocked))
+    # Run tops: cluster pixels whose upper neighbour carries another label.
+    # Below a run's top, the run's own label fills the rows in between, so
+    # whatever blocks a lower pixel of the run also blocks its top.
+    h, w = lab.shape[0], math.prod(lab.shape[1:])
+    lab = lab.reshape(h, w)
+    top = lab[1:] > 0
+    top &= lab[1:] != lab[:-1]
+    rows, cols = np.nonzero(top)
+    rows += 1
+    at = rows * w + cols                 # flat index of each run top
+    lab = lab.ravel()
+    own = lab[at]
+    blocked = np.zeros(len(sizes), dtype=bool)
+    for d in range(1, min(params.beta, h - 1) + 1):
+        first = np.searchsorted(rows, d)    # the tops at least d rows down
+        above = lab[at[first:] - d * w]
+        clash = (above > 0) & (above != own[first:])
+        blocked[own[first:][clash]] = True
+    keep = ids[big[ids] & ~blocked[ids]]
+    return replace(clusters, ids=tuple(keep.tolist()))
 
 
 def refine_boundaries(image: np.ndarray, clusters: ClusterSet,
@@ -151,11 +194,12 @@ def refine_boundaries(image: np.ndarray, clusters: ClusterSet,
     with, then pointer jumping flattens every tree, until no edge joins two
     roots.
     """
-    a = np.asarray(image, dtype=np.float64)
+    a = np.asarray(image)
     if a.ndim != 2 or clusters.labels.shape != a.shape:
         raise DimensionError(f"cluster labels of shape {clusters.labels.shape} "
                              f"do not match image of shape {a.shape}")
-    t1 = params.t1 / 255.0
+    # a float64 scalar makes the comparison float64 without a float64 frame
+    t1 = np.float64(params.t1 / 255.0)
     t2 = params.t2 / 255.0
     marked = np.zeros(a.shape, dtype=bool)
     bright = a > t1
@@ -168,7 +212,7 @@ def refine_boundaries(image: np.ndarray, clusters: ClusterSet,
     hit[comp[seeds]] = True
     region = hit[comp]
     box = ndimage.find_objects(region.view(np.uint8))[0]
-    a, region, seeds = a[box], region[box], seeds[box]
+    a, region, seeds = a[box].astype(np.float64), region[box], seeds[box]
     h, w = a.shape
 
     # one edge mask per step E, S, SE, SW: node src[i, j] joins node dst[i, j]
@@ -204,7 +248,6 @@ def refine_boundaries(image: np.ndarray, clusters: ClusterSet,
 def detect_boundaries(image: np.ndarray,
                       params: BoundaryParams = BoundaryParams()) -> np.ndarray:
     """Full pipeline: gradient, clustering, filtering, refinement."""
-    grad = vertical_gradient(image, params)
-    clusters = extract_clusters(grad, params)
-    kept = filter_clusters(clusters, params)
-    return refine_boundaries(image, kept, params)
+    # the gradient is freed before refinement
+    clusters = extract_clusters(vertical_gradient(image, params), params)
+    return refine_boundaries(image, filter_clusters(clusters, params), params)

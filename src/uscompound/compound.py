@@ -142,29 +142,44 @@ def phi(k: int, levels: int) -> float:
 _NEIGHBOR_OFFSETS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)
                      if (di, dj) != (0, 0)]
 
+# Pixels per plane in one row block of `_local_contrast`: 32 rows at 512 px.
+_BLOCK_PIXELS = 16384
+
 
 def _local_contrast(layer: np.ndarray) -> np.ndarray:
     """Sum of |neighbor - center| over the 8-neighborhood of the last two
     axes; neighbors falling outside the border are skipped.
 
-    Each of the 4 undirected differences is computed once and added to both
-    of its endpoints, in the order of `_NEIGHBOR_OFFSETS`."""
+    Works in blocks of whole rows, about `_BLOCK_PIXELS` pixels per plane,
+    reading one row of halo above and below, so the working memory beyond
+    the output is one block.  Within a block, each of the 4 undirected
+    differences is computed once, over the row pairs either end of which
+    lies in the block, and added to both of its endpoints, in the order of
+    `_NEIGHBOR_OFFSETS`.  Every output pixel gets the same sums in the same
+    order whatever the block size, so the result is the same bit for bit."""
     a = np.asarray(layer, dtype=np.float64)
     h, w = a.shape[-2:]
     out = np.zeros_like(a)
-    diffs = {}
-    for di, dj in _NEIGHBOR_OFFSETS:
-        cs = slice(max(0, -di), h - max(0, di))
-        cj = slice(max(0, -dj), w - max(0, dj))
-        if (-di, -dj) in diffs:
-            # the same pair seen from its other end: |x - y| == |y - x|
-            d = diffs.pop((-di, -dj))
-        else:
-            ns = slice(max(0, di), h - max(0, -di))
-            nj = slice(max(0, dj), w - max(0, -dj))
-            d = diffs[(di, dj)] = a[..., ns, nj] - a[..., cs, cj]
-            np.abs(d, out=d)
-        out[..., cs, cj] += d
+    step = max(1, _BLOCK_PIXELS // max(w, 1))
+    for r0 in range(0, h, step):
+        r1 = min(r0 + step, h)
+        diffs = {}
+        for di, dj in _NEIGHBOR_OFFSETS:
+            # pair k joins rows k + max(0, -di) (center) and k + max(0, di)
+            cj = slice(max(0, -dj), w - max(0, dj))
+            if (-di, -dj) in diffs:
+                # the same pair seen from its other end: |x - y| == |y - x|
+                k0, d = diffs.pop((-di, -dj))
+            else:
+                nj = slice(max(0, dj), w - max(0, -dj))
+                k0, k1 = max(r0 - abs(di), 0), min(r1, h - abs(di))
+                d = (a[..., k0 + max(0, di):k1 + max(0, di), nj]
+                     - a[..., k0 + max(0, -di):k1 + max(0, -di), cj])
+                np.abs(d, out=d)
+                diffs[(di, dj)] = k0, d
+            c0, c1 = max(r0, -di), min(r1, h - max(0, di))
+            k = c0 - max(0, -di) - k0
+            out[..., c0:c1, cj] += d[..., k:k + c1 - c0, :]
     return out
 
 

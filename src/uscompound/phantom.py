@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SpecError, checked
+from .errors import SpecError, check_fields, checked
 from .image import Image, RigidTransform2D
 
 __all__ = [
@@ -111,8 +111,16 @@ def _rayleigh(seed: int, scale: float, n: int) -> np.ndarray:
     return scale * np.sqrt(-2.0 * np.log1p(-u))
 
 
+class _Checked:
+    """A spec whose fields go through `errors.check_fields` when it is
+    built, so a wrong type or a non-finite number is named by its field."""
+
+    def __post_init__(self):
+        check_fields(self)
+
+
 @dataclass(frozen=True)
-class VesselSpec:
+class VesselSpec(_Checked):
     cx: float
     cy: float
     a: float
@@ -123,14 +131,14 @@ class VesselSpec:
 
 
 @dataclass(frozen=True)
-class ReverbSpec:
+class ReverbSpec(_Checked):
     count: int = 3
     spacing: float = 30.0     # rows between consecutive echoes
     decay: float = 0.5        # per-echo intensity factor, in (0, 1)
 
 
 @dataclass(frozen=True)
-class ReflectorSpec:
+class ReflectorSpec(_Checked):
     row: float
     col_start: float
     col_end: float
@@ -141,7 +149,7 @@ class ReflectorSpec:
 
 
 @dataclass(frozen=True)
-class SpeckleSpec:
+class SpeckleSpec(_Checked):
     scale: float = 0.03       # Rayleigh scale
     seed: int = 1
 
@@ -153,7 +161,7 @@ def _optional(kind, value, what: str):
 
 
 @dataclass(frozen=True)
-class PhantomSpec:
+class PhantomSpec(_Checked):
     width: int
     height: int
     vessel: VesselSpec | None = None

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,16 @@ def scene_view_inputs(scene, low_confidence: float = 0.2):
                   boundary_mask=v.boundary_mask)
         for v, g in zip(scene.views, structural_confidences(scene, low_confidence))
     ]
+
+
+def traced_peak_mib(call) -> float:
+    """Peak of the memory `tracemalloc` traces while `call()` runs, in MiB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -4,8 +4,10 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import two_view_phantom
+from conftest import traced_peak_mib, two_view_phantom
 from uscompound import pyramid as pyr
 from uscompound.compound import (PyramidParams, blend_layer, compound,
                                  compound_average, compound_maximum,
@@ -270,6 +272,26 @@ def local_contrast_oracle(layer):
     return out
 
 
+def whole_frame_local_contrast(layer):
+    """The 4 undirected differences over the whole frame, each added to both
+    of its endpoints in the order of `_NEIGHBOR_OFFSETS`."""
+    a = np.asarray(layer, dtype=np.float64)
+    h, w = a.shape[-2:]
+    out = np.zeros_like(a)
+    diffs = {}
+    for di, dj in _OFFSETS:
+        cs = slice(max(0, -di), h - max(0, di))
+        cj = slice(max(0, -dj), w - max(0, dj))
+        if (-di, -dj) in diffs:
+            d = diffs.pop((-di, -dj))
+        else:
+            ns = slice(max(0, di), h - max(0, -di))
+            nj = slice(max(0, dj), w - max(0, -dj))
+            d = diffs[(di, dj)] = np.abs(a[..., ns, nj] - a[..., cs, cj])
+        out[..., cs, cj] += d
+    return out
+
+
 def select_oracle(image_layers, structural_layers, validity_layers, gamma):
     """Both branches ranked by `argmax(axis=0)` over masked views."""
     gs = np.asarray(structural_layers, dtype=np.float64)
@@ -307,6 +329,35 @@ def test_local_contrast_matches_8_offset_oracle(n_views, seed):
     assert np.array_equal(out, want)
     assert np.array_equal(np.signbit(out), np.signbit(want))
     assert np.array_equal(_local_contrast(image[0]), want[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=st.lists(st.integers(1, 3), max_size=2), h=st.integers(1, 70),
+       w=st.integers(1, 9), rows=st.sampled_from([1, 2, 7, None]),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 2**32 - 1))
+def test_local_contrast_blocks_match_whole_frame(batch, h, w, rows, dtype, seed):
+    # rows per block 1, 2, 7 or the default; values half tie-prone
+    rng = np.random.default_rng(seed)
+    size = (*batch, h, w)
+    layer = np.where(rng.random(size) < 0.5,
+                     rng.choice([-0.5, -0.0, 0.0, 0.25], size=size),
+                     rng.random(size)).astype(dtype)
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(compound_module, "_BLOCK_PIXELS", rows * w)
+        got = _local_contrast(layer)
+    want = whole_frame_local_contrast(layer)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# The output is 4 MiB; the whole-frame stencil held four frame-sized
+# differences at once and peaked at 20.1 MiB on this call.
+def test_local_contrast_memory_is_bounded_by_a_block(rng):
+    layer = rng.random((2, 512, 512))
+    assert traced_peak_mib(lambda: _local_contrast(layer)) <= 10
 
 
 @pytest.mark.parametrize("n_views", [1, 2, 3, 4])

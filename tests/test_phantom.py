@@ -150,6 +150,26 @@ def test_specs_that_render_wrongly_rejected(spec, field):
         generate(spec)
 
 
+@pytest.mark.parametrize("build,message", [
+    # generate() died with "'float' object cannot be interpreted as an
+    # integer", and a NaN speckle scale with a RangeError about the image.
+    (lambda: PhantomSpec(width=48.5, height=48), "width must be an integer"),
+    (lambda: PhantomSpec(48, 48, reflectors=None), "reflectors must be a list"),
+    (lambda: SpeckleSpec(scale=math.nan), "scale must be finite"),
+    (lambda: SpeckleSpec(seed=1.0), "seed must be an integer"),
+    (lambda: VesselSpec(cx=16, cy="16", a=8, b=6), "cy must be a number"),
+    (lambda: VesselSpec(16, 16, 8, 6, rotation=math.inf), "rotation must be finite"),
+    (lambda: ReflectorSpec(row=math.nan, col_start=4, col_end=20),
+     "row must be finite"),
+    (lambda: ReflectorSpec(3, 4, 20, shadow=True), "shadow must be a number"),
+    (lambda: ReverbSpec(count=2.5), "count must be an integer"),
+    (lambda: ReverbSpec(decay=10**400), "decay must be finite"),
+])
+def test_spec_built_in_python_names_its_field(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_zero_speckle_scale_adds_nothing():
     spec = PhantomSpec(32, 32, vessel=VesselSpec(cx=16, cy=16, a=8, b=6))
     plain = generate(spec).views[0].image.data

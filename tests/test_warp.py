@@ -1,7 +1,6 @@
 import importlib
 import itertools
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +14,7 @@ from uscompound.image import (Image, RigidTransform2D, ViewInput, WarpedView,
                               warp_array, warp_to_common)
 from uscompound.phantom import generate
 
-from conftest import scene_view_inputs, two_view_phantom
+from conftest import scene_view_inputs, traced_peak_mib, two_view_phantom
 
 # The package's `compound` attribute is the function, not the module.
 compound_module = importlib.import_module("uscompound.compound")
@@ -513,22 +512,13 @@ def test_view_far_off_the_frame_warps_to_empty_maps_without_warning(
             assert not np.signbit(a).any(), name
 
 
-def _traced_peak_mib(call):
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
-
-
 # The bound is the output and validity plus about one block's working set;
 # the whole-frame warp peaked at 22.25 MiB on this call.
 def test_bilinear_warp_memory_is_bounded_by_a_block(rng):
     stack = rng.random((2, 512, 512), dtype=np.float32)
     t = RigidTransform2D(math.pi / 2, dx=511.0)
     # 2 MiB output and 0.25 MiB validity leave 2.25 MiB for working memory.
-    assert _traced_peak_mib(lambda: warp_array(stack, t, 512, 512)) <= 4.5
+    assert traced_peak_mib(lambda: warp_array(stack, t, 512, 512)) <= 4.5
 
 
 # One call per view: the stacked input and the output are whole frames, the
@@ -542,4 +532,4 @@ def test_warp_to_common_memory_is_bounded_by_its_stack_and_a_block(rng):
                      boundary_mask=rng.random(shape) > 0.5)
     # A 4 MiB float32 stack, its 4 MiB output, 0.25 MiB each for the mask's
     # indicator and the validity leave 2.25 MiB for working memory.
-    assert _traced_peak_mib(lambda: warp_to_common(view, 512, 512)) <= 10.75
+    assert traced_peak_mib(lambda: warp_to_common(view, 512, 512)) <= 10.75
