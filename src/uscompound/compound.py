@@ -10,6 +10,11 @@ All methods operate on views already warped into the common frame, using
 their validity masks; pixels observed by no view are set to 0.  They never
 modify the caller's views.  The per-layer helpers take the views of one
 pyramid layer as a (V, h, w) array, or as a sequence of V (h, w) arrays.
+
+The per-layer helpers work in blocks of whole rows, and the pyramid fusion
+frees each layer's maps once the layer is blended, so beyond the maps and
+the outputs no frame-sized float64 temporary is made.  Every result is the
+same bit for bit whatever the block size.
 """
 
 from __future__ import annotations
@@ -87,7 +92,7 @@ def _stack(views: Sequence[WarpedView], *maps: str):
             raise DimensionError(f"{name} maps must share common-frame dimensions")
 
     def stacked(name: str) -> np.ndarray:
-        return np.stack([np.asarray(getattr(v, name), np.float64) for v in views])
+        return np.stack([getattr(v, name) for v in views], dtype=np.float64)
 
     return (stacked("image"), np.stack([v.validity for v in views]),
             *map(stacked, maps))
@@ -142,8 +147,16 @@ def phi(k: int, levels: int) -> float:
 _NEIGHBOR_OFFSETS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)
                      if (di, dj) != (0, 0)]
 
-# Pixels per plane in one row block of `_local_contrast`: 32 rows at 512 px.
+# Pixels per plane in one row block of the per-layer helpers: 32 rows at
+# 512 px.
 _BLOCK_PIXELS = 16384
+
+
+def _row_blocks(h: int, w: int) -> list[slice]:
+    """Slices of whole rows covering `h` rows of width `w`, about
+    `_BLOCK_PIXELS` pixels per plane each."""
+    step = max(1, _BLOCK_PIXELS // max(w, 1))
+    return [slice(r0, min(r0 + step, h)) for r0 in range(0, h, step)]
 
 
 def _local_contrast(layer: np.ndarray) -> np.ndarray:
@@ -160,9 +173,8 @@ def _local_contrast(layer: np.ndarray) -> np.ndarray:
     a = np.asarray(layer, dtype=np.float64)
     h, w = a.shape[-2:]
     out = np.zeros_like(a)
-    step = max(1, _BLOCK_PIXELS // max(w, 1))
-    for r0 in range(0, h, step):
-        r1 = min(r0 + step, h)
+    for rows in _row_blocks(h, w):
+        r0, r1 = rows.start, rows.stop
         diffs = {}
         for di, dj in _NEIGHBOR_OFFSETS:
             # pair k joins rows k + max(0, -di) (center) and k + max(0, di)
@@ -189,10 +201,10 @@ def _first_argmax(keys: np.ndarray, valid: np.ndarray) -> np.ndarray:
     best = np.where(valid[0], keys[0], -np.inf)
     index = np.zeros(best.shape, dtype=np.intp)
     for v in range(1, len(keys)):
-        key = np.where(valid[v], keys[v], -np.inf)
-        better = key > best
-        index[better] = v
-        best = np.where(better, key, best)
+        # an invalid view's key counts as -inf, which is never greater
+        better = (keys[v] > best) & valid[v]
+        np.copyto(index, v, where=better)
+        np.copyto(best, keys[v], where=better)
     return index
 
 
@@ -205,24 +217,43 @@ def select_view_layer(image_layers: Sequence[np.ndarray],
     Where the valid views' structural confidences agree to within `gamma`,
     pick the view with the largest local contrast; otherwise pick the view
     with the largest structural confidence.  Ties go to the lowest index.
+
+    Works in blocks of whole rows, about `_BLOCK_PIXELS` pixels per plane,
+    taking the local contrast of each block with one row of halo above and
+    below, so the working memory beyond the output is one block.
     """
-    gs = np.asarray(structural_layers, dtype=np.float64)
+    gi = np.asarray(image_layers)
+    gs = np.asarray(structural_layers)
     valid = np.asarray(validity_layers, dtype=bool)
-    gs_masked_max = np.where(valid, gs, -np.inf).max(axis=0)
-    gs_masked_min = np.where(valid, gs, np.inf).min(axis=0)
-    any_valid = valid.any(axis=0)
-    agree = ~any_valid | (gs_masked_max - gs_masked_min < params.gamma)
-    return _first_argmax(np.where(agree, _local_contrast(image_layers), gs),
-                         valid)
+    h, w = valid.shape[-2:]
+    index = np.empty((h, w), dtype=np.intp)
+    for rows in _row_blocks(h, w):
+        g, v = np.asarray(gs[:, rows], dtype=np.float64), valid[:, rows]
+        spread = (np.where(v, g, -np.inf).max(axis=0)
+                  - np.where(v, g, np.inf).min(axis=0))
+        agree = ~v.any(axis=0) | (spread < params.gamma)
+        halo = slice(max(rows.start - 1, 0), rows.stop + 1)
+        contrast = _local_contrast(gi[:, halo])[
+            :, rows.start - halo.start:rows.stop - halo.start]
+        index[rows] = _first_argmax(np.where(agree, contrast, g), v)
+    return index
 
 
 def weighted_average_layer(laplacian_layers: Sequence[np.ndarray],
                            intensity_layers: Sequence[np.ndarray],
                            validity_layers: Sequence[np.ndarray]) -> np.ndarray:
-    """Intensity-confidence weighted average of one Laplacian layer."""
-    return _masked_weighted_mean(np.asarray(laplacian_layers, dtype=np.float64),
-                                 np.asarray(intensity_layers, dtype=np.float64),
-                                 np.asarray(validity_layers, dtype=bool))
+    """Intensity-confidence weighted average of one Laplacian layer, in
+    blocks of whole rows, about `_BLOCK_PIXELS` pixels per plane."""
+    lap = np.asarray(laplacian_layers)
+    gc = np.asarray(intensity_layers)
+    valid = np.asarray(validity_layers, dtype=bool)
+    h, w = valid.shape[-2:]
+    out = np.empty((h, w))
+    for rows in _row_blocks(h, w):
+        out[rows] = _masked_weighted_mean(
+            np.asarray(lap[:, rows], dtype=np.float64),
+            np.asarray(gc[:, rows], dtype=np.float64), valid[:, rows])
+    return out
 
 
 def blend_layer(selected: np.ndarray, averaged: np.ndarray, k: int,
@@ -231,7 +262,9 @@ def blend_layer(selected: np.ndarray, averaged: np.ndarray, k: int,
     `k`; the two weights always sum to 1."""
     phis = params.phi_overrides
     w = phis[k - 1] if phis is not None else phi(k, params.levels)
-    return w * np.asarray(selected, np.float64) + (1.0 - w) * np.asarray(averaged, np.float64)
+    out = np.multiply(np.asarray(selected, np.float64), w)
+    out += (1.0 - w) * np.asarray(averaged, np.float64)
+    return out
 
 
 def enhance_boundaries(partial: np.ndarray,
@@ -266,34 +299,41 @@ def compound_pyramid(views: Sequence[WarpedView],
     Laplacian average by the layer weight; boundary enhancement is applied to
     the partial reconstruction at `enhance_layer` on the way back down.
     """
-    imgs, valid, *maps = _stack(views, *MAPS)
-    k_levels = params.levels
+    imgs, valid, gc, gs, gb = _stack(views, *MAPS)
+    k_levels, e = params.levels, params.enhance_layer
     any_valid = valid.any(axis=0)
 
-    gi, gc, gs, gb = [pyr.gaussian_pyramid(a, k_levels) for a in (imgs, *maps)]
-    lap = pyr.laplacian_pyramid(gi)
     # A coarse pixel counts as observed only if the blurred validity stays
     # above 0.5, so never-seen regions do not bleed through the blur.
     gv = [layer > 0.5 for layer in pyr.gaussian_pyramid(valid, k_levels)]
+    gi, gc, gs = [pyr.gaussian_pyramid(a, k_levels) for a in (imgs, gc, gs)]
+    gb = pyr.gaussian_pyramid(gb, k_levels)[e - 1]
+    lap = pyr.laplacian_pyramid(gi)
+    enhance_inputs = gb, gi[e - 1], gv[e - 1]
+    del imgs, valid, gb
 
+    # Each layer's maps are popped as it is fused, so they are freed once
+    # used; the enhancement holds its own layer.
     blended: list[np.ndarray] = []
     for k in range(1, k_levels + 1):
-        i = k - 1
-        selection = select_view_layer(gi[i], gs[i], gv[i], params)
-        selected = np.take_along_axis(lap[i], selection[None], axis=0)[0]
-        selected = np.where(gv[i].any(axis=0), selected, 0.0)
-        averaged = weighted_average_layer(lap[i], gc[i], gv[i])
+        observed = gv.pop(0)
+        selection = select_view_layer(gi.pop(0), gs.pop(0), observed, params)
+        band = lap.pop(0)
+        selected = np.take_along_axis(band, selection[None], axis=0)[0]
+        selected[~observed.any(axis=0)] = 0.0
+        averaged = weighted_average_layer(band, gc.pop(0), observed)
+        del band
         blended.append(blend_layer(selected, averaged, k, params))
         if debug_sink is not None:
             debug_sink(f"selection_layer{k}", selection.astype(np.float64))
             debug_sink(f"blended_layer{k}", blended[-1])
+        del selection, selected, averaged
 
-    e = params.enhance_layer
     recon = pyr.partial_collapse(blended, e)
     if params.enhancement_enabled:
         if debug_sink is not None:
             debug_sink(f"partial_layer{e}_pre_enhance", recon)
-        recon = enhance_boundaries(recon, gb[e - 1], gi[e - 1], gv[e - 1])
+        recon = enhance_boundaries(recon, *enhance_inputs)
         if debug_sink is not None:
             debug_sink(f"partial_layer{e}_post_enhance", recon)
     if e > 1:

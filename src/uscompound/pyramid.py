@@ -18,6 +18,13 @@ can be non-zero, by output phase (reflect-101 keeps parity, so the other
 taps meet inserted zeros).  The products are the same and are summed in
 the same order from 0, so both equal the full blur bit for bit, signed
 zeros included.
+
+Both work in blocks of whole output rows, about `_BLOCK_PIXELS` pixels per
+plane of the finer layer, each reading its rows and the reflect-101 border
+by index and summing its taps in block-sized buffers; the Laplacian and the
+collapse subtract and add into the fresh EXPAND result.  So beyond its
+output each holds one block, and every result is the same bit for bit
+whatever the block size.
 """
 
 from __future__ import annotations
@@ -39,14 +46,53 @@ DEFAULT_LEVELS = 5
 
 _KERNEL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
+# Pixels per plane of the finer layer in one block of `_reduce` or
+# `upsample`: 32 rows at 512 px.
+_BLOCK_PIXELS = 16384
+
+
+def _tap_sum(terms) -> np.ndarray:
+    """0 + k0 * x0 + k1 * x1 + ... over the (k, x) `terms`, summed in order
+    into one new contiguous array (numpy sums into a strided one at half the
+    speed)."""
+    (k, x), *rest = terms
+    out = np.multiply(x, k)
+    out += 0.0          # as 0 + k0 * x0: a -0.0 product becomes +0.0
+    product = np.empty_like(out)
+    for k, x in rest:
+        out += np.multiply(x, k, out=product)
+    return out
+
+
+def _gather(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """`a[..., rows[:, None], cols]` for `cols` that run 0, 1, ..., w - 1
+    between as many edge indices before as after; the run is copied whole,
+    which is many times faster than indexing it column by column."""
+    w, pad = a.shape[-1], (len(cols) - a.shape[-1]) // 2
+    p = np.empty(a.shape[:-2] + (len(rows), len(cols)))
+    p[..., pad:pad + w] = a[..., rows, :]
+    p[..., :pad] = p[..., pad + cols[:pad]]
+    p[..., pad + w:] = p[..., pad + cols[pad + w:]]
+    return p
+
 
 def _reduce(a: np.ndarray) -> np.ndarray:
-    """The 5-tap blur of `a` at its even rows and columns only."""
-    # np.pad 'reflect' is reflect-101 (edge sample not repeated).
+    """The 5-tap blur of `a` at its even rows and columns only, in blocks of
+    output rows, each reading its rows and columns padded by index."""
     h, w = a.shape[-2:]
-    p = np.pad(a, [(0, 0)] * (a.ndim - 2) + [(2, 2), (2, 2)], mode="reflect")
-    horiz = sum(k * p[..., i:i + w:2] for i, k in enumerate(_KERNEL))
-    return sum(k * horiz[..., i:i + h:2, :] for i, k in enumerate(_KERNEL))
+    # np.pad 'reflect' is reflect-101 (edge sample not repeated).
+    rows, cols = (np.pad(np.arange(n), 2, mode="reflect") for n in (h, w))
+    out = np.empty(a.shape[:-2] + ((h + 1) // 2, (w + 1) // 2))
+    step = max(1, _BLOCK_PIXELS // (2 * w))
+    for r0 in range(0, out.shape[-2], step):
+        block = out[..., r0:r0 + step, :]
+        n = block.shape[-2]
+        # output row r reads padded rows 2r .. 2r + 4
+        p = _gather(a, rows[2 * r0:2 * (r0 + n) + 3], cols)
+        horiz = _tap_sum([(k, p[..., i:i + w:2]) for i, k in enumerate(_KERNEL)])
+        block[...] = _tap_sum([(k, horiz[..., i:i + 2 * n:2, :])
+                               for i, k in enumerate(_KERNEL)])
+    return out
 
 
 def _along(axis: int, s: slice) -> tuple:
@@ -54,29 +100,32 @@ def _along(axis: int, s: slice) -> tuple:
     return (Ellipsis, s) if axis == -1 else (Ellipsis, s, slice(None))
 
 
-def _expand(x: np.ndarray, n: int, axis: int) -> np.ndarray:
-    """The 5-tap blur along `axis` of `x` zero-inserted to length `n`.
+def _zero_insert_reflect(m: int, n: int) -> np.ndarray:
+    """Indices of m samples, zero-inserted to length n, with the sample that
+    reflect-101 meets before the first and after the last of them."""
+    lo, hi = (1 if n > 2 else 0), (m - 1 if n % 2 == 0 else max(m - 2, 0))
+    return np.concatenate(([lo], np.arange(m), [hi]))
 
-    Reflect-101 keeps parity for n >= 2, so even outputs meet samples of `x`
-    at taps 0, 2, 4 and odd outputs at taps 1, 3; the other taps meet
-    inserted zeros and add exactly +0.0 to a sum started from 0.
+
+def _expand(xp: np.ndarray, n: int, axis: int, out: np.ndarray) -> np.ndarray:
+    """Write into `out` the 5-tap blur along `axis` of samples zero-inserted
+    to length `n`.  `xp` holds the samples that `out` spans, with the
+    reflected sample before and after them that `_zero_insert_reflect` adds.
+
+    Reflect-101 keeps parity for n >= 2, so even outputs meet samples at
+    taps 0, 2, 4 and odd outputs at taps 1, 3; the other taps meet inserted
+    zeros and add exactly +0.0 to a sum started from 0.
     """
     if n == 1:
         # a single sample reflects onto itself at every tap
-        return sum(k * x for k in _KERNEL)
-    m, half = x.shape[axis], n // 2
-    # the zero-inserted axis reflects onto x[lo] before x and x[hi] after it
-    lo, hi = (1 if n > 2 else 0), (m - 1 if n % 2 == 0 else m - 2)
-    xp = np.concatenate([x[_along(axis, slice(lo, lo + 1))], x,
-                         x[_along(axis, slice(hi, hi + 1))]], axis=axis)
-    shape = list(x.shape)
-    shape[axis] = n
-    out = np.empty(shape)
-    out[_along(axis, slice(0, None, 2))] = sum(
-        _KERNEL[2 * j] * xp[_along(axis, slice(j, j + m))] for j in range(3))
-    out[_along(axis, slice(1, None, 2))] = sum(
-        _KERNEL[2 * j + 1] * xp[_along(axis, slice(j + 1, j + 1 + half))]
-        for j in range(2))
+        out[...] = _tap_sum([(k, xp[_along(axis, slice(1, 2))]) for k in _KERNEL])
+        return out
+    m, half = xp.shape[axis] - 2, out.shape[axis] // 2
+    out[_along(axis, slice(0, None, 2))] = _tap_sum(
+        [(_KERNEL[2 * j], xp[_along(axis, slice(j, j + m))]) for j in range(3)])
+    out[_along(axis, slice(1, None, 2))] = _tap_sum(
+        [(_KERNEL[2 * j + 1], xp[_along(axis, slice(j + 1, j + 1 + half))])
+         for j in range(2)])
     return out
 
 
@@ -114,14 +163,24 @@ def gaussian_pyramid(image: np.ndarray, levels: int = DEFAULT_LEVELS) -> list[np
 
 def upsample(a: np.ndarray, target_shape: tuple[int, int]) -> np.ndarray:
     """Zero-insert `a` to the rows and columns that end `target_shape`, then
-    blur with the x4-scaled kernel."""
+    blur with the x4-scaled kernel, in blocks of output rows."""
     a = np.asarray(a, dtype=np.float64)
     if len(target_shape) < 2:
         raise DimensionError(f"upsample target {target_shape} must be at least 2-D")
     th, tw = target_shape[-2:]
     if ((th + 1) // 2, (tw + 1) // 2) != a.shape[-2:]:
         raise DimensionError(f"cannot upsample {a.shape} to {target_shape}")
-    return _expand(_expand(a, tw, -1), th, -2) * 4.0
+    rows = _zero_insert_reflect(a.shape[-2], th)
+    cols = _zero_insert_reflect(a.shape[-1], tw)
+    out = np.empty(a.shape[:-2] + (th, tw))
+    step = max(1, _BLOCK_PIXELS // (2 * tw))
+    for r0 in range(0, a.shape[-2], step):
+        block = out[..., 2 * r0:2 * (r0 + step), :]
+        x = _gather(a, rows[r0:r0 + step + 2], cols)
+        wide = _expand(x, tw, -1, np.empty(x.shape[:-1] + (tw,)))
+        _expand(wide, th, -2, block)
+        block *= 4.0
+    return out
 
 
 def laplacian_pyramid(g: list[np.ndarray]) -> list[np.ndarray]:
@@ -129,7 +188,10 @@ def laplacian_pyramid(g: list[np.ndarray]) -> list[np.ndarray]:
     it from `gaussian_pyramid`: band-pass layers g[k] - EXPAND(g[k+1]) for
     layers 1..K-1, plus the coarsest Gaussian layer as layer K."""
     _check_chain(g)
-    layers = [g[k] - upsample(g[k + 1], g[k].shape) for k in range(len(g) - 1)]
+    layers = []
+    for k in range(len(g) - 1):
+        up = upsample(g[k + 1], g[k].shape)
+        layers.append(np.subtract(g[k], up, out=up))
     return layers + [g[-1]]
 
 
@@ -153,7 +215,8 @@ def partial_collapse(layers: list[np.ndarray], to_layer: int) -> np.ndarray:
         raise DimensionError(f"to_layer {to_layer} out of range 1..{len(layers)}")
     image = np.asarray(layers[-1], dtype=np.float64)
     for k in range(len(layers) - 2, to_layer - 2, -1):
-        image = upsample(image, layers[k].shape) + layers[k]
+        image = upsample(image, layers[k].shape)
+        image += layers[k]
     return image
 
 

@@ -360,6 +360,92 @@ def test_local_contrast_memory_is_bounded_by_a_block(rng):
     assert traced_peak_mib(lambda: _local_contrast(layer)) <= 10
 
 
+def scatter_first_argmax(keys, valid):
+    """The first valid argmax by a boolean-mask scatter and a new best per
+    view."""
+    best = np.where(valid[0], keys[0], -np.inf)
+    index = np.zeros(best.shape, dtype=np.intp)
+    for v in range(1, len(keys)):
+        key = np.where(valid[v], keys[v], -np.inf)
+        better = key > best
+        index[better] = v
+        best = np.where(better, key, best)
+    return index
+
+
+def whole_frame_select(image_layers, structural_layers, validity_layers, gamma):
+    """`select_view_layer` over the whole frame at once."""
+    gs = np.asarray(structural_layers, dtype=np.float64)
+    valid = np.asarray(validity_layers, dtype=bool)
+    gs_masked_max = np.where(valid, gs, -np.inf).max(axis=0)
+    gs_masked_min = np.where(valid, gs, np.inf).min(axis=0)
+    agree = ~valid.any(axis=0) | (gs_masked_max - gs_masked_min < gamma)
+    keys = np.where(agree, whole_frame_local_contrast(image_layers), gs)
+    return scatter_first_argmax(keys, valid)
+
+
+def whole_frame_weighted_average(laplacian_layers, intensity_layers,
+                                 validity_layers):
+    """`weighted_average_layer` over the whole frame at once."""
+    values = np.asarray(laplacian_layers, dtype=np.float64)
+    valid = np.asarray(validity_layers, dtype=bool)
+    w = np.where(valid, np.asarray(intensity_layers, dtype=np.float64), 0.0)
+    wsum = w.sum(axis=0)
+    num = (w * values).sum(axis=0)
+    out = np.divide(num, wsum, out=np.zeros_like(num), where=wsum > 0)
+    counts = valid.sum(axis=0)
+    fallback = np.divide(np.where(valid, values, 0.0).sum(axis=0), counts,
+                         out=np.zeros_like(num), where=counts > 0)
+    return np.where(wsum > 0, out, fallback)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_views=st.integers(1, 4), h=st.integers(1, 40), w=st.integers(1, 9),
+       rows=st.sampled_from([1, 2, 7, None]),
+       gamma=st.sampled_from([0.0, 0.05, 0.4, 1.0]),
+       dtype=st.sampled_from([np.float32, np.float64]), as_list=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_select_and_average_blocks_match_whole_frame(n_views, h, w, rows, gamma,
+                                                     dtype, as_list, seed):
+    # rows per block 1, 2, 7 or the default; values, confidences and
+    # weights drawn from a few values (signed zeros too) half the time, so
+    # that contrasts tie and weight sums vanish
+    rng = np.random.default_rng(seed)
+    size = (n_views, h, w)
+
+    def tie_prone(choices):
+        return np.where(rng.random(size) < 0.5, rng.choice(choices, size=size),
+                        rng.random(size) - 0.25).astype(dtype)
+
+    image, lap = tie_prone([-0.5, -0.0, 0.0, 0.25]), tie_prone([-0.0, 0.0, 0.5])
+    gs, gc = tie_prone([0.2, 0.5, 1.0]), tie_prone([-0.0, 0.0, 1.0])
+    valid = rng.random(size) > 0.3
+    valid[:, :, rng.integers(w)] = False
+    args = [list(a) if as_list else a for a in (image, gs, lap, gc, valid)]
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(compound_module, "_BLOCK_PIXELS", rows * w)
+        sel = select_view_layer(args[0], args[1], args[4], PyramidParams(gamma=gamma))
+        avg = weighted_average_layer(args[2], args[3], args[4])
+    assert sel.dtype == np.intp
+    assert np.array_equal(sel, whole_frame_select(image, gs, valid, gamma))
+    want = whole_frame_weighted_average(lap, gc, valid)
+    assert avg.dtype == np.float64 and avg.shape == want.shape
+    assert np.array_equal(avg, want)
+    assert np.array_equal(np.signbit(avg), np.signbit(want))
+
+
+# Each output is 2 MiB; the whole-frame forms peaked at 16.8 MiB
+# (select_view_layer) and 18.0 MiB (weighted_average_layer) on these calls.
+# Each may take its output plus 3 MiB.
+def test_select_and_average_memory_is_their_output_plus_a_block(rng):
+    layer, gs = rng.random((2, 512, 512)), rng.random((2, 512, 512))
+    valid = rng.random((2, 512, 512)) > 0.1
+    assert traced_peak_mib(lambda: select_view_layer(layer, gs, valid)) <= 2 + 3
+    assert traced_peak_mib(
+        lambda: weighted_average_layer(layer, gs, valid)) <= 2 + 3
+
+
 @pytest.mark.parametrize("n_views", [1, 2, 3, 4])
 @pytest.mark.parametrize("gamma", [0.05, 0.4, 1.0])
 @pytest.mark.parametrize("seed", range(4))
@@ -446,25 +532,40 @@ def per_view_pyramid_reference(views, params=PyramidParams()):
     return np.where(any_valid, np.clip(recon, 0.0, 1.0), 0.0).astype(np.float32)
 
 
+def partially_seen_views(rng, first_view_covers=True):
+    """Three views seeing slanted half-planes with scattered holes; unless the
+    first view covers the frame, no view sees the far corner, down to the
+    coarsest layer."""
+    shape = (45, 53)
+    yy, xx = np.mgrid[0:shape[0], 0:shape[1]]
+    views = []
+    for v in range(3):
+        valid = (xx + (v + 1) * yy < 60 + 15 * v) | (v == 0 and first_view_covers)
+        valid &= rng.random(shape) > 0.05
+        views.append(make_view(rng.random(shape), valid=valid,
+                               gc=rng.random(shape).astype(np.float32),
+                               gs=rng.random(shape).astype(np.float32),
+                               bm=rng.random(shape) > 0.9))
+    return views
+
+
 @pytest.mark.parametrize("params", [
     PyramidParams(),
     PyramidParams(levels=4, enhance_layer=4, gamma=0.2),
     PyramidParams(phi_overrides=(0.3, 0.9, 0.1, 1.0, 0.5), enhance_layer=1),
 ])
 def test_pyramid_matches_per_view_reference_random(rng, params):
-    shape = (45, 53)
-    yy, xx = np.mgrid[0:shape[0], 0:shape[1]]
-    views = []
-    for v in range(3):
-        # partial validity: a slanted half-plane per view plus scattered holes
-        valid = (xx + (v + 1) * yy < 60 + 15 * v) | (v == 0)
-        valid &= rng.random(shape) > 0.05
-        views.append(make_view(rng.random(shape), valid=valid,
-                               gc=rng.random(shape).astype(np.float32),
-                               gs=rng.random(shape).astype(np.float32),
-                               bm=rng.random(shape) > 0.9))
+    views = partially_seen_views(rng)
     assert np.array_equal(compound_pyramid(views, params),
                           per_view_pyramid_reference(views, params))
+
+
+def test_pyramid_matches_per_view_reference_where_no_view_sees(rng):
+    # the selection is zeroed where no view is valid at a layer, which the
+    # upsampling would otherwise carry into the seen pixels nearby
+    views = partially_seen_views(rng, first_view_covers=False)
+    assert np.array_equal(compound_pyramid(views),
+                          per_view_pyramid_reference(views))
 
 
 def test_pyramid_matches_per_view_reference_phantom():
@@ -474,6 +575,15 @@ def test_pyramid_matches_per_view_reference_phantom():
     assert not all(v.validity.all() for v in warped)
     assert np.array_equal(compound_pyramid(warped),
                           per_view_pyramid_reference(warped))
+
+
+# With every map's pyramid and frame-sized per-layer temporaries alive at
+# once, compound_pyramid peaked at 50.1 MiB on this call.
+def test_pyramid_fusion_memory_is_bounded():
+    scene = generate(two_view_phantom(0, size=512))
+    warped = prepare_views([ViewInput(v.image, v.to_common) for v in scene.views],
+                           512, 512)
+    assert traced_peak_mib(lambda: compound_pyramid(warped)) <= 40
 
 
 def test_pyramid_builds_traced_by_name(monkeypatch):

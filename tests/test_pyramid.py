@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import traced_peak_mib
+from uscompound import pyramid as pyramid_module
 from uscompound.errors import DimensionError
-from uscompound.pyramid import (collapse, gaussian_pyramid, laplacian_pyramid,
-                                layer_shapes, partial_collapse, upsample)
+from uscompound.pyramid import (_reduce, collapse, gaussian_pyramid,
+                                laplacian_pyramid, layer_shapes,
+                                partial_collapse, upsample)
 
 KERNEL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
@@ -84,6 +87,80 @@ def test_upsample_to_a_single_row_or_column(rng, coarse, target):
     # an axis of length 1 reflects onto itself, so every tap meets the sample
     a = rng.random(coarse)
     assert same_bits(upsample(a, target), upsample_oracle(a, target))
+
+
+def whole_frame_reduce(a):
+    """REDUCE over the whole frame at once: pad it, blur the rows at the even
+    columns, then the columns at the even rows."""
+    h, w = a.shape[-2:]
+    p = np.pad(a, [(0, 0)] * (a.ndim - 2) + [(2, 2), (2, 2)], mode="reflect")
+    horiz = sum(k * p[..., i:i + w:2] for i, k in enumerate(KERNEL))
+    return sum(k * horiz[..., i:i + h:2, :] for i, k in enumerate(KERNEL))
+
+
+def _along(axis, s):
+    return (Ellipsis, s) if axis == -1 else (Ellipsis, s, slice(None))
+
+
+def whole_frame_expand(x, n, axis):
+    """EXPAND along one axis of the whole frame, by output phase."""
+    if n == 1:
+        return sum(k * x for k in KERNEL)
+    m, half = x.shape[axis], n // 2
+    lo, hi = (1 if n > 2 else 0), (m - 1 if n % 2 == 0 else m - 2)
+    xp = np.concatenate([x[_along(axis, slice(lo, lo + 1))], x,
+                         x[_along(axis, slice(hi, hi + 1))]], axis=axis)
+    shape = list(x.shape)
+    shape[axis] = n
+    out = np.empty(shape)
+    out[_along(axis, slice(0, None, 2))] = sum(
+        KERNEL[2 * j] * xp[_along(axis, slice(j, j + m))] for j in range(3))
+    out[_along(axis, slice(1, None, 2))] = sum(
+        KERNEL[2 * j + 1] * xp[_along(axis, slice(j + 1, j + 1 + half))]
+        for j in range(2))
+    return out
+
+
+def whole_frame_upsample(a, target_shape):
+    th, tw = target_shape[-2:]
+    return whole_frame_expand(whole_frame_expand(a, tw, -1), th, -2) * 4.0
+
+
+@given(batched_grids(axis=st.integers(1, 40)), st.sampled_from([1, 2, 7, None]),
+       st.integers(0, 1), st.integers(0, 1))
+@settings(max_examples=200, deadline=None)
+def test_blocked_reduce_and_upsample_match_whole_frame(a, rows, drop_row,
+                                                       drop_col):
+    # `rows` coarse rows per block, or the default block
+    a = a.astype(np.float64)
+    target = (2 * a.shape[-2] - drop_row, 2 * a.shape[-1] - drop_col)
+
+    def blocked(fn, fine_width, *args):
+        with pytest.MonkeyPatch.context() as mp:
+            if rows is not None:
+                mp.setattr(pyramid_module, "_BLOCK_PIXELS", rows * 2 * fine_width)
+            return fn(*args)
+
+    assert same_bits(blocked(_reduce, a.shape[-1], a), whole_frame_reduce(a))
+    assert same_bits(blocked(upsample, target[-1], a, target),
+                     whole_frame_upsample(a, target))
+    # the Laplacian and the collapse add and subtract in place
+    if min(a.shape[-2:]) >= 2:
+        g = [a, whole_frame_reduce(a)]
+        up = whole_frame_upsample(g[1], a.shape)
+        lap = blocked(laplacian_pyramid, a.shape[-1], g)
+        assert same_bits(lap[0], a - up) and lap[1] is g[1]
+        assert same_bits(blocked(partial_collapse, a.shape[-1], g, 1), up + a)
+
+
+# The whole-frame forms peaked at 8.2 MiB (gaussian_pyramid) and 12.0 MiB
+# (laplacian_pyramid) on these calls.  Each may take its output (1.33 and
+# 5.31 MiB) plus 3 MiB.
+def test_pyramid_memory_is_its_output_plus_a_block(rng):
+    a = rng.random((2, 512, 512))
+    assert traced_peak_mib(lambda: gaussian_pyramid(a, 5)) <= 1.33 + 3
+    g = gaussian_pyramid(a, 5)
+    assert traced_peak_mib(lambda: laplacian_pyramid(g)) <= 5.31 + 3
 
 
 def brute_force_blur_decimate(a):
