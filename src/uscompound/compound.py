@@ -11,10 +11,14 @@ their validity masks; pixels observed by no view are set to 0.  They never
 modify the caller's views.  The per-layer helpers take the views of one
 pyramid layer as a (V, h, w) array, or as a sequence of V (h, w) arrays.
 
-The per-layer helpers work in blocks of whole rows, and the pyramid fusion
-frees each layer's maps once the layer is blended, so beyond the maps and
-the outputs no frame-sized float64 temporary is made.  Every result is the
-same bit for bit whatever the block size.
+Every method works in blocks of whole rows: the baselines and the per-layer
+helpers read each block as float64 from each view's own planes, so beyond
+its float32 output a baseline holds one block.  The pyramid fusion stacks
+the maps in their own dtypes (float32, bool), builds their pyramids from
+those stacks, and frees each layer's maps once the layer is blended, so
+beyond the maps, their pyramids and the outputs no frame-sized float64
+temporary is made.  Every result is the same bit for bit whatever the block
+size.
 """
 
 from __future__ import annotations
@@ -74,11 +78,10 @@ class PyramidParams:
                 raise ValueError("phi override values must lie in [0, 1]")
 
 
-def _stack(views: Sequence[WarpedView], *maps: str):
-    """Each view's image, validity and map named in `maps`, stacked over the
-    views into (V, H, W) arrays, images and maps as float64.  Raises
-    DimensionError unless all share the common frame, and ValueError naming
-    a map that some view lacks."""
+def _planes(views: Sequence[WarpedView], *maps: str) -> list[list[np.ndarray]]:
+    """Each view's image, validity and map named in `maps`, as one list of
+    its planes per name, not copied.  Raises DimensionError unless all share
+    the common frame, and ValueError naming a map that some view lacks."""
     if len(views) < 1:
         raise ValueError("need at least one view")
     shape = views[0].image.shape
@@ -90,34 +93,83 @@ def _stack(views: Sequence[WarpedView], *maps: str):
             raise ValueError(f"every view needs a {name} map (see prepare_views)")
         if any(np.shape(getattr(v, name)) != shape for v in views):
             raise DimensionError(f"{name} maps must share common-frame dimensions")
+    return [_layers(getattr(v, name) for v in views)
+            for name in ("image", "validity", *maps)]
 
-    def stacked(name: str) -> np.ndarray:
-        return np.stack([getattr(v, name) for v in views], dtype=np.float64)
 
-    return (stacked("image"), np.stack([v.validity for v in views]),
-            *map(stacked, maps))
+def _stack(views: Sequence[WarpedView], *maps: str) -> list[np.ndarray]:
+    """The planes of `_planes`, stacked over the views into (V, H, W) arrays
+    in their own dtypes."""
+    return [np.stack(planes) for planes in _planes(views, *maps)]
+
+
+# Pixels per plane in one row block of every fusion: 32 rows at 512 px.
+_BLOCK_PIXELS = 16384
+
+
+def _row_blocks(h: int, w: int) -> list[slice]:
+    """Slices of whole rows covering `h` rows of width `w`, about
+    `_BLOCK_PIXELS` pixels per plane each."""
+    step = max(1, _BLOCK_PIXELS // max(w, 1))
+    return [slice(r0, min(r0 + step, h)) for r0 in range(0, h, step)]
+
+
+def _layers(planes) -> list[np.ndarray]:
+    """A (V, h, w) array, or a sequence of V (h, w) arrays, as V arrays."""
+    return [np.asarray(p) for p in planes]
+
+
+def _read_rows(planes: list[np.ndarray], rows: slice,
+               dtype=np.float64) -> np.ndarray:
+    """Rows `rows` of each of the `planes`, stacked into one (V, n, w) array
+    of `dtype`; None keeps the planes' own."""
+    return np.stack([p[rows] for p in planes], dtype=dtype, casting="unsafe")
+
+
+def _fuse_rows(fuse: Callable[..., np.ndarray], dtype, shape: tuple[int, int],
+               *stacks: tuple[list[np.ndarray], object]) -> np.ndarray:
+    """An (h, w) array of `dtype` filled in blocks of whole rows (about
+    `_BLOCK_PIXELS` pixels per plane) with `fuse(rows, *blocks)`, where each
+    block is `_read_rows(planes, rows, dtype)` for one (planes, dtype) of
+    `stacks`.  So beyond its output a fusion holds one block of each stack,
+    and as it works pixel by pixel over the view axis its result is the same
+    bit for bit whatever the block size."""
+    out = np.empty(shape, dtype)
+    for rows in _row_blocks(*shape):
+        out[rows] = fuse(rows, *(_read_rows(planes, rows, d) for planes, d in stacks))
+    return out
 
 
 def compound_average(views: Sequence[WarpedView]) -> np.ndarray:
     """Per-pixel mean over the views that observed each pixel."""
-    imgs, valid = _stack(views)
-    counts = valid.sum(axis=0)
-    total = np.where(valid, imgs, 0.0).sum(axis=0)
-    return np.divide(total, counts, out=np.zeros_like(total),
-                     where=counts > 0).astype(np.float32)
+    imgs, valid = _planes(views)
+
+    def average(rows, imgs, valid):
+        counts = valid.sum(axis=0)
+        total = np.where(valid, imgs, 0.0).sum(axis=0)
+        return np.divide(total, counts, out=np.zeros_like(total),
+                         where=counts > 0)
+    return _fuse_rows(average, np.float32, imgs[0].shape,
+                      (imgs, np.float64), (valid, None))
 
 
 def compound_maximum(views: Sequence[WarpedView]) -> np.ndarray:
     """Per-pixel maximum over valid views."""
-    imgs, valid = _stack(views)
-    out = np.where(valid, imgs, -np.inf).max(axis=0)
-    return np.where(valid.any(axis=0), out, 0.0).astype(np.float32)
+    imgs, valid = _planes(views)
+
+    def maximum(rows, imgs, valid):
+        out = np.where(valid, imgs, -np.inf).max(axis=0)
+        return np.where(valid.any(axis=0), out, 0.0)
+    return _fuse_rows(maximum, np.float32, imgs[0].shape,
+                      (imgs, np.float64), (valid, None))
 
 
 def compound_ubf(views: Sequence[WarpedView]) -> np.ndarray:
     """Intensity-confidence weighted average (uncertainty-based fusion)."""
-    imgs, valid, conf = _stack(views, "intensity_confidence")
-    return _masked_weighted_mean(imgs, conf, valid).astype(np.float32)
+    imgs, valid, conf = _planes(views, "intensity_confidence")
+    return _fuse_rows(lambda rows, *blocks: _masked_weighted_mean(*blocks),
+                      np.float32, imgs[0].shape,
+                      (imgs, np.float64), (conf, np.float64), (valid, None))
 
 
 def _masked_weighted_mean(values, weights, valid):
@@ -146,18 +198,6 @@ def phi(k: int, levels: int) -> float:
 
 _NEIGHBOR_OFFSETS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)
                      if (di, dj) != (0, 0)]
-
-# Pixels per plane in one row block of the per-layer helpers: 32 rows at
-# 512 px.
-_BLOCK_PIXELS = 16384
-
-
-def _row_blocks(h: int, w: int) -> list[slice]:
-    """Slices of whole rows covering `h` rows of width `w`, about
-    `_BLOCK_PIXELS` pixels per plane each."""
-    step = max(1, _BLOCK_PIXELS // max(w, 1))
-    return [slice(r0, min(r0 + step, h)) for r0 in range(0, h, step)]
-
 
 def _local_contrast(layer: np.ndarray) -> np.ndarray:
     """Sum of |neighbor - center| over the 8-neighborhood of the last two
@@ -222,21 +262,19 @@ def select_view_layer(image_layers: Sequence[np.ndarray],
     taking the local contrast of each block with one row of halo above and
     below, so the working memory beyond the output is one block.
     """
-    gi = np.asarray(image_layers)
-    gs = np.asarray(structural_layers)
-    valid = np.asarray(validity_layers, dtype=bool)
-    h, w = valid.shape[-2:]
-    index = np.empty((h, w), dtype=np.intp)
-    for rows in _row_blocks(h, w):
-        g, v = np.asarray(gs[:, rows], dtype=np.float64), valid[:, rows]
+    gi, gs, valid = map(_layers, (image_layers, structural_layers,
+                                  validity_layers))
+
+    def select(rows, g, v):
         spread = (np.where(v, g, -np.inf).max(axis=0)
                   - np.where(v, g, np.inf).min(axis=0))
         agree = ~v.any(axis=0) | (spread < params.gamma)
         halo = slice(max(rows.start - 1, 0), rows.stop + 1)
-        contrast = _local_contrast(gi[:, halo])[
+        contrast = _local_contrast(_read_rows(gi, halo))[
             :, rows.start - halo.start:rows.stop - halo.start]
-        index[rows] = _first_argmax(np.where(agree, contrast, g), v)
-    return index
+        return _first_argmax(np.where(agree, contrast, g), v)
+    return _fuse_rows(select, np.intp, valid[0].shape,
+                      (gs, np.float64), (valid, bool))
 
 
 def weighted_average_layer(laplacian_layers: Sequence[np.ndarray],
@@ -244,16 +282,11 @@ def weighted_average_layer(laplacian_layers: Sequence[np.ndarray],
                            validity_layers: Sequence[np.ndarray]) -> np.ndarray:
     """Intensity-confidence weighted average of one Laplacian layer, in
     blocks of whole rows, about `_BLOCK_PIXELS` pixels per plane."""
-    lap = np.asarray(laplacian_layers)
-    gc = np.asarray(intensity_layers)
-    valid = np.asarray(validity_layers, dtype=bool)
-    h, w = valid.shape[-2:]
-    out = np.empty((h, w))
-    for rows in _row_blocks(h, w):
-        out[rows] = _masked_weighted_mean(
-            np.asarray(lap[:, rows], dtype=np.float64),
-            np.asarray(gc[:, rows], dtype=np.float64), valid[:, rows])
-    return out
+    lap, gc, valid = map(_layers, (laplacian_layers, intensity_layers,
+                                   validity_layers))
+    return _fuse_rows(lambda rows, *blocks: _masked_weighted_mean(*blocks),
+                      np.float64, valid[0].shape,
+                      (lap, np.float64), (gc, np.float64), (valid, bool))
 
 
 def blend_layer(selected: np.ndarray, averaged: np.ndarray, k: int,
@@ -294,10 +327,12 @@ def compound_pyramid(views: Sequence[WarpedView],
 
     Each map (image, intensity and structural confidence, boundary mask,
     validity) gets one Gaussian pyramid over its (V, H, W) stack of views,
-    and the image's Laplacian is taken from its Gaussian pyramid.  Per
-    layer: per-pixel view selection blended with the confidence-weighted
-    Laplacian average by the layer weight; boundary enhancement is applied to
-    the partial reconstruction at `enhance_layer` on the way back down.
+    stacked in its own dtype, and the image's Laplacian is taken from its
+    Gaussian pyramid; the boundary mask's is built only as deep as the
+    enhancement reads it.  Per layer: per-pixel view selection blended with
+    the confidence-weighted Laplacian average by the layer weight; boundary
+    enhancement is applied to the partial reconstruction at `enhance_layer`
+    on the way back down.
     """
     imgs, valid, gc, gs, gb = _stack(views, *MAPS)
     k_levels, e = params.levels, params.enhance_layer
@@ -307,7 +342,7 @@ def compound_pyramid(views: Sequence[WarpedView],
     # above 0.5, so never-seen regions do not bleed through the blur.
     gv = [layer > 0.5 for layer in pyr.gaussian_pyramid(valid, k_levels)]
     gi, gc, gs = [pyr.gaussian_pyramid(a, k_levels) for a in (imgs, gc, gs)]
-    gb = pyr.gaussian_pyramid(gb, k_levels)[e - 1]
+    gb = pyr.gaussian_pyramid(gb, max(e, 2))[e - 1]
     lap = pyr.laplacian_pyramid(gi)
     enhance_inputs = gb, gi[e - 1], gv[e - 1]
     del imgs, valid, gb

@@ -1,9 +1,11 @@
 """Gaussian and Laplacian pyramids (Burt-Adelson style).
 
-Layers are plain float64 arrays, finest first.  Blur and decimation act on
-the last two axes (rows, columns); any leading axes are batch axes, so a
-(V, H, W) stack of views gives (V, h, w) layers equal plane by plane to the
-2-D results.  Layer k+1 has ceil-halved dimensions of layer k.  The blur
+Layers are plain arrays, finest first: layer 1 is the input as given when
+it is float32, float64 or bool (any other dtype is converted to float64),
+and every coarser layer is float64.  Blur and decimation act on the last
+two axes (rows, columns); any leading axes are batch axes, so a (V, H, W)
+stack of views gives (V, h, w) layers equal plane by plane to the 2-D
+results.  Layer k+1 has ceil-halved dimensions of layer k.  The blur
 kernel is the 5-tap binomial (1, 4, 6, 4, 1)/16 applied separably with
 reflect-101 borders; decimation keeps even indices.  Upsampling
 zero-inserts to the target dims and blurs with the same kernel scaled x4,
@@ -129,8 +131,15 @@ def _expand(xp: np.ndarray, n: int, axis: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
+# Input dtypes that layer 1 keeps as given; `_gather` converts every block
+# of them to float64 exactly.
+_KEPT_DTYPES = (np.float32, np.float64, np.bool_)
+
+
 def _check(image: np.ndarray, levels: int) -> np.ndarray:
-    a = np.asarray(image, dtype=np.float64)
+    a = np.asarray(image)
+    if a.dtype not in _KEPT_DTYPES:
+        a = a.astype(np.float64)
     if a.ndim < 2:
         raise DimensionError("pyramid input must be at least 2-D")
     if levels < 2:
@@ -153,7 +162,8 @@ def layer_shapes(height: int, width: int, levels: int) -> list[tuple[int, int]]:
 
 
 def gaussian_pyramid(image: np.ndarray, levels: int = DEFAULT_LEVELS) -> list[np.ndarray]:
-    """Blur-and-decimate chain; layer 1 is the input itself."""
+    """Blur-and-decimate chain; layer 1 is the input itself, not copied when
+    it is a float32, float64 or bool array."""
     a = _check(image, levels)
     layers = [a]
     for _ in range(levels - 1):

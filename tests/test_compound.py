@@ -446,6 +446,106 @@ def test_select_and_average_memory_is_their_output_plus_a_block(rng):
         lambda: weighted_average_layer(layer, gs, valid)) <= 2 + 3
 
 
+def whole_frame_stacks(views, *maps):
+    """Each view's image, validity and named maps, stacked over the views,
+    images and maps as float64."""
+    def stacked(name):
+        return np.stack([getattr(v, name) for v in views], dtype=np.float64)
+    return (stacked("image"), np.stack([v.validity for v in views]),
+            *map(stacked, maps))
+
+
+def whole_frame_average(views):
+    """`compound_average` over the whole frame at once."""
+    imgs, valid = whole_frame_stacks(views)
+    counts = valid.sum(axis=0)
+    total = np.where(valid, imgs, 0.0).sum(axis=0)
+    return np.divide(total, counts, out=np.zeros_like(total),
+                     where=counts > 0).astype(np.float32)
+
+
+def whole_frame_maximum(views):
+    """`compound_maximum` over the whole frame at once."""
+    imgs, valid = whole_frame_stacks(views)
+    out = np.where(valid, imgs, -np.inf).max(axis=0)
+    return np.where(valid.any(axis=0), out, 0.0).astype(np.float32)
+
+
+def whole_frame_ubf(views):
+    """`compound_ubf` over the whole frame at once."""
+    imgs, valid, conf = whole_frame_stacks(views, "intensity_confidence")
+    return whole_frame_weighted_average(imgs, conf, valid).astype(np.float32)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_views=st.integers(1, 4), h=st.integers(1, 40), w=st.integers(1, 9),
+       rows=st.sampled_from([1, 2, 7, None]),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 2**32 - 1))
+def test_baselines_blocks_match_whole_frame(n_views, h, w, rows, dtype, seed):
+    # rows per block 1, 2, 7 or the default; images and confidences drawn
+    # from a few values (signed zeros too) half the time, so that maxima
+    # tie and ubf weight sums vanish; one column no view sees
+    rng = np.random.default_rng(seed)
+
+    def tie_prone(choices):
+        return np.where(rng.random((h, w)) < 0.5, rng.choice(choices, (h, w)),
+                        rng.random((h, w))).astype(dtype)
+
+    views = []
+    for _ in range(n_views):
+        valid = rng.random((h, w)) > 0.3
+        views.append(WarpedView(tie_prone([-0.0, 0.0, 0.5, 1.0]), valid,
+                                intensity_confidence=tie_prone([-0.0, 0.0, 1.0])))
+    unseen = rng.integers(w)
+    for v in views:
+        v.validity[:, unseen] = False
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(compound_module, "_BLOCK_PIXELS", rows * w)
+        outs = [compound_average(views), compound_maximum(views),
+                compound_ubf(views)]
+    for out, oracle in zip(outs, (whole_frame_average, whole_frame_maximum,
+                                  whole_frame_ubf)):
+        want = oracle(views)
+        assert out.dtype == np.float32 and out.shape == want.shape
+        assert np.array_equal(out, want)
+        assert np.array_equal(np.signbit(out), np.signbit(want))
+        assert np.all(out[:, unseen] == 0.0)
+
+
+def test_ubf_blocks_match_whole_frame_where_weights_vanish(rng):
+    # whole zero-confidence rows, two of them on either side of a boundary
+    # between blocks of 2 rows, fall back to the unweighted mean; the last
+    # row is seen by no view
+    shape = (9, 5)
+    views = [make_view(rng.random(shape), valid=rng.random(shape) > 0.2,
+                       gc=rng.random(shape).astype(np.float32))
+             for _ in range(3)]
+    for v in views:
+        v.intensity_confidence[[1, 5, 6]] = 0.0
+        v.validity[-1] = False
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compound_module, "_BLOCK_PIXELS", 2 * shape[1])
+        out = compound_ubf(views)
+    assert np.array_equal(out, whole_frame_ubf(views))
+    assert np.array_equal(out[[1, 5, 6]], whole_frame_average(views)[[1, 5, 6]])
+    assert np.all(out[-1] == 0.0)
+
+
+# On the two views prepare_views makes of a 512² phantom, over float64
+# stacks of the views the baselines peaked at 12.5 (average), 10.5 (maximum)
+# and 26.5 MiB (ubf); in row blocks at 1.8, 1.7 and 2.7 MiB.  Each output is
+# 1 MiB.
+@pytest.mark.parametrize("method,bound", [
+    ("average", 2.5), ("maximum", 2.5), ("ubf", 3.5)])
+def test_baseline_memory_is_its_output_plus_a_block(method, bound):
+    scene = generate(two_view_phantom(0, size=512))
+    warped = prepare_views([ViewInput(v.image, v.to_common) for v in scene.views],
+                           512, 512)
+    assert traced_peak_mib(lambda: compound(warped, method)) <= bound
+
+
 @pytest.mark.parametrize("n_views", [1, 2, 3, 4])
 @pytest.mark.parametrize("gamma", [0.05, 0.4, 1.0])
 @pytest.mark.parametrize("seed", range(4))
@@ -578,12 +678,13 @@ def test_pyramid_matches_per_view_reference_phantom():
 
 
 # With every map's pyramid and frame-sized per-layer temporaries alive at
-# once, compound_pyramid peaked at 50.1 MiB on this call.
+# once, compound_pyramid peaked at 50.1 MiB on this call, and at 26.3 MiB
+# with float64 stacks of the maps; stacked in their own dtypes, 20.6 MiB.
 def test_pyramid_fusion_memory_is_bounded():
     scene = generate(two_view_phantom(0, size=512))
     warped = prepare_views([ViewInput(v.image, v.to_common) for v in scene.views],
                            512, 512)
-    assert traced_peak_mib(lambda: compound_pyramid(warped)) <= 40
+    assert traced_peak_mib(lambda: compound_pyramid(warped)) <= 22
 
 
 def test_pyramid_builds_traced_by_name(monkeypatch):
@@ -678,12 +779,14 @@ def test_compound_rejects_a_map_of_another_shape(rng, method, name, shape):
 def test_stack_checks_maps_before_stacking_them(rng):
     views = duplicate_views(rng, n=3)
     imgs, valid, gc, bm = _stack(views, "intensity_confidence", "boundary_mask")
-    for name, stacked in [("image", imgs), ("intensity_confidence", gc),
-                          ("boundary_mask", bm)]:
-        assert stacked.shape == (3, 32, 32) and stacked.dtype == np.float64
+    for name, stacked in [("image", imgs), ("validity", valid),
+                          ("intensity_confidence", gc), ("boundary_mask", bm)]:
+        # each map is stacked in its own dtype (float32 or bool), not float64
+        assert stacked.shape == (3, 32, 32)
+        assert stacked.dtype == getattr(views[0], name).dtype
         for v, plane in zip(views, stacked):
             assert np.array_equal(plane, getattr(v, name))
-    assert valid.shape == (3, 32, 32) and valid.dtype == bool
+    assert imgs.dtype == gc.dtype == np.float32 and bm.dtype == valid.dtype == bool
     # a missing map must not stack to NaN (np.asarray(None, float) is NaN)
     views[2].boundary_mask = None
     with pytest.raises(ValueError, match="every view needs a boundary_mask map"):

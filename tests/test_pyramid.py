@@ -64,11 +64,28 @@ def batched_grids(draw, axis=st.integers(2, 64)):
 def test_pyramid_matches_full_blur_oracles(a):
     levels = min(a.shape[-2:]).bit_length()   # the deepest pyramid that fits
     g = gaussian_pyramid(a, levels)
-    assert same_bits(g[0], a.astype(np.float64))
+    assert g[0] is a          # layer 1 is the input as given, float64 or bool
     for fine, coarse in zip(g, g[1:]):
         assert same_bits(coarse, reduce_oracle(fine))
         assert same_bits(upsample(coarse, fine.shape),
                          upsample_oracle(coarse, fine.shape))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, bool, np.uint8,
+                                   np.int64, np.float16])
+def test_layer_1_is_kept_only_for_float_and_bool_inputs(rng, dtype):
+    # REDUCE reads every block as float64, so a float32, float64 or bool
+    # layer 1 needs no copy; any other dtype is converted to float64
+    a = (rng.random((2, 12, 10)) * 3).astype(dtype)
+    g = gaussian_pyramid(a, 3)
+    if dtype in (np.float32, np.float64, bool):
+        assert g[0] is a
+    else:
+        assert same_bits(g[0], a.astype(np.float64))
+    for fine, coarse in zip(g, g[1:]):
+        assert same_bits(coarse, reduce_oracle(fine))
+    assert all(same_bits(x, y) for x, y in
+               zip(g[1:], gaussian_pyramid(a.astype(np.float64), 3)[1:]))
 
 
 @given(batched_grids(axis=st.integers(1, 32)), st.integers(0, 1),
