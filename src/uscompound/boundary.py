@@ -22,7 +22,10 @@ topmost boundary of each such stack and rejects the echoes beneath it:
      is the union of the connected components that hold a seed, in the
      8-neighbour graph whose edges join two pixels that are both brighter
      than t1 and differ by less than t2.  It is found with an array
-     union-find, and does not depend on any visit order.
+     union-find over horizontal runs, the row segments that E edges hold
+     together.  A run lies inside one component, so the components, and
+     the grown set, do not depend on how the rows split into runs, nor on
+     any visit order.
 
 t1 and t2 are given in 8-bit units (0..255, as commonly quoted) and converted to
 the internal [0, 1] scale by /255.
@@ -49,6 +52,7 @@ __all__ = [
 ]
 
 _EIGHT = np.ones((3, 3), dtype=int)
+_BLOCK_PIXELS = 16384  # pixels per row block of the gradient's differences
 
 
 @dataclass(frozen=True)
@@ -108,17 +112,44 @@ def vertical_gradient(image: np.ndarray,
     """max_{j=1..alpha} |I(x,y) - I(x,y+j)|, truncated at the bottom edge.
 
     The bottom row has no pixels beneath it and gets gradient 0.
+
+    Rounding is monotone, so the largest |I(y) - I(y+j)| is exactly
+    max(M(y) - I(y), I(y) - m(y)), where M(y) and m(y) are the max and min
+    of the look-ahead window I(y+1..y+alpha).  Each window is built by
+    doubling, in about log2(alpha) in-place passes over one buffer, in the
+    image's own precision when it is float32 (a max or min is exact at any
+    precision); the differences are taken in float64, the second in blocks
+    of whole rows.
     """
-    a = np.asarray(image, dtype=np.float64)
+    a = np.asarray(image)
+    if a.dtype != np.float32:
+        a = a.astype(np.float64, copy=False)
     h = a.shape[0]
-    grad = np.zeros_like(a)
-    diff = np.empty_like(a)
-    for j in range(1, min(params.alpha, h - 1) + 1):
-        d, g = diff[:h - j], grad[:h - j]
-        np.subtract(a[:h - j], a[j:], out=d)
-        np.abs(d, out=d)
-        np.maximum(g, d, out=g)
+    grad = np.zeros(a.shape, dtype=np.float64)
+    n = min(params.alpha, h - 1)
+    if n < 1:
+        return grad
+    look = _look_ahead(np.maximum, a, n, np.empty_like(a[1:]))
+    np.subtract(look, a[:-1], out=grad[:-1], dtype=np.float64)
+    look = _look_ahead(np.minimum, a, n, look)
+    step = max(1, _BLOCK_PIXELS // max(math.prod(a.shape[1:]), 1))
+    for r0 in range(0, h - 1, step):
+        rows = slice(r0, min(r0 + step, h - 1))
+        g = grad[rows]
+        np.maximum(g, np.subtract(a[rows], look[rows], dtype=np.float64), out=g)
     return grad
+
+
+def _look_ahead(pick, a: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """out[y] = `pick` (np.maximum or np.minimum) over rows y+1..y+n of `a`,
+    a window that would pass the bottom edge stopping there."""
+    np.copyto(out, a[1:])
+    span = 1                 # out[y] covers rows y+1..y+span
+    while span < n:
+        s = min(span, n - span)
+        pick(out[:-s], out[s:], out=out[:-s])
+        span += s
+    return out
 
 
 def extract_clusters(grad: np.ndarray,
@@ -189,10 +220,19 @@ def refine_boundaries(image: np.ndarray, clusters: ClusterSet,
 
     Growth never leaves the 8-connected bright components that hold a seed,
     so the work is confined to their bounding box.  There, one edge mask per
-    neighbour direction (E, S, SE, SW) feeds a union-find on a parent array:
-    each round hooks every root onto the smallest root it shares an edge
-    with, then pointer jumping flattens every tree, until no edge joins two
-    roots.
+    neighbour direction (E, S, SE, SW) is built.  A run is a maximal row
+    segment of region pixels each joined to the next by an E edge; one
+    cumulative sum numbers the runs.  The S, SE and SW edges become pairs of
+    run ids, less each edge whose two ends continue the runs of the edge one
+    column to its left, which joins the same two runs.  A union-find
+    on a parent array over run ids follows: each round hooks every root onto
+    the smallest root it shares an edge with, then pointer jumping flattens
+    every tree, until no edge joins two roots.  The pixels of a run are
+    connected, so each run lies inside one component: the components over
+    runs are those over pixels, whichever way the rows split into runs, and
+    the mask is the same.  In the worst case every run is one pixel long,
+    and the work is that of a union-find over pixels plus one cumulative sum
+    and a few passes over bool masks.
     """
     a = np.asarray(image)
     if a.ndim != 2 or clusters.labels.shape != a.shape:
@@ -211,7 +251,8 @@ def refine_boundaries(image: np.ndarray, clusters: ClusterSet,
     hit = np.zeros(comp.max() + 1, dtype=bool)
     hit[comp[seeds]] = True
     region = hit[comp]
-    box = ndimage.find_objects(region.view(np.uint8))[0]
+    rows, cols = (np.flatnonzero(region.any(axis=k)) for k in (1, 0))
+    box = np.s_[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
     a, region, seeds = a[box].astype(np.float64), region[box], seeds[box]
     h, w = a.shape
 
@@ -221,27 +262,41 @@ def refine_boundaries(image: np.ndarray, clusters: ClusterSet,
     edges = [region[src] & region[dst] & (np.abs(a[src] - a[dst]) < t2)
              for src, dst in steps]
 
-    # root[i, j] is the flat index of the root of pixel (i, j)'s tree
-    root = np.arange(h * w, dtype=np.intp).reshape(h, w)
+    # run[i, j] numbers, from 1, the run of region pixels joined by E edges
+    # that holds (i, j); a pixel outside the region carries the id of the
+    # run before it, and the region masks it out at the end
+    joined = np.zeros_like(region)       # (i, j) continues the run of (i, j-1)
+    joined[:, 1:] = edges[0]
+    run = np.cumsum(region & ~joined).reshape(h, w)
+    # every S, SE and SW edge as a pair of run ids, less the edges that join
+    # the same two runs as the edge one column to their left
+    ends = []
+    for (src, dst), edge in zip(steps[1:], edges[1:]):
+        new = edge.copy()
+        new[:, 1:] &= ~(edge[:, :-1] & joined[src][:, 1:] & joined[dst][:, 1:])
+        ends.append((run[src][new], run[dst][new]))
+    u, v = (np.concatenate(e) for e in zip(*ends))
+
+    # root[r] is the root of run r's tree
+    root = np.arange(run[-1, -1] + 1)
     while True:
-        for (src, dst), edge in zip(steps, edges):
-            edge &= root[src] != root[dst]   # an edge inside a tree stays so
-        if not any(edge.any() for edge in edges):
+        ru, rv = root[u], root[v]
+        apart = ru != rv                     # an edge inside a tree stays so
+        if not apart.any():
             break
-        parent = root.ravel().copy()
-        for (src, dst), edge in zip(steps, edges):
-            ru, rv = root[src][edge], root[dst][edge]
-            np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+        u, v, ru, rv = u[apart], v[apart], ru[apart], rv[apart]
+        parent = root.copy()
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
         while True:
             jumped = parent[parent]
             if np.array_equal(jumped, parent):
                 break
             parent = jumped
-        root = parent.reshape(h, w)
+        root = parent
 
-    grown = np.zeros(h * w, dtype=bool)
-    grown[root[seeds]] = True
-    marked[box] = grown[root]
+    grown = np.zeros(len(root), dtype=bool)
+    grown[root[run[seeds]]] = True
+    marked[box] = region & grown[root][run]
     return marked
 
 

@@ -32,6 +32,21 @@ def brute_force_gradient(a, alpha):
     return out
 
 
+def loop_vertical_gradient(image, alpha):
+    """The gradient one lag at a time: for each j in 1..alpha, |I(y) - I(y+j)|
+    in float64, folded into a running max."""
+    a = np.asarray(image, dtype=np.float64)
+    h = a.shape[0]
+    grad = np.zeros_like(a)
+    diff = np.empty_like(a)
+    for j in range(1, min(alpha, h - 1) + 1):
+        d, g = diff[:h - j], grad[:h - j]
+        np.subtract(a[:h - j], a[j:], out=d)
+        np.abs(d, out=d)
+        np.maximum(g, d, out=g)
+    return grad
+
+
 def brute_force_refine(image, clusters, threshold1=30.0, threshold2=2.0):
     """Stack-based region growing, one pixel at a time.
 
@@ -112,6 +127,40 @@ def test_gradient_matches_brute_force(rng, alpha):
     a = rng.random((8, 8))
     assert np.array_equal(vertical_gradient(a, BoundaryParams(alpha=alpha)),
                           brute_force_gradient(a, alpha))
+
+
+def _gradient_inputs(rng, dtype, shape):
+    """Quantized values, so that many differences tie, and for float types
+    continuous ones with NaN and infinities sprinkled in."""
+    if dtype == np.uint8:
+        return [rng.integers(0, 256, shape).astype(np.uint8),
+                rng.integers(0, 3, shape).astype(np.uint8)]
+    quantized = (rng.integers(0, 256, shape) / 255).astype(dtype)
+    spiky = rng.random(shape).astype(dtype)
+    spiky[rng.random(shape) < 0.1] = rng.choice([np.nan, np.inf, -np.inf])
+    return [quantized, rng.random(shape).astype(dtype), spiky]
+
+
+@pytest.mark.parametrize("block", [None, 1, 7])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint8])
+@pytest.mark.parametrize("alpha", [1, 2, 7, 15, 40])
+def test_gradient_matches_loop_oracle(rng, monkeypatch, dtype, alpha, block):
+    # heights on both sides of alpha, so windows are cut at the bottom edge;
+    # block sets the pixels per row block of the second difference
+    if block is not None:
+        monkeypatch.setattr(boundary_module, "_BLOCK_PIXELS", block)
+    for h in sorted({1, 2, 3, alpha, alpha + 1, 2 * alpha + 3, 57}):
+        for w in (1, 6):
+            for image in _gradient_inputs(rng, dtype, (h, w)):
+                with np.errstate(invalid="ignore"):  # inf - inf is NaN
+                    got = vertical_gradient(image, BoundaryParams(alpha=alpha))
+                    want = loop_vertical_gradient(image, alpha)
+                assert got.dtype == np.float64 and got.shape == (h, w)
+                assert np.array_equal(got, want, equal_nan=True)
+                # the NaNs match in place, not in sign: |NaN| clears it
+                number = ~np.isnan(want)
+                assert np.array_equal(np.signbit(got[number]),
+                                      np.signbit(want[number]))
 
 
 def test_extract_clusters_empty():
@@ -331,6 +380,63 @@ def test_refine_matches_brute_force_smooth_frame():
     assert refine_boundaries(image, ClusterSet(labels, (1,))).all()
 
 
+@pytest.mark.parametrize("seed", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_refine_crossing_diagonals_stay_apart(seed):
+    # a 2x2 X: the SE and the SW edge both exist, but no E or S edge, so the
+    # diagonal that holds the seed grows and the other does not
+    image = np.array([[100.0, 103.0], [103.0, 100.0]]) / 255
+    labels = np.zeros((2, 2), dtype=int)
+    labels[seed] = 1
+    clusters = ClusterSet(labels, (1,))
+    _assert_refine_matches(image, clusters)
+    diagonal = np.eye(2, dtype=bool)
+    want = diagonal if seed[0] == seed[1] else ~diagonal
+    assert np.array_equal(refine_boundaries(image, clusters), want)
+
+
+def test_refine_matches_brute_force_one_pixel_runs(rng):
+    # every row alternates between two levels 3 apart, so no E edge exists
+    # and every run is one pixel; a row in step with the one above joins it
+    # vertically, a row shifted by one column joins it diagonally
+    for _ in range(30):
+        h, w = rng.integers(2, 30, 2)
+        level = (np.arange(w) + rng.integers(0, 2, (h, 1))) % 2
+        image = (100 + 3 * level + rng.choice([0.0, 0.5], (h, w))) / 255
+        image[rng.random((h, w)) < 0.1] = 0.0
+        labels = (rng.random((h, w)) < 0.03).astype(int)
+        _assert_refine_matches(image, ClusterSet(labels, (1,)))
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("step,joined", [(0.5, True), (3.0, False)])
+def test_refine_runs_joined_only_through_a_diagonal(mirror, step, joined):
+    # run A fills row 0 up to column 2 and run B row 1 from column 3: the
+    # SE step between them (SW when mirrored) is the only edge they can share
+    image = np.zeros((3, 6))
+    image[0, :3] = 100 / 255
+    image[1, 3:] = (100 + step) / 255
+    labels = np.zeros((3, 6), dtype=int)
+    labels[0, 0] = 1
+    if mirror:
+        image, labels = image[:, ::-1].copy(), labels[:, ::-1].copy()
+    clusters = ClusterSet(labels, (1,))
+    _assert_refine_matches(image, clusters)
+    want = (image > 0) & ((image == image[labels == 1]) | joined)
+    assert np.array_equal(refine_boundaries(image, clusters), want)
+
+
+@pytest.mark.parametrize("shape", [(1, 300), (300, 1)])
+def test_refine_matches_brute_force_one_row_or_column(rng, shape):
+    # one row is one run per stretch of small steps; one column is all
+    # one-pixel runs joined by S edges
+    for _ in range(10):
+        steps = rng.choice([-3.0, -0.5, 0.0, 0.5, 3.0], shape)
+        image = (100 + np.cumsum(steps).reshape(shape)) / 255
+        image[rng.random(shape) < 0.03] = 0.0
+        labels = (rng.random(shape) < 0.02).astype(int)
+        _assert_refine_matches(image, ClusterSet(labels, (1,)))
+
+
 @pytest.mark.parametrize("label_shape", [(4, 4), (12, 12), (8, 9), (64,)])
 def test_refine_rejects_mismatched_labels(label_shape):
     labels = np.ones(label_shape, dtype=int)
@@ -456,11 +562,27 @@ def test_cluster_set_rejects_negative_ids():
     assert not ClusterSet(np.zeros((0, 3), dtype=int), (4,)).mask().any()
 
 
-# The gradient's float64 input, output and one scratch frame are 6 MiB at
-# 512².  With two frame-sized temporaries per lag, a float64 copy of the
+# The gradient holds its float64 output, one look-ahead buffer in the
+# image's float32 and one row block (3.25 MiB at 512²), and detection peaks
+# at 4.15 and 4.65 MiB on these views, in clustering and refinement.  With the
+# image as float64 and one scratch frame for the current lag, the gradient
+# held 6 MiB; with two frame-sized temporaries per lag, a float64 copy of the
 # frame for refinement and the gradient held through it, detection peaked
-# at 7.99 and 8.94 MiB on these views.
+# at 7.99 and 8.94 MiB.
 def test_detection_memory_is_bounded():
     for view in generate(two_view_phantom(seed=0, size=512)).views:
         image = view.image.data
         assert traced_peak_mib(lambda: detect_boundaries(image)) <= 6.5
+
+
+# The ramp of test_refine_matches_brute_force_smooth_frame at 512² floods the
+# whole frame from one corner seed, one run per row.  Refinement peaked at
+# 16.99 MiB with the union-find over pixels, and peaks at 9.51 MiB over runs.
+def test_refine_flood_memory_is_bounded():
+    y, x = np.mgrid[0:512, 0:512]
+    image = (40 + 0.01 * x + 0.005 * y + 0.5 * np.sin(x / 7.0)) / 255
+    labels = np.zeros(image.shape, dtype=int)
+    labels[-1, -1] = 1
+    clusters = ClusterSet(labels, (1,))
+    assert refine_boundaries(image, clusters).all()
+    assert traced_peak_mib(lambda: refine_boundaries(image, clusters)) <= 17.0
