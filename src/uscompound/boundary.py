@@ -39,6 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import ndimage
 
+from .blocks import row_blocks
 from .errors import DimensionError, check_fields
 
 __all__ = [
@@ -52,7 +53,6 @@ __all__ = [
 ]
 
 _EIGHT = np.ones((3, 3), dtype=int)
-_BLOCK_PIXELS = 16384  # pixels per row block of the gradient's differences
 
 
 @dataclass(frozen=True)
@@ -118,8 +118,8 @@ def vertical_gradient(image: np.ndarray,
     of the look-ahead window I(y+1..y+alpha).  Each window is built by
     doubling, in about log2(alpha) in-place passes over one buffer, in the
     image's own precision when it is float32 (a max or min is exact at any
-    precision); the differences are taken in float64, the second in blocks
-    of whole rows.
+    precision); the differences are taken in float64, the second in the
+    row blocks of `blocks.row_blocks`.
     """
     a = np.asarray(image)
     if a.dtype != np.float32:
@@ -132,9 +132,7 @@ def vertical_gradient(image: np.ndarray,
     look = _look_ahead(np.maximum, a, n, np.empty_like(a[1:]))
     np.subtract(look, a[:-1], out=grad[:-1], dtype=np.float64)
     look = _look_ahead(np.minimum, a, n, look)
-    step = max(1, _BLOCK_PIXELS // max(math.prod(a.shape[1:]), 1))
-    for r0 in range(0, h - 1, step):
-        rows = slice(r0, min(r0 + step, h - 1))
+    for rows in row_blocks(h - 1, math.prod(a.shape[1:])):
         g = grad[rows]
         np.maximum(g, np.subtract(a[rows], look[rows], dtype=np.float64), out=g)
     return grad
@@ -253,21 +251,28 @@ def refine_boundaries(image: np.ndarray, clusters: ClusterSet,
     region = hit[comp]
     rows, cols = (np.flatnonzero(region.any(axis=k)) for k in (1, 0))
     box = np.s_[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
-    a, region, seeds = a[box].astype(np.float64), region[box], seeds[box]
+    a = a[box].astype(np.float64, copy=False)
+    region, seeds = region[box], seeds[box]
     h, w = a.shape
 
-    # one edge mask per step E, S, SE, SW: node src[i, j] joins node dst[i, j]
+    # one edge mask per step E, S, SE, SW: node src[i, j] joins node dst[i, j];
+    # the differences share one float64 scratch, which then holds the run ids
+    # (intp, of the same size), so the union-find touches no new frame
     steps = ((np.s_[:, :-1], np.s_[:, 1:]), (np.s_[:-1, :], np.s_[1:, :]),
              (np.s_[:-1, :-1], np.s_[1:, 1:]), (np.s_[:-1, 1:], np.s_[1:, :-1]))
-    edges = [region[src] & region[dst] & (np.abs(a[src] - a[dst]) < t2)
-             for src, dst in steps]
+    scratch = np.empty(h * w)
+    edges = []
+    for src, dst in steps:
+        d = scratch[:a[src].size].reshape(a[src].shape)
+        np.abs(np.subtract(a[src], a[dst], out=d), out=d)
+        edges.append(region[src] & region[dst] & (d < t2))
 
     # run[i, j] numbers, from 1, the run of region pixels joined by E edges
     # that holds (i, j); a pixel outside the region carries the id of the
     # run before it, and the region masks it out at the end
     joined = np.zeros_like(region)       # (i, j) continues the run of (i, j-1)
     joined[:, 1:] = edges[0]
-    run = np.cumsum(region & ~joined).reshape(h, w)
+    run = np.cumsum(region & ~joined, out=scratch.view(np.intp)).reshape(h, w)
     # every S, SE and SW edge as a pair of run ids, less the edges that join
     # the same two runs as the edge one column to their left
     ends = []

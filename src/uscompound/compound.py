@@ -11,14 +11,14 @@ their validity masks; pixels observed by no view are set to 0.  They never
 modify the caller's views.  The per-layer helpers take the views of one
 pyramid layer as a (V, h, w) array, or as a sequence of V (h, w) arrays.
 
-Every method works in blocks of whole rows: the baselines and the per-layer
-helpers read each block as float64 from each view's own planes, so beyond
-its float32 output a baseline holds one block.  The pyramid fusion stacks
-the maps in their own dtypes (float32, bool), builds their pyramids from
-those stacks, and frees each layer's maps once the layer is blended, so
-beyond the maps, their pyramids and the outputs no frame-sized float64
-temporary is made.  Every result is the same bit for bit whatever the block
-size.
+Every method works in the row blocks of `blocks.row_blocks`: the baselines
+and the per-layer helpers read each block as float64 from each view's own
+planes, so beyond its float32 output a baseline holds one block.  The
+pyramid fusion stacks the maps in their own dtypes (float32, bool), builds
+their pyramids from those stacks, and frees each layer's maps once the
+layer is blended, so beyond the maps, their pyramids and the outputs no
+frame-sized float64 temporary is made.  Every result is the same bit for
+bit whatever the block size.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import pyramid as pyr
+from .blocks import row_blocks
 from .boundary import BoundaryParams, detect_boundaries
 from .confidence import AttenuationParams, attenuation_intensity_confidence
 from .errors import DimensionError, check_fields
@@ -103,17 +104,6 @@ def _stack(views: Sequence[WarpedView], *maps: str) -> list[np.ndarray]:
     return [np.stack(planes) for planes in _planes(views, *maps)]
 
 
-# Pixels per plane in one row block of every fusion: 32 rows at 512 px.
-_BLOCK_PIXELS = 16384
-
-
-def _row_blocks(h: int, w: int) -> list[slice]:
-    """Slices of whole rows covering `h` rows of width `w`, about
-    `_BLOCK_PIXELS` pixels per plane each."""
-    step = max(1, _BLOCK_PIXELS // max(w, 1))
-    return [slice(r0, min(r0 + step, h)) for r0 in range(0, h, step)]
-
-
 def _layers(planes) -> list[np.ndarray]:
     """A (V, h, w) array, or a sequence of V (h, w) arrays, as V arrays."""
     return [np.asarray(p) for p in planes]
@@ -128,14 +118,14 @@ def _read_rows(planes: list[np.ndarray], rows: slice,
 
 def _fuse_rows(fuse: Callable[..., np.ndarray], dtype, shape: tuple[int, int],
                *stacks: tuple[list[np.ndarray], object]) -> np.ndarray:
-    """An (h, w) array of `dtype` filled in blocks of whole rows (about
-    `_BLOCK_PIXELS` pixels per plane) with `fuse(rows, *blocks)`, where each
-    block is `_read_rows(planes, rows, dtype)` for one (planes, dtype) of
-    `stacks`.  So beyond its output a fusion holds one block of each stack,
-    and as it works pixel by pixel over the view axis its result is the same
-    bit for bit whatever the block size."""
+    """An (h, w) array of `dtype` filled, in the row blocks of `row_blocks`,
+    with `fuse(rows, *blocks)`, where each block is `_read_rows(planes, rows,
+    dtype)` for one (planes, dtype) of `stacks`.  So beyond its output a
+    fusion holds one block of each stack, and as it works pixel by pixel
+    over the view axis its result is the same bit for bit whatever the
+    block size."""
     out = np.empty(shape, dtype)
-    for rows in _row_blocks(*shape):
+    for rows in row_blocks(*shape):
         out[rows] = fuse(rows, *(_read_rows(planes, rows, d) for planes, d in stacks))
     return out
 
@@ -203,35 +193,26 @@ def _local_contrast(layer: np.ndarray) -> np.ndarray:
     """Sum of |neighbor - center| over the 8-neighborhood of the last two
     axes; neighbors falling outside the border are skipped.
 
-    Works in blocks of whole rows, about `_BLOCK_PIXELS` pixels per plane,
-    reading one row of halo above and below, so the working memory beyond
-    the output is one block.  Within a block, each of the 4 undirected
-    differences is computed once, over the row pairs either end of which
-    lies in the block, and added to both of its endpoints, in the order of
-    `_NEIGHBOR_OFFSETS`.  Every output pixel gets the same sums in the same
-    order whatever the block size, so the result is the same bit for bit."""
+    Each of the 4 undirected differences is computed once and added to both
+    of its endpoints, in the order of `_NEIGHBOR_OFFSETS`, so every pixel
+    sums the same 8 terms in the same order as one difference per offset
+    would.  It holds up to 4 differences the size of `layer` at once, so
+    `select_view_layer` calls it on one block at a time."""
     a = np.asarray(layer, dtype=np.float64)
     h, w = a.shape[-2:]
     out = np.zeros_like(a)
-    for rows in _row_blocks(h, w):
-        r0, r1 = rows.start, rows.stop
-        diffs = {}
-        for di, dj in _NEIGHBOR_OFFSETS:
-            # pair k joins rows k + max(0, -di) (center) and k + max(0, di)
-            cj = slice(max(0, -dj), w - max(0, dj))
-            if (-di, -dj) in diffs:
-                # the same pair seen from its other end: |x - y| == |y - x|
-                k0, d = diffs.pop((-di, -dj))
-            else:
-                nj = slice(max(0, dj), w - max(0, -dj))
-                k0, k1 = max(r0 - abs(di), 0), min(r1, h - abs(di))
-                d = (a[..., k0 + max(0, di):k1 + max(0, di), nj]
-                     - a[..., k0 + max(0, -di):k1 + max(0, -di), cj])
-                np.abs(d, out=d)
-                diffs[(di, dj)] = k0, d
-            c0, c1 = max(r0, -di), min(r1, h - max(0, di))
-            k = c0 - max(0, -di) - k0
-            out[..., c0:c1, cj] += d[..., k:k + c1 - c0, :]
+    diffs = {}
+    for di, dj in _NEIGHBOR_OFFSETS:
+        ci = slice(max(0, -di), h - max(0, di))
+        cj = slice(max(0, -dj), w - max(0, dj))
+        if (-di, -dj) in diffs:
+            # the same pair seen from its other end: |x - y| == |y - x|
+            d = diffs.pop((-di, -dj))
+        else:
+            ni = slice(max(0, di), h - max(0, -di))
+            nj = slice(max(0, dj), w - max(0, -dj))
+            d = diffs[(di, dj)] = np.abs(a[..., ni, nj] - a[..., ci, cj])
+        out[..., ci, cj] += d
     return out
 
 
@@ -258,9 +239,9 @@ def select_view_layer(image_layers: Sequence[np.ndarray],
     pick the view with the largest local contrast; otherwise pick the view
     with the largest structural confidence.  Ties go to the lowest index.
 
-    Works in blocks of whole rows, about `_BLOCK_PIXELS` pixels per plane,
-    taking the local contrast of each block with one row of halo above and
-    below, so the working memory beyond the output is one block.
+    Works in the row blocks of `row_blocks`, taking the local contrast of
+    each block with one row of halo above and below, so the working memory
+    beyond the output is one block.
     """
     gi, gs, valid = map(_layers, (image_layers, structural_layers,
                                   validity_layers))
@@ -280,8 +261,7 @@ def select_view_layer(image_layers: Sequence[np.ndarray],
 def weighted_average_layer(laplacian_layers: Sequence[np.ndarray],
                            intensity_layers: Sequence[np.ndarray],
                            validity_layers: Sequence[np.ndarray]) -> np.ndarray:
-    """Intensity-confidence weighted average of one Laplacian layer, in
-    blocks of whole rows, about `_BLOCK_PIXELS` pixels per plane."""
+    """Intensity-confidence weighted average of one Laplacian layer."""
     lap, gc, valid = map(_layers, (laplacian_layers, intensity_layers,
                                    validity_layers))
     return _fuse_rows(lambda rows, *blocks: _masked_weighted_mean(*blocks),
@@ -311,13 +291,17 @@ def enhance_boundaries(partial: np.ndarray,
     reconstruction; elsewhere leave the reconstruction untouched.
     """
     part = np.asarray(partial, dtype=np.float64)
-    gi = np.asarray(image_layers, dtype=np.float64)
-    valid = np.asarray(validity_layers, dtype=bool)
-    gb = np.where(valid, np.asarray(boundary_layers, dtype=np.float64), 0.0)
-    den = gb.sum(axis=0)
-    num = (gb * gi).sum(axis=0)
-    weighted = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    return np.where(den > 0, np.maximum(weighted, part), part)
+    gb, gi, valid = map(_layers, (boundary_layers, image_layers,
+                                  validity_layers))
+
+    def enhance(rows, b, g, v):
+        b = np.where(v, b, 0.0)
+        den = b.sum(axis=0)
+        num = (b * g).sum(axis=0)
+        weighted = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+        return np.where(den > 0, np.maximum(weighted, part[rows]), part[rows])
+    return _fuse_rows(enhance, np.float64, valid[0].shape,
+                      (gb, np.float64), (gi, np.float64), (valid, bool))
 
 
 def compound_pyramid(views: Sequence[WarpedView],

@@ -7,10 +7,10 @@ The y axis points down (the axial / depth direction of the probe).
 `warp_array` resamples the last two axes (rows, columns); any leading axes
 are batch axes, so a (N, H, W) stack of maps of one view is warped with one
 shared set of source positions and equals plane by plane the 2-D results.
-It works through the output in cache-sized blocks of whole rows, gathering
-from the flattened planes and summing the bilinear products in one fixed
-order, so its working memory is bounded by a block and its result does not
-depend on the block size.
+It works through the output in the row blocks of `blocks.row_blocks`,
+gathering from the flattened planes and summing the bilinear products in
+one fixed order, so its working memory is bounded by a block and its
+result does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blocks import row_blocks
 from .errors import DimensionError, FormatError, RangeError, check_fields, checked
 
 __all__ = [
@@ -254,12 +255,6 @@ def load_mask(path) -> np.ndarray:
 # Warping
 # ---------------------------------------------------------------------------
 
-# Output pixels per block of whole rows in `warp_array`: a float64 block
-# temporary is then 128 KiB, so a block's working set stays in cache
-# whatever the frame size.
-_BLOCK_PIXELS = 16384
-
-
 def warp_array(data: np.ndarray, transform: RigidTransform2D,
                out_width: int, out_height: int):
     """Inverse-map `data` (native frame) bilinearly into the common frame.
@@ -275,11 +270,11 @@ def warp_array(data: np.ndarray, transform: RigidTransform2D,
     the edge cell with fractional weight 1, so an identity transform is
     fully valid.  Invalid pixels get value 0.
 
-    The output is evaluated in blocks of whole rows of about
-    `_BLOCK_PIXELS` pixels, so the working memory is bounded by one block,
-    not by the frame.  Each block gathers from the flattened planes at one
-    flat index per pixel, plus scalar offsets for the other three bilinear
-    taps, and sums the float64 products in the fixed order
+    The output is evaluated in the row blocks of `blocks.row_blocks`, so
+    the working memory is bounded by one block, not by the frame.  Each
+    block gathers from the flattened planes at one flat index per pixel,
+    plus scalar offsets for the other three bilinear taps, and sums the
+    float64 products in the fixed order
     ((p00 (1-fx)) (1-fy) + (p01 fx) (1-fy)) + (p10 (1-fx)) fy + (p11 fx) fy.
     Every step is elementwise, so the result is the same bit for bit
     whatever the block size.
@@ -294,13 +289,12 @@ def warp_array(data: np.ndarray, transform: RigidTransform2D,
     outs = out.reshape((-1, out_height * out_width))
     xs = np.arange(out_width, dtype=np.float64)
     ys = np.arange(out_height, dtype=np.float64)[:, None]
-    rows = max(1, _BLOCK_PIXELS // out_width)
-    for r0 in range(0, out_height, rows):
+    for rows in row_blocks(out_height, out_width):
         # A finite transform far off the frame can overflow to +-inf, which
         # fails the range test, so such a pixel is merely invalid.
         with np.errstate(over="ignore"):
-            sx, sy = transform.inverse_apply(xs, ys[r0:r0 + rows])
-        block = slice(r0 * out_width, r0 * out_width + sx.size)
+            sx, sy = transform.inverse_apply(xs, ys[rows])
+        block = slice(rows.start * out_width, rows.stop * out_width)
         _resample_block(planes, outs[:, block], valid.reshape(-1)[block],
                         sx.ravel(), sy.ravel(), w, h)
     return out, valid

@@ -21,18 +21,19 @@ taps meet inserted zeros).  The products are the same and are summed in
 the same order from 0, so both equal the full blur bit for bit, signed
 zeros included.
 
-Both work in blocks of whole output rows, about `_BLOCK_PIXELS` pixels per
-plane of the finer layer, each reading its rows and the reflect-101 border
-by index and summing its taps in block-sized buffers; the Laplacian and the
-collapse subtract and add into the fresh EXPAND result.  So beyond its
-output each holds one block, and every result is the same bit for bit
-whatever the block size.
+Both work in the row blocks of `blocks.row_blocks` over the rows of the
+coarser layer, each counted as the two rows of the finer layer it spans,
+reading its rows and the reflect-101 border by index and summing its taps
+in block-sized buffers; the Laplacian and the collapse subtract and add
+into the fresh EXPAND result.  So beyond its output each holds one block,
+and every result is the same bit for bit whatever the block size.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .blocks import row_blocks
 from .errors import DimensionError
 
 __all__ = [
@@ -47,10 +48,6 @@ __all__ = [
 DEFAULT_LEVELS = 5
 
 _KERNEL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
-
-# Pixels per plane of the finer layer in one block of `_reduce` or
-# `upsample`: 32 rows at 512 px.
-_BLOCK_PIXELS = 16384
 
 
 def _tap_sum(terms) -> np.ndarray:
@@ -83,14 +80,13 @@ def _reduce(a: np.ndarray) -> np.ndarray:
     output rows, each reading its rows and columns padded by index."""
     h, w = a.shape[-2:]
     # np.pad 'reflect' is reflect-101 (edge sample not repeated).
-    rows, cols = (np.pad(np.arange(n), 2, mode="reflect") for n in (h, w))
+    padded, cols = (np.pad(np.arange(n), 2, mode="reflect") for n in (h, w))
     out = np.empty(a.shape[:-2] + ((h + 1) // 2, (w + 1) // 2))
-    step = max(1, _BLOCK_PIXELS // (2 * w))
-    for r0 in range(0, out.shape[-2], step):
-        block = out[..., r0:r0 + step, :]
+    for rows in row_blocks(out.shape[-2], 2 * w):
+        block = out[..., rows, :]
         n = block.shape[-2]
         # output row r reads padded rows 2r .. 2r + 4
-        p = _gather(a, rows[2 * r0:2 * (r0 + n) + 3], cols)
+        p = _gather(a, padded[2 * rows.start:2 * rows.stop + 3], cols)
         horiz = _tap_sum([(k, p[..., i:i + w:2]) for i, k in enumerate(_KERNEL)])
         block[...] = _tap_sum([(k, horiz[..., i:i + 2 * n:2, :])
                                for i, k in enumerate(_KERNEL)])
@@ -180,13 +176,12 @@ def upsample(a: np.ndarray, target_shape: tuple[int, int]) -> np.ndarray:
     th, tw = target_shape[-2:]
     if ((th + 1) // 2, (tw + 1) // 2) != a.shape[-2:]:
         raise DimensionError(f"cannot upsample {a.shape} to {target_shape}")
-    rows = _zero_insert_reflect(a.shape[-2], th)
+    padded = _zero_insert_reflect(a.shape[-2], th)
     cols = _zero_insert_reflect(a.shape[-1], tw)
     out = np.empty(a.shape[:-2] + (th, tw))
-    step = max(1, _BLOCK_PIXELS // (2 * tw))
-    for r0 in range(0, a.shape[-2], step):
-        block = out[..., 2 * r0:2 * (r0 + step), :]
-        x = _gather(a, rows[r0:r0 + step + 2], cols)
+    for rows in row_blocks(a.shape[-2], 2 * tw):
+        block = out[..., 2 * rows.start:2 * rows.stop, :]
+        x = _gather(a, padded[rows.start:rows.stop + 2], cols)
         wide = _expand(x, tw, -1, np.empty(x.shape[:-1] + (tw,)))
         _expand(wide, th, -2, block)
         block *= 4.0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
+from uscompound import blocks
 from uscompound import boundary as boundary_module
 from uscompound.boundary import (BoundaryParams, ClusterSet, detect_boundaries,
                                  extract_clusters, filter_clusters,
@@ -148,7 +149,7 @@ def test_gradient_matches_loop_oracle(rng, monkeypatch, dtype, alpha, block):
     # heights on both sides of alpha, so windows are cut at the bottom edge;
     # block sets the pixels per row block of the second difference
     if block is not None:
-        monkeypatch.setattr(boundary_module, "_BLOCK_PIXELS", block)
+        monkeypatch.setattr(blocks, "BLOCK_PIXELS", block)
     for h in sorted({1, 2, 3, alpha, alpha + 1, 2 * alpha + 3, 57}):
         for w in (1, 6):
             for image in _gradient_inputs(rng, dtype, (h, w)):
@@ -577,7 +578,8 @@ def test_detection_memory_is_bounded():
 
 # The ramp of test_refine_matches_brute_force_smooth_frame at 512² floods the
 # whole frame from one corner seed, one run per row.  Refinement peaked at
-# 16.99 MiB with the union-find over pixels, and peaks at 9.51 MiB over runs.
+# 16.99 MiB with the union-find over pixels, 9.51 MiB over runs, and 7.51 MiB
+# once this float64 frame's box is no longer copied.
 def test_refine_flood_memory_is_bounded():
     y, x = np.mgrid[0:512, 0:512]
     image = (40 + 0.01 * x + 0.005 * y + 0.5 * np.sin(x / 7.0)) / 255

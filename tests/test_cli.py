@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from uscompound import blocks
 from uscompound.boundary import BoundaryParams
 from uscompound.cli import run
 from uscompound.compound import PyramidParams
@@ -644,6 +645,12 @@ def test_confidence_fmap_bytes_pinned(tmp_path, phantom_dir, kind, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# Row blocks of the default size, and of one row each: every blocked loop
+# (the warp, the detection, the pyramid and the fusion) must give the same
+# bytes at any block size, so the pinned runs are made at both.
+_BLOCK_SIZES = (blocks.BLOCK_PIXELS, 1)
+
+
 # sha256 of the `compound` outputs for the phantom_dir scene, pinned so that
 # the fusion stays byte-identical across refactors; 95 x 93 puts odd
 # dimensions on every pyramid layer's border.
@@ -657,13 +664,15 @@ def test_confidence_fmap_bytes_pinned(tmp_path, phantom_dir, kind, digest):
     ((95, 93), "ubf", "3ac7aad32cb21ff6e72a424dd877da097471ce05dd59919e7754686bb651a9bf"),
     ((95, 93), "pyramid", "81369bd8f9164c5b0ec1f33971736f58055f2cb274f3a0cffb2894663f6bd894"),
 ])
-def test_compound_output_bytes_pinned(tmp_path, phantom_dir, size, method,
-                                      digest):
-    out = tmp_path / "o.pgm"
+def test_compound_output_bytes_pinned(tmp_path, monkeypatch, phantom_dir, size,
+                                      method, digest):
     dims = ["--width", str(size[0]), "--height", str(size[1])] if size else []
-    assert run(["compound", "--method", method, *_view_args(phantom_dir),
-                *dims, "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    for block_pixels in _BLOCK_SIZES:
+        monkeypatch.setattr(blocks, "BLOCK_PIXELS", block_pixels)
+        out = tmp_path / f"o{block_pixels}.pgm"
+        assert run(["compound", "--method", method, *_view_args(phantom_dir),
+                    *dims, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, block_pixels
 
 
 # sha256 of the intermediates `--dump-intermediates` writes for the pyramid
@@ -684,13 +693,15 @@ _INTERMEDIATE_DIGESTS = {
 }
 
 
-def test_pyramid_intermediate_bytes_pinned(tmp_path, phantom_dir):
-    dump = tmp_path / "layers"
-    assert run(["compound", "--method", "pyramid", *_view_args(phantom_dir),
-                "--out", str(tmp_path / "o.pgm"),
-                "--dump-intermediates", str(dump)]) == 0
-    assert {p.stem: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in dump.iterdir()} == _INTERMEDIATE_DIGESTS
+def test_pyramid_intermediate_bytes_pinned(tmp_path, monkeypatch, phantom_dir):
+    for block_pixels in _BLOCK_SIZES:
+        monkeypatch.setattr(blocks, "BLOCK_PIXELS", block_pixels)
+        dump = tmp_path / f"layers{block_pixels}"
+        assert run(["compound", "--method", "pyramid", *_view_args(phantom_dir),
+                    "--out", str(tmp_path / "o.pgm"),
+                    "--dump-intermediates", str(dump)]) == 0
+        assert {p.stem: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in dump.iterdir()} == _INTERMEDIATE_DIGESTS, block_pixels
 
 
 @pytest.mark.parametrize("option", ["--decay", "--absorption"])

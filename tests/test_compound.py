@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import traced_peak_mib, two_view_phantom
+from uscompound import blocks
 from uscompound import pyramid as pyr
 from uscompound.compound import (PyramidParams, blend_layer, compound,
                                  compound_average, compound_maximum,
@@ -272,26 +273,6 @@ def local_contrast_oracle(layer):
     return out
 
 
-def whole_frame_local_contrast(layer):
-    """The 4 undirected differences over the whole frame, each added to both
-    of its endpoints in the order of `_NEIGHBOR_OFFSETS`."""
-    a = np.asarray(layer, dtype=np.float64)
-    h, w = a.shape[-2:]
-    out = np.zeros_like(a)
-    diffs = {}
-    for di, dj in _OFFSETS:
-        cs = slice(max(0, -di), h - max(0, di))
-        cj = slice(max(0, -dj), w - max(0, dj))
-        if (-di, -dj) in diffs:
-            d = diffs.pop((-di, -dj))
-        else:
-            ns = slice(max(0, di), h - max(0, -di))
-            nj = slice(max(0, dj), w - max(0, -dj))
-            d = diffs[(di, dj)] = np.abs(a[..., ns, nj] - a[..., cs, cj])
-        out[..., cs, cj] += d
-    return out
-
-
 def select_oracle(image_layers, structural_layers, validity_layers, gamma):
     """Both branches ranked by `argmax(axis=0)` over masked views."""
     gs = np.asarray(structural_layers, dtype=np.float64)
@@ -333,31 +314,20 @@ def test_local_contrast_matches_8_offset_oracle(n_views, seed):
 
 @settings(max_examples=300, deadline=None)
 @given(batch=st.lists(st.integers(1, 3), max_size=2), h=st.integers(1, 70),
-       w=st.integers(1, 9), rows=st.sampled_from([1, 2, 7, None]),
-       dtype=st.sampled_from([np.float32, np.float64]),
+       w=st.integers(1, 9), dtype=st.sampled_from([np.float32, np.float64]),
        seed=st.integers(0, 2**32 - 1))
-def test_local_contrast_blocks_match_whole_frame(batch, h, w, rows, dtype, seed):
-    # rows per block 1, 2, 7 or the default; values half tie-prone
+def test_local_contrast_matches_oracle_on_batched_layers(batch, h, w, dtype,
+                                                         seed):
+    # any batch axes, either float dtype; values half tie-prone
     rng = np.random.default_rng(seed)
     size = (*batch, h, w)
     layer = np.where(rng.random(size) < 0.5,
                      rng.choice([-0.5, -0.0, 0.0, 0.25], size=size),
                      rng.random(size)).astype(dtype)
-    with pytest.MonkeyPatch.context() as mp:
-        if rows is not None:
-            mp.setattr(compound_module, "_BLOCK_PIXELS", rows * w)
-        got = _local_contrast(layer)
-    want = whole_frame_local_contrast(layer)
+    got, want = _local_contrast(layer), local_contrast_oracle(layer)
     assert got.dtype == np.float64 and got.shape == want.shape
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
-
-
-# The output is 4 MiB; the whole-frame stencil held four frame-sized
-# differences at once and peaked at 20.1 MiB on this call.
-def test_local_contrast_memory_is_bounded_by_a_block(rng):
-    layer = rng.random((2, 512, 512))
-    assert traced_peak_mib(lambda: _local_contrast(layer)) <= 10
 
 
 def scatter_first_argmax(keys, valid):
@@ -380,7 +350,7 @@ def whole_frame_select(image_layers, structural_layers, validity_layers, gamma):
     gs_masked_max = np.where(valid, gs, -np.inf).max(axis=0)
     gs_masked_min = np.where(valid, gs, np.inf).min(axis=0)
     agree = ~valid.any(axis=0) | (gs_masked_max - gs_masked_min < gamma)
-    keys = np.where(agree, whole_frame_local_contrast(image_layers), gs)
+    keys = np.where(agree, local_contrast_oracle(image_layers), gs)
     return scatter_first_argmax(keys, valid)
 
 
@@ -399,6 +369,19 @@ def whole_frame_weighted_average(laplacian_layers, intensity_layers,
     return np.where(wsum > 0, out, fallback)
 
 
+def whole_frame_enhance(partial, boundary_layers, image_layers,
+                        validity_layers):
+    """`enhance_boundaries` over the whole frame at once."""
+    part = np.asarray(partial, dtype=np.float64)
+    gi = np.asarray(image_layers, dtype=np.float64)
+    valid = np.asarray(validity_layers, dtype=bool)
+    gb = np.where(valid, np.asarray(boundary_layers, dtype=np.float64), 0.0)
+    den = gb.sum(axis=0)
+    num = (gb * gi).sum(axis=0)
+    weighted = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    return np.where(den > 0, np.maximum(weighted, part), part)
+
+
 @settings(max_examples=300, deadline=None)
 @given(n_views=st.integers(1, 4), h=st.integers(1, 40), w=st.integers(1, 9),
        rows=st.sampled_from([1, 2, 7, None]),
@@ -407,9 +390,9 @@ def whole_frame_weighted_average(laplacian_layers, intensity_layers,
        seed=st.integers(0, 2**32 - 1))
 def test_select_and_average_blocks_match_whole_frame(n_views, h, w, rows, gamma,
                                                      dtype, as_list, seed):
-    # rows per block 1, 2, 7 or the default; values, confidences and
-    # weights drawn from a few values (signed zeros too) half the time, so
-    # that contrasts tie and weight sums vanish
+    # rows per block 1, 2, 7 or the default; values, confidences, weights
+    # and boundary masks drawn from a few values (signed zeros too) half the
+    # time, so that contrasts tie and weight sums vanish
     rng = np.random.default_rng(seed)
     size = (n_views, h, w)
 
@@ -421,18 +404,22 @@ def test_select_and_average_blocks_match_whole_frame(n_views, h, w, rows, gamma,
     gs, gc = tie_prone([0.2, 0.5, 1.0]), tie_prone([-0.0, 0.0, 1.0])
     valid = rng.random(size) > 0.3
     valid[:, :, rng.integers(w)] = False
-    args = [list(a) if as_list else a for a in (image, gs, lap, gc, valid)]
+    gb, partial = tie_prone([-0.0, 0.0, 1.0]), tie_prone([-0.0, 0.0, 0.5])[0]
+    args = [list(a) if as_list else a
+            for a in (image, gs, lap, gc, valid, gb)]
     with pytest.MonkeyPatch.context() as mp:
         if rows is not None:
-            mp.setattr(compound_module, "_BLOCK_PIXELS", rows * w)
+            mp.setattr(blocks, "BLOCK_PIXELS", rows * w)
         sel = select_view_layer(args[0], args[1], args[4], PyramidParams(gamma=gamma))
         avg = weighted_average_layer(args[2], args[3], args[4])
+        enhanced = enhance_boundaries(partial, args[5], args[0], args[4])
     assert sel.dtype == np.intp
     assert np.array_equal(sel, whole_frame_select(image, gs, valid, gamma))
-    want = whole_frame_weighted_average(lap, gc, valid)
-    assert avg.dtype == np.float64 and avg.shape == want.shape
-    assert np.array_equal(avg, want)
-    assert np.array_equal(np.signbit(avg), np.signbit(want))
+    for got, want in [(avg, whole_frame_weighted_average(lap, gc, valid)),
+                      (enhanced, whole_frame_enhance(partial, gb, image, valid))]:
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 # Each output is 2 MiB; the whole-frame forms peaked at 16.8 MiB
@@ -502,7 +489,7 @@ def test_baselines_blocks_match_whole_frame(n_views, h, w, rows, dtype, seed):
         v.validity[:, unseen] = False
     with pytest.MonkeyPatch.context() as mp:
         if rows is not None:
-            mp.setattr(compound_module, "_BLOCK_PIXELS", rows * w)
+            mp.setattr(blocks, "BLOCK_PIXELS", rows * w)
         outs = [compound_average(views), compound_maximum(views),
                 compound_ubf(views)]
     for out, oracle in zip(outs, (whole_frame_average, whole_frame_maximum,
@@ -526,7 +513,7 @@ def test_ubf_blocks_match_whole_frame_where_weights_vanish(rng):
         v.intensity_confidence[[1, 5, 6]] = 0.0
         v.validity[-1] = False
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(compound_module, "_BLOCK_PIXELS", 2 * shape[1])
+        mp.setattr(blocks, "BLOCK_PIXELS", 2 * shape[1])
         out = compound_ubf(views)
     assert np.array_equal(out, whole_frame_ubf(views))
     assert np.array_equal(out[[1, 5, 6]], whole_frame_average(views)[[1, 5, 6]])

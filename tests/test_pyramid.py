@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import traced_peak_mib
-from uscompound import pyramid as pyramid_module
+from uscompound import blocks
 from uscompound.errors import DimensionError
 from uscompound.pyramid import (_reduce, collapse, gaussian_pyramid,
                                 laplacian_pyramid, layer_shapes,
@@ -155,7 +155,7 @@ def test_blocked_reduce_and_upsample_match_whole_frame(a, rows, drop_row,
     def blocked(fn, fine_width, *args):
         with pytest.MonkeyPatch.context() as mp:
             if rows is not None:
-                mp.setattr(pyramid_module, "_BLOCK_PIXELS", rows * 2 * fine_width)
+                mp.setattr(blocks, "BLOCK_PIXELS", rows * 2 * fine_width)
             return fn(*args)
 
     assert same_bits(blocked(_reduce, a.shape[-1], a), whole_frame_reduce(a))

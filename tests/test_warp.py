@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uscompound import blocks
 from uscompound.compound import prepare_views
 from uscompound.errors import DimensionError, RangeError
 from uscompound.image import (Image, RigidTransform2D, ViewInput, WarpedView,
@@ -426,7 +427,7 @@ def _warp_source(seed, shape, dtype):
                     st.floats(-120, 120)),
        dy=st.one_of(st.sampled_from([0.0, -0.0, 90.0, -150.0]),
                     st.floats(-120, 120)),
-       block=st.sampled_from([1, 7, 64, image_module._BLOCK_PIXELS]),
+       block=st.sampled_from([1, 7, 64, blocks.BLOCK_PIXELS]),
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=400, deadline=None)
 def test_warp_equals_fancy_index_oracle(src_h, src_w, out_h, out_w, batch,
@@ -435,7 +436,7 @@ def test_warp_equals_fancy_index_oracle(src_h, src_w, out_h, out_w, batch,
     t = RigidTransform2D(rotation, dx, dy)
     expected, expected_valid = fancy_index_warp(src, t, out_w, out_h)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(image_module, "_BLOCK_PIXELS", block)
+        mp.setattr(blocks, "BLOCK_PIXELS", block)
         out, valid = warp_array(src, t, out_w, out_h)
     assert out.dtype == expected.dtype and out.shape == expected.shape
     assert np.array_equal(out, expected)
