@@ -104,8 +104,7 @@ def _cmd_compound(args) -> int:
         os.makedirs(args.dump_intermediates, exist_ok=True)
 
         def sink(name, array):
-            data = np.clip(np.asarray(array, np.float64), 0.0, 1.0)
-            _fmt_out(data, os.path.join(args.dump_intermediates, name + ".fmap"))
+            _fmt_out(array, os.path.join(args.dump_intermediates, name + ".fmap"))
 
     print(json.dumps({"method": args.method, "effective_config":
                       json.loads(cfg.dump())}), file=sys.stderr)

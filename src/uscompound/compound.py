@@ -11,14 +11,17 @@ their validity masks; pixels observed by no view are set to 0.  They never
 modify the caller's views.  The per-layer helpers take the views of one
 pyramid layer as a (V, h, w) array, or as a sequence of V (h, w) arrays.
 
-Every method works in the row blocks of `blocks.row_blocks`: the baselines
-and the per-layer helpers read each block as float64 from each view's own
-planes, so beyond its float32 output a baseline holds one block.  The
-pyramid fusion stacks the maps in their own dtypes (float32, bool), builds
-their pyramids from those stacks, and frees each layer's maps once the
-layer is blended, so beyond the maps, their pyramids and the outputs no
-frame-sized float64 temporary is made.  Every result is the same bit for
-bit whatever the block size.
+Every method reads the views as each view's own planes, not copied, and
+works in the row blocks of `blocks.row_blocks`: the baselines and the
+per-layer helpers read each block as float64 from those planes, so beyond
+its float32 output a baseline holds one block.  The pyramid fusion hands
+each map's planes to `pyramid.gaussian_pyramid`, which stacks them in their
+own dtypes (float32, bool) as its layer 1, and frees each layer's maps once
+the layer is blended, so beyond the maps, their pyramids and the outputs no
+frame-sized float64 temporary is made.  Each reduction over the views is
+written once: the mean in `_masked_mean`, the weighted mean in
+`_weighted_mean`.  Every result is the same bit for bit whatever the block
+size.
 """
 
 from __future__ import annotations
@@ -94,22 +97,11 @@ def _planes(views: Sequence[WarpedView], *maps: str) -> list[list[np.ndarray]]:
             raise ValueError(f"every view needs a {name} map (see prepare_views)")
         if any(np.shape(getattr(v, name)) != shape for v in views):
             raise DimensionError(f"{name} maps must share common-frame dimensions")
-    return [_layers(getattr(v, name) for v in views)
+    return [[getattr(v, name) for v in views]
             for name in ("image", "validity", *maps)]
 
 
-def _stack(views: Sequence[WarpedView], *maps: str) -> list[np.ndarray]:
-    """The planes of `_planes`, stacked over the views into (V, H, W) arrays
-    in their own dtypes."""
-    return [np.stack(planes) for planes in _planes(views, *maps)]
-
-
-def _layers(planes) -> list[np.ndarray]:
-    """A (V, h, w) array, or a sequence of V (h, w) arrays, as V arrays."""
-    return [np.asarray(p) for p in planes]
-
-
-def _read_rows(planes: list[np.ndarray], rows: slice,
+def _read_rows(planes: Sequence[np.ndarray], rows: slice,
                dtype=np.float64) -> np.ndarray:
     """Rows `rows` of each of the `planes`, stacked into one (V, n, w) array
     of `dtype`; None keeps the planes' own."""
@@ -117,7 +109,7 @@ def _read_rows(planes: list[np.ndarray], rows: slice,
 
 
 def _fuse_rows(fuse: Callable[..., np.ndarray], dtype, shape: tuple[int, int],
-               *stacks: tuple[list[np.ndarray], object]) -> np.ndarray:
+               *stacks: tuple[Sequence[np.ndarray], object]) -> np.ndarray:
     """An (h, w) array of `dtype` filled, in the row blocks of `row_blocks`,
     with `fuse(rows, *blocks)`, where each block is `_read_rows(planes, rows,
     dtype)` for one (planes, dtype) of `stacks`.  So beyond its output a
@@ -133,13 +125,8 @@ def _fuse_rows(fuse: Callable[..., np.ndarray], dtype, shape: tuple[int, int],
 def compound_average(views: Sequence[WarpedView]) -> np.ndarray:
     """Per-pixel mean over the views that observed each pixel."""
     imgs, valid = _planes(views)
-
-    def average(rows, imgs, valid):
-        counts = valid.sum(axis=0)
-        total = np.where(valid, imgs, 0.0).sum(axis=0)
-        return np.divide(total, counts, out=np.zeros_like(total),
-                         where=counts > 0)
-    return _fuse_rows(average, np.float32, imgs[0].shape,
+    return _fuse_rows(lambda rows, *blocks: _masked_mean(*blocks),
+                      np.float32, imgs[0].shape,
                       (imgs, np.float64), (valid, None))
 
 
@@ -162,17 +149,27 @@ def compound_ubf(views: Sequence[WarpedView]) -> np.ndarray:
                       (imgs, np.float64), (conf, np.float64), (valid, None))
 
 
-def _masked_weighted_mean(values, weights, valid):
-    """Sum(w*v)/Sum(w) over valid entries; zero weight-sum falls back to the
-    unweighted mean; pixels valid nowhere get 0."""
+def _masked_mean(values, valid):
+    """Sum(v)/count over the valid views; pixels valid nowhere get 0."""
+    counts = valid.sum(axis=0)
+    total = np.where(valid, values, 0.0).sum(axis=0)
+    return np.divide(total, counts, out=np.zeros_like(total), where=counts > 0)
+
+
+def _weighted_mean(values, weights, valid):
+    """Sum(w*v)/Sum(w) over the valid views, 0 where Sum(w) is 0, and
+    Sum(w)."""
     w = np.where(valid, weights, 0.0)
     wsum = w.sum(axis=0)
     num = (w * values).sum(axis=0)
-    out = np.divide(num, wsum, out=np.zeros_like(num), where=wsum > 0)
-    counts = valid.sum(axis=0)
-    fallback = np.divide(np.where(valid, values, 0.0).sum(axis=0), counts,
-                         out=np.zeros_like(num), where=counts > 0)
-    return np.where(wsum > 0, out, fallback)
+    return np.divide(num, wsum, out=np.zeros_like(num), where=wsum > 0), wsum
+
+
+def _masked_weighted_mean(values, weights, valid):
+    """`_weighted_mean`, falling back to `_masked_mean` where the weights
+    sum to 0."""
+    mean, wsum = _weighted_mean(values, weights, valid)
+    return np.where(wsum > 0, mean, _masked_mean(values, valid))
 
 
 def phi(k: int, levels: int) -> float:
@@ -243,30 +240,27 @@ def select_view_layer(image_layers: Sequence[np.ndarray],
     each block with one row of halo above and below, so the working memory
     beyond the output is one block.
     """
-    gi, gs, valid = map(_layers, (image_layers, structural_layers,
-                                  validity_layers))
-
     def select(rows, g, v):
+        # where no view is valid the spread is -inf - (+inf) = -inf, so the
+        # views agree, and `_first_argmax` gives 0 whatever the keys
         spread = (np.where(v, g, -np.inf).max(axis=0)
                   - np.where(v, g, np.inf).min(axis=0))
-        agree = ~v.any(axis=0) | (spread < params.gamma)
         halo = slice(max(rows.start - 1, 0), rows.stop + 1)
-        contrast = _local_contrast(_read_rows(gi, halo))[
+        contrast = _local_contrast(_read_rows(image_layers, halo))[
             :, rows.start - halo.start:rows.stop - halo.start]
-        return _first_argmax(np.where(agree, contrast, g), v)
-    return _fuse_rows(select, np.intp, valid[0].shape,
-                      (gs, np.float64), (valid, bool))
+        return _first_argmax(np.where(spread < params.gamma, contrast, g), v)
+    return _fuse_rows(select, np.intp, validity_layers[0].shape,
+                      (structural_layers, np.float64), (validity_layers, bool))
 
 
 def weighted_average_layer(laplacian_layers: Sequence[np.ndarray],
                            intensity_layers: Sequence[np.ndarray],
                            validity_layers: Sequence[np.ndarray]) -> np.ndarray:
     """Intensity-confidence weighted average of one Laplacian layer."""
-    lap, gc, valid = map(_layers, (laplacian_layers, intensity_layers,
-                                   validity_layers))
     return _fuse_rows(lambda rows, *blocks: _masked_weighted_mean(*blocks),
-                      np.float64, valid[0].shape,
-                      (lap, np.float64), (gc, np.float64), (valid, bool))
+                      np.float64, validity_layers[0].shape,
+                      (laplacian_layers, np.float64),
+                      (intensity_layers, np.float64), (validity_layers, bool))
 
 
 def blend_layer(selected: np.ndarray, averaged: np.ndarray, k: int,
@@ -291,17 +285,13 @@ def enhance_boundaries(partial: np.ndarray,
     reconstruction; elsewhere leave the reconstruction untouched.
     """
     part = np.asarray(partial, dtype=np.float64)
-    gb, gi, valid = map(_layers, (boundary_layers, image_layers,
-                                  validity_layers))
 
     def enhance(rows, b, g, v):
-        b = np.where(v, b, 0.0)
-        den = b.sum(axis=0)
-        num = (b * g).sum(axis=0)
-        weighted = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+        weighted, den = _weighted_mean(g, b, v)
         return np.where(den > 0, np.maximum(weighted, part[rows]), part[rows])
-    return _fuse_rows(enhance, np.float64, valid[0].shape,
-                      (gb, np.float64), (gi, np.float64), (valid, bool))
+    return _fuse_rows(enhance, np.float64, validity_layers[0].shape,
+                      (boundary_layers, np.float64), (image_layers, np.float64),
+                      (validity_layers, bool))
 
 
 def compound_pyramid(views: Sequence[WarpedView],
@@ -310,26 +300,25 @@ def compound_pyramid(views: Sequence[WarpedView],
     """Confidence-gated Laplacian-pyramid compounding.
 
     Each map (image, intensity and structural confidence, boundary mask,
-    validity) gets one Gaussian pyramid over its (V, H, W) stack of views,
-    stacked in its own dtype, and the image's Laplacian is taken from its
-    Gaussian pyramid; the boundary mask's is built only as deep as the
+    validity) gets one Gaussian pyramid over its views, whose layer 1 stacks
+    the views' planes in their own dtype, and the image's Laplacian is taken
+    from its Gaussian pyramid; the boundary mask's is built only as deep as the
     enhancement reads it.  Per layer: per-pixel view selection blended with
     the confidence-weighted Laplacian average by the layer weight; boundary
     enhancement is applied to the partial reconstruction at `enhance_layer`
     on the way back down.
     """
-    imgs, valid, gc, gs, gb = _stack(views, *MAPS)
+    imgs, valid, gc, gs, gb = _planes(views, *MAPS)
     k_levels, e = params.levels, params.enhance_layer
-    any_valid = valid.any(axis=0)
 
     # A coarse pixel counts as observed only if the blurred validity stays
     # above 0.5, so never-seen regions do not bleed through the blur.
     gv = [layer > 0.5 for layer in pyr.gaussian_pyramid(valid, k_levels)]
+    any_valid = gv[0].any(axis=0)
     gi, gc, gs = [pyr.gaussian_pyramid(a, k_levels) for a in (imgs, gc, gs)]
     gb = pyr.gaussian_pyramid(gb, max(e, 2))[e - 1]
     lap = pyr.laplacian_pyramid(gi)
     enhance_inputs = gb, gi[e - 1], gv[e - 1]
-    del imgs, valid, gb
 
     # Each layer's maps are popped as it is fused, so they are freed once
     # used; the enhancement holds its own layer.

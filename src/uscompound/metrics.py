@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateError, DimensionError, EllipseFitError, checked
+from .errors import (DegenerateError, DimensionError, EllipseFitError,
+                     check_fields, checked)
 from .image import quantize8
 
 __all__ = [
@@ -40,6 +41,7 @@ class PatchSpec:
     label: str  # "boundary" or "artifact"
 
     def __post_init__(self):
+        check_fields(self)
         if self.width <= 0 or self.height <= 0:
             raise DimensionError("patch dimensions must be positive")
         if self.label not in ("boundary", "artifact"):

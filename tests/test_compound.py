@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 from dataclasses import fields
@@ -15,7 +16,7 @@ from uscompound.compound import (PyramidParams, blend_layer, compound,
                                  compound_pyramid, compound_ubf,
                                  enhance_boundaries, phi, prepare_views,
                                  select_view_layer, weighted_average_layer,
-                                 _local_contrast, _stack)
+                                 _local_contrast, _planes)
 from uscompound.confidence import AttenuationParams
 from uscompound.errors import DimensionError
 from uscompound.image import ViewInput, WarpedView
@@ -522,7 +523,7 @@ def test_ubf_blocks_match_whole_frame_where_weights_vanish(rng):
 
 # On the two views prepare_views makes of a 512² phantom, over float64
 # stacks of the views the baselines peaked at 12.5 (average), 10.5 (maximum)
-# and 26.5 MiB (ubf); in row blocks at 1.8, 1.7 and 2.7 MiB.  Each output is
+# and 26.5 MiB (ubf); in row blocks at 1.8, 1.7 and 2.3 MiB.  Each output is
 # 1 MiB.
 @pytest.mark.parametrize("method,bound", [
     ("average", 2.5), ("maximum", 2.5), ("ubf", 3.5)])
@@ -534,7 +535,7 @@ def test_baseline_memory_is_its_output_plus_a_block(method, bound):
 
 
 @pytest.mark.parametrize("n_views", [1, 2, 3, 4])
-@pytest.mark.parametrize("gamma", [0.05, 0.4, 1.0])
+@pytest.mark.parametrize("gamma", [0.0, 0.05, 0.4, 1.0])
 @pytest.mark.parametrize("seed", range(4))
 def test_select_matches_argmax_oracle(n_views, gamma, seed):
     image, gs, valid = tie_prone_layers(np.random.default_rng(seed), n_views)
@@ -765,19 +766,39 @@ def test_compound_rejects_a_map_of_another_shape(rng, method, name, shape):
 
 def test_stack_checks_maps_before_stacking_them(rng):
     views = duplicate_views(rng, n=3)
-    imgs, valid, gc, bm = _stack(views, "intensity_confidence", "boundary_mask")
-    for name, stacked in [("image", imgs), ("validity", valid),
-                          ("intensity_confidence", gc), ("boundary_mask", bm)]:
-        # each map is stacked in its own dtype (float32 or bool), not float64
-        assert stacked.shape == (3, 32, 32)
-        assert stacked.dtype == getattr(views[0], name).dtype
-        for v, plane in zip(views, stacked):
-            assert np.array_equal(plane, getattr(v, name))
-    assert imgs.dtype == gc.dtype == np.float32 and bm.dtype == valid.dtype == bool
+    names = ("image", "validity", "intensity_confidence", "boundary_mask")
+    planes = _planes(views, *names[2:])
+    assert len(planes) == len(names)
+    for name, got in zip(names, planes):
+        # each view's own array, neither copied nor converted
+        assert len(got) == 3
+        assert all(p is getattr(v, name) for v, p in zip(views, got))
     # a missing map must not stack to NaN (np.asarray(None, float) is NaN)
     views[2].boundary_mask = None
     with pytest.raises(ValueError, match="every view needs a boundary_mask map"):
-        _stack(views, "intensity_confidence", "boundary_mask")
+        _planes(views, *names[2:])
+    views[2].boundary_mask = np.zeros((32, 31), bool)
+    with pytest.raises(DimensionError, match="boundary_mask maps must share"):
+        _planes(views, *names[2:])
+
+
+def test_each_reduction_over_the_views_is_written_once():
+    # The views are stacked by `_read_rows` alone and summed by the mean and
+    # the weighted mean alone, so a change to how a reduction runs over the
+    # views (a per-view fold) changes one helper per reduction.
+    allowed = {"stack": {"_read_rows"}, "sum": {"_masked_mean", "_weighted_mean"}}
+    misplaced = []
+    for top in ast.parse(inspect.getsource(compound_module)).body:
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)):
+                continue
+            func, name = node.func, getattr(top, "name", None)
+            is_np_stack = (func.attr == "stack" and isinstance(func.value, ast.Name)
+                           and func.value.id == "np")
+            if (is_np_stack or func.attr == "sum") and name not in allowed[func.attr]:
+                misplaced.append(f"{name}: .{func.attr}( at line {node.lineno}")
+    assert misplaced == []
 
 
 def test_prepare_views_fills_every_map_and_leaves_inputs_unchanged():

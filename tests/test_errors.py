@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,15 @@ CHECKED = [BoundaryParams, PyramidParams, AttenuationParams, RigidTransform2D,
            PatchSpec, VesselSpec, ReverbSpec, ReflectorSpec, SpeckleSpec,
            PhantomSpec]
 
+# A valid instance of each type in CHECKED.
+VALID = {BoundaryParams: BoundaryParams(), PyramidParams: PyramidParams(),
+         AttenuationParams: AttenuationParams(),
+         RigidTransform2D: RigidTransform2D(),
+         PatchSpec: PatchSpec(0, 0, 4, 4, "boundary"),
+         VesselSpec: VesselSpec(10.0, 10.0, 5.0, 3.0), ReverbSpec: ReverbSpec(),
+         ReflectorSpec: ReflectorSpec(10.0, 0.0, 20.0),
+         SpeckleSpec: SpeckleSpec(), PhantomSpec: PhantomSpec(32, 32)}
+
 
 def _heads(annotation: str):
     """The heads of `annotation` and of its item type, `| None` stripped."""
@@ -31,6 +42,17 @@ def test_every_field_annotation_is_one_the_check_knows(cls):
     for f in cls.__dataclass_fields__.values():
         for head in _heads(f.type):
             assert head in _KINDS or head in names, (cls.__name__, f.name, f.type)
+
+
+@pytest.mark.parametrize("cls", CHECKED, ids=lambda c: c.__name__)
+def test_building_checks_every_number_field(cls):
+    # Built in Python, not read from JSON: True is no number, so it must not
+    # pass for 1.
+    numbers = [f.name for f in fields(cls) if f.type in ("int", "float")]
+    assert numbers
+    for name in numbers:
+        with pytest.raises(ValueError, match=f"^{name} must be (an integer|a number)$"):
+            replace(VALID[cls], **{name: True})
 
 
 @pytest.mark.parametrize("value,annotation", [
