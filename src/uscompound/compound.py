@@ -12,16 +12,22 @@ modify the caller's views.  The per-layer helpers take the views of one
 pyramid layer as a (V, h, w) array, or as a sequence of V (h, w) arrays.
 
 Every method reads the views as each view's own planes, not copied, and
-works in the row blocks of `blocks.row_blocks`: the baselines and the
-per-layer helpers read each block as float64 from those planes, so beyond
-its float32 output a baseline holds one block.  The pyramid fusion hands
-each map's planes to `pyramid.gaussian_pyramid`, which stacks them in their
-own dtypes (float32, bool) as its layer 1, and frees each layer's maps once
-the layer is blended, so beyond the maps, their pyramids and the outputs no
-frame-sized float64 temporary is made.  Each reduction over the views is
-written once: the mean in `_masked_mean`, the weighted mean in
-`_weighted_mean`.  Every result is the same bit for bit whatever the block
-size.
+works in the row blocks of `blocks.row_blocks`.  The baselines read each
+block as float64 from those planes, so beyond its float32 output a baseline
+holds one block.  The per-layer helpers read each block, and compute, in
+the dtype of the pyramid rule `pyramid.float_dtype` over their inputs:
+float32 for float32 and bool layers, float64 for float64 ones.  The pyramid
+fusion hands each map's planes to `pyramid.gaussian_pyramid`, which stacks
+them in their own dtypes (float32, bool) as its layer 1, so on the views
+`prepare_views` makes its image, intensity-confidence and boundary layers,
+bands, blends and collapse are float32.  The two maps that gate, validity
+and structural confidence, keep float64 coarser layers, and the selection
+reads the structural confidence as float64, so the gates are those of
+float64 arithmetic.  It frees each layer's maps once the layer is blended,
+so beyond the maps, their pyramids and the outputs no frame-sized
+temporary is made.  Each reduction over the views is written once: the
+mean in `_masked_mean`, the weighted mean in `_weighted_mean`.  Every
+result is the same bit for bit whatever the block size.
 """
 
 from __future__ import annotations
@@ -195,7 +201,8 @@ def _local_contrast(layer: np.ndarray) -> np.ndarray:
     sums the same 8 terms in the same order as one difference per offset
     would.  It holds up to 4 differences the size of `layer` at once, so
     `select_view_layer` calls it on one block at a time."""
-    a = np.asarray(layer, dtype=np.float64)
+    a = np.asarray(layer)
+    a = a.astype(pyr.float_dtype(a), copy=False)
     h, w = a.shape[-2:]
     out = np.zeros_like(a)
     diffs = {}
@@ -213,11 +220,17 @@ def _local_contrast(layer: np.ndarray) -> np.ndarray:
     return out
 
 
+def _index_dtype(n_views: int) -> np.dtype:
+    """The smallest unsigned dtype that holds every view index: uint8 up to
+    256 views."""
+    return np.min_scalar_type(n_views - 1)
+
+
 def _first_argmax(keys: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """`np.where(valid, keys, -inf).argmax(axis=0)`, by a running strict
     comparison over the views, so ties keep the lowest index."""
     best = np.where(valid[0], keys[0], -np.inf)
-    index = np.zeros(best.shape, dtype=np.intp)
+    index = np.zeros(best.shape, dtype=_index_dtype(len(keys)))
     for v in range(1, len(keys)):
         # an invalid view's key counts as -inf, which is never greater
         better = (keys[v] > best) & valid[v]
@@ -230,26 +243,32 @@ def select_view_layer(image_layers: Sequence[np.ndarray],
                       structural_layers: Sequence[np.ndarray],
                       validity_layers: Sequence[np.ndarray],
                       params: PyramidParams = PyramidParams()) -> np.ndarray:
-    """Per-pixel chosen view index at one pyramid layer.
+    """Per-pixel chosen view index at one pyramid layer, as the smallest
+    unsigned dtype that holds it (uint8 up to 256 views).
 
     Where the valid views' structural confidences agree to within `gamma`,
     pick the view with the largest local contrast; otherwise pick the view
     with the largest structural confidence.  Ties go to the lowest index.
+    The structural confidences, which gate, are read as float64 whatever
+    their dtype; the local contrast is taken in the image layers' dtype.
 
     Works in the row blocks of `row_blocks`, taking the local contrast of
     each block with one row of halo above and below, so the working memory
     beyond the output is one block.
     """
+    dtype = pyr.float_dtype(*image_layers)
+
     def select(rows, g, v):
         # where no view is valid the spread is -inf - (+inf) = -inf, so the
         # views agree, and `_first_argmax` gives 0 whatever the keys
         spread = (np.where(v, g, -np.inf).max(axis=0)
                   - np.where(v, g, np.inf).min(axis=0))
         halo = slice(max(rows.start - 1, 0), rows.stop + 1)
-        contrast = _local_contrast(_read_rows(image_layers, halo))[
+        contrast = _local_contrast(_read_rows(image_layers, halo, dtype))[
             :, rows.start - halo.start:rows.stop - halo.start]
         return _first_argmax(np.where(spread < params.gamma, contrast, g), v)
-    return _fuse_rows(select, np.intp, validity_layers[0].shape,
+    return _fuse_rows(select, _index_dtype(len(validity_layers)),
+                      validity_layers[0].shape,
                       (structural_layers, np.float64), (validity_layers, bool))
 
 
@@ -257,10 +276,11 @@ def weighted_average_layer(laplacian_layers: Sequence[np.ndarray],
                            intensity_layers: Sequence[np.ndarray],
                            validity_layers: Sequence[np.ndarray]) -> np.ndarray:
     """Intensity-confidence weighted average of one Laplacian layer."""
+    dtype = pyr.float_dtype(*laplacian_layers, *intensity_layers)
     return _fuse_rows(lambda rows, *blocks: _masked_weighted_mean(*blocks),
-                      np.float64, validity_layers[0].shape,
-                      (laplacian_layers, np.float64),
-                      (intensity_layers, np.float64), (validity_layers, bool))
+                      dtype, validity_layers[0].shape,
+                      (laplacian_layers, dtype), (intensity_layers, dtype),
+                      (validity_layers, bool))
 
 
 def blend_layer(selected: np.ndarray, averaged: np.ndarray, k: int,
@@ -269,8 +289,9 @@ def blend_layer(selected: np.ndarray, averaged: np.ndarray, k: int,
     `k`; the two weights always sum to 1."""
     phis = params.phi_overrides
     w = phis[k - 1] if phis is not None else phi(k, params.levels)
-    out = np.multiply(np.asarray(selected, np.float64), w)
-    out += (1.0 - w) * np.asarray(averaged, np.float64)
+    dtype = pyr.float_dtype(selected, averaged)
+    out = np.multiply(selected, w, dtype=dtype)
+    out += np.multiply(1.0 - w, averaged, dtype=dtype)
     return out
 
 
@@ -284,13 +305,14 @@ def enhance_boundaries(partial: np.ndarray,
     by the maximum of the boundary-weighted view intensity and the current
     reconstruction; elsewhere leave the reconstruction untouched.
     """
-    part = np.asarray(partial, dtype=np.float64)
+    dtype = pyr.float_dtype(partial, *boundary_layers, *image_layers)
+    part = np.asarray(partial, dtype=dtype)
 
     def enhance(rows, b, g, v):
         weighted, den = _weighted_mean(g, b, v)
         return np.where(den > 0, np.maximum(weighted, part[rows]), part[rows])
-    return _fuse_rows(enhance, np.float64, validity_layers[0].shape,
-                      (boundary_layers, np.float64), (image_layers, np.float64),
+    return _fuse_rows(enhance, dtype, validity_layers[0].shape,
+                      (boundary_layers, dtype), (image_layers, dtype),
                       (validity_layers, bool))
 
 
@@ -303,7 +325,9 @@ def compound_pyramid(views: Sequence[WarpedView],
     validity) gets one Gaussian pyramid over its views, whose layer 1 stacks
     the views' planes in their own dtype, and the image's Laplacian is taken
     from its Gaussian pyramid; the boundary mask's is built only as deep as the
-    enhancement reads it.  Per layer: per-pixel view selection blended with
+    enhancement reads it.  The coarser layers take the dtype of
+    `pyramid.float_dtype`, float32 on float32 and bool planes, except those
+    of the validity and structural confidence, which gate and are float64.  Per layer: per-pixel view selection blended with
     the confidence-weighted Laplacian average by the layer weight; boundary
     enhancement is applied to the partial reconstruction at `enhance_layer`
     on the way back down.
@@ -312,10 +336,15 @@ def compound_pyramid(views: Sequence[WarpedView],
     k_levels, e = params.levels, params.enhance_layer
 
     # A coarse pixel counts as observed only if the blurred validity stays
-    # above 0.5, so never-seen regions do not bleed through the blur.
-    gv = [layer > 0.5 for layer in pyr.gaussian_pyramid(valid, k_levels)]
+    # above 0.5, so never-seen regions do not bleed through the blur.  The
+    # two maps that gate (validity, and structural confidence against
+    # gamma) keep float64 layers, so that the fusion's decisions are those
+    # of float64 arithmetic; the blended maps take their planes' dtype.
+    gv = [layer > 0.5
+          for layer in pyr.gaussian_pyramid(valid, k_levels, np.float64)]
     any_valid = gv[0].any(axis=0)
-    gi, gc, gs = [pyr.gaussian_pyramid(a, k_levels) for a in (imgs, gc, gs)]
+    gs = pyr.gaussian_pyramid(gs, k_levels, np.float64)
+    gi, gc = [pyr.gaussian_pyramid(a, k_levels) for a in (imgs, gc)]
     gb = pyr.gaussian_pyramid(gb, max(e, 2))[e - 1]
     lap = pyr.laplacian_pyramid(gi)
     enhance_inputs = gb, gi[e - 1], gv[e - 1]
@@ -348,7 +377,7 @@ def compound_pyramid(views: Sequence[WarpedView],
         recon = pyr.partial_collapse(blended[:e - 1] + [recon], 1)
 
     recon = np.where(any_valid, np.clip(recon, 0.0, 1.0), 0.0)
-    return recon.astype(np.float32)
+    return recon.astype(np.float32, copy=False)
 
 
 def prepare_views(views: Sequence[ViewInput], out_width: int, out_height: int,

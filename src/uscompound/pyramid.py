@@ -1,8 +1,15 @@
 """Gaussian and Laplacian pyramids (Burt-Adelson style).
 
 Layers are plain arrays, finest first: layer 1 is the input as given when
-it is float32, float64 or bool (any other dtype is converted to float64),
-and every coarser layer is float64.  Blur and decimation act on the last
+it is float32, float64 or bool.  Every layer, band and collapse computed
+from inputs takes one dtype, `float_dtype(inputs...)`, which is
+`np.result_type(inputs..., np.float32)`: float32 from bool and float32
+inputs, float64 from float64 ones (a layer 1 of any other dtype is
+converted by the same rule, so uint8 gives float32 and int64 float64).
+`gaussian_pyramid` can be asked for float64 coarser layers of a float32 or
+bool input.  The kernel taps are Python floats, exact in float32, which
+take the dtype of the layer they multiply, so float64 layers are the same
+bit for bit as with a float64 kernel.  Blur and decimation act on the last
 two axes (rows, columns); any leading axes are batch axes, so a (V, H, W)
 stack of views gives (V, h, w) layers equal plane by plane to the 2-D
 results.  Layer k+1 has ceil-halved dimensions of layer k.  The blur
@@ -42,12 +49,21 @@ __all__ = [
     "collapse",
     "partial_collapse",
     "upsample",
+    "float_dtype",
     "DEFAULT_LEVELS",
 ]
 
 DEFAULT_LEVELS = 5
 
-_KERNEL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
+# Python floats, which take the dtype of the layer they multiply.
+_KERNEL = [1.0 / 16.0, 4.0 / 16.0, 6.0 / 16.0, 4.0 / 16.0, 1.0 / 16.0]
+
+
+def float_dtype(*arrays) -> np.dtype:
+    """The dtype of a layer computed from `arrays`: float32 from bool,
+    float32, float16 and 8- or 16-bit integer inputs, float64 from float64
+    and wider integer ones."""
+    return np.result_type(*{np.asarray(a).dtype for a in arrays}, np.float32)
 
 
 def _tap_sum(terms) -> np.ndarray:
@@ -63,30 +79,33 @@ def _tap_sum(terms) -> np.ndarray:
     return out
 
 
-def _gather(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """`a[..., rows[:, None], cols]` for `cols` that run 0, 1, ..., w - 1
-    between as many edge indices before as after; the run is copied whole,
-    which is many times faster than indexing it column by column."""
+def _gather(a: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+            dtype) -> np.ndarray:
+    """`a[..., rows[:, None], cols]` as `dtype`, for `cols` that run 0, 1,
+    ..., w - 1 between as many edge indices before as after; the run is
+    copied whole, which is many times faster than indexing it column by
+    column."""
     w, pad = a.shape[-1], (len(cols) - a.shape[-1]) // 2
-    p = np.empty(a.shape[:-2] + (len(rows), len(cols)))
+    p = np.empty(a.shape[:-2] + (len(rows), len(cols)), dtype)
     p[..., pad:pad + w] = a[..., rows, :]
     p[..., :pad] = p[..., pad + cols[:pad]]
     p[..., pad + w:] = p[..., pad + cols[pad + w:]]
     return p
 
 
-def _reduce(a: np.ndarray) -> np.ndarray:
-    """The 5-tap blur of `a` at its even rows and columns only, in blocks of
-    output rows, each reading its rows and columns padded by index."""
+def _reduce(a: np.ndarray, dtype) -> np.ndarray:
+    """The 5-tap blur of `a` at its even rows and columns only, as `dtype`,
+    in blocks of output rows, each reading its rows and columns padded by
+    index."""
     h, w = a.shape[-2:]
     # np.pad 'reflect' is reflect-101 (edge sample not repeated).
     padded, cols = (np.pad(np.arange(n), 2, mode="reflect") for n in (h, w))
-    out = np.empty(a.shape[:-2] + ((h + 1) // 2, (w + 1) // 2))
+    out = np.empty(a.shape[:-2] + ((h + 1) // 2, (w + 1) // 2), dtype)
     for rows in row_blocks(out.shape[-2], 2 * w):
         block = out[..., rows, :]
         n = block.shape[-2]
         # output row r reads padded rows 2r .. 2r + 4
-        p = _gather(a, padded[2 * rows.start:2 * rows.stop + 3], cols)
+        p = _gather(a, padded[2 * rows.start:2 * rows.stop + 3], cols, out.dtype)
         horiz = _tap_sum([(k, p[..., i:i + w:2]) for i, k in enumerate(_KERNEL)])
         block[...] = _tap_sum([(k, horiz[..., i:i + 2 * n:2, :])
                                for i, k in enumerate(_KERNEL)])
@@ -128,14 +147,14 @@ def _expand(xp: np.ndarray, n: int, axis: int, out: np.ndarray) -> np.ndarray:
 
 
 # Input dtypes that layer 1 keeps as given; `_gather` converts every block
-# of them to float64 exactly.
+# of them to the coarser layers' dtype exactly.
 _KEPT_DTYPES = (np.float32, np.float64, np.bool_)
 
 
 def _check(image: np.ndarray, levels: int) -> np.ndarray:
     a = np.asarray(image)
     if a.dtype not in _KEPT_DTYPES:
-        a = a.astype(np.float64)
+        a = a.astype(float_dtype(a))
     if a.ndim < 2:
         raise DimensionError("pyramid input must be at least 2-D")
     if levels < 2:
@@ -157,20 +176,24 @@ def layer_shapes(height: int, width: int, levels: int) -> list[tuple[int, int]]:
     return shapes
 
 
-def gaussian_pyramid(image: np.ndarray, levels: int = DEFAULT_LEVELS) -> list[np.ndarray]:
+def gaussian_pyramid(image: np.ndarray, levels: int = DEFAULT_LEVELS,
+                     dtype=np.float32) -> list[np.ndarray]:
     """Blur-and-decimate chain; layer 1 is the input itself, not copied when
-    it is a float32, float64 or bool array."""
+    it is a float32, float64 or bool array.  The coarser layers are
+    `np.result_type(image, dtype)`: `float_dtype(image)` at the default
+    float32, float64 when `dtype` is float64."""
     a = _check(image, levels)
+    dtype = np.result_type(float_dtype(a), dtype)
     layers = [a]
     for _ in range(levels - 1):
-        layers.append(_reduce(layers[-1]))
+        layers.append(_reduce(layers[-1], dtype))
     return layers
 
 
 def upsample(a: np.ndarray, target_shape: tuple[int, int]) -> np.ndarray:
     """Zero-insert `a` to the rows and columns that end `target_shape`, then
     blur with the x4-scaled kernel, in blocks of output rows."""
-    a = np.asarray(a, dtype=np.float64)
+    a = np.asarray(a)
     if len(target_shape) < 2:
         raise DimensionError(f"upsample target {target_shape} must be at least 2-D")
     th, tw = target_shape[-2:]
@@ -178,11 +201,11 @@ def upsample(a: np.ndarray, target_shape: tuple[int, int]) -> np.ndarray:
         raise DimensionError(f"cannot upsample {a.shape} to {target_shape}")
     padded = _zero_insert_reflect(a.shape[-2], th)
     cols = _zero_insert_reflect(a.shape[-1], tw)
-    out = np.empty(a.shape[:-2] + (th, tw))
+    out = np.empty(a.shape[:-2] + (th, tw), float_dtype(a))
     for rows in row_blocks(a.shape[-2], 2 * tw):
         block = out[..., 2 * rows.start:2 * rows.stop, :]
-        x = _gather(a, padded[rows.start:rows.stop + 2], cols)
-        wide = _expand(x, tw, -1, np.empty(x.shape[:-1] + (tw,)))
+        x = _gather(a, padded[rows.start:rows.stop + 2], cols, out.dtype)
+        wide = _expand(x, tw, -1, np.empty(x.shape[:-1] + (tw,), x.dtype))
         _expand(wide, th, -2, block)
         block *= 4.0
     return out
@@ -193,9 +216,10 @@ def laplacian_pyramid(g: list[np.ndarray]) -> list[np.ndarray]:
     it from `gaussian_pyramid`: band-pass layers g[k] - EXPAND(g[k+1]) for
     layers 1..K-1, plus the coarsest Gaussian layer as layer K."""
     _check_chain(g)
+    dtype = float_dtype(*g)
     layers = []
     for k in range(len(g) - 1):
-        up = upsample(g[k + 1], g[k].shape)
+        up = upsample(np.asarray(g[k + 1], dtype), g[k].shape)
         layers.append(np.subtract(g[k], up, out=up))
     return layers + [g[-1]]
 
@@ -218,7 +242,7 @@ def partial_collapse(layers: list[np.ndarray], to_layer: int) -> np.ndarray:
     _check_chain(layers)
     if not 1 <= to_layer <= len(layers):
         raise DimensionError(f"to_layer {to_layer} out of range 1..{len(layers)}")
-    image = np.asarray(layers[-1], dtype=np.float64)
+    image = np.asarray(layers[-1], dtype=float_dtype(*layers))
     for k in range(len(layers) - 2, to_layer - 2, -1):
         image = upsample(image, layers[k].shape)
         image += layers[k]

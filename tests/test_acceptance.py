@@ -27,7 +27,7 @@ from uscompound.pyramid import collapse, gaussian_pyramid, laplacian_pyramid
 
 from conftest import record_verdict, scene_view_inputs, two_view_phantom
 from test_boundary import brute_force_gradient
-from test_compound import weighted_laplacian_oracle, make_view
+from test_compound import float64_views, make_view, weighted_laplacian_oracle
 from test_metrics import brute_force_otsu, sample_ellipse
 
 
@@ -187,14 +187,11 @@ def test_criterion_6_twin_bare_inputs():
             + "\n".join(row for rows in (seeds, held_out) for _, row in rows))
 
 
-def _segmentation_ordering(seed, oracle=True):
-    """(holds, report row) of criterion 7 on one scene."""
-    # echo train from the shallow reflector crosses the vessel's top wall
+def _segmentation_spec(seed):
+    """The scene of criterion 7: the echo train from a shallow reflector
+    crosses the vessel's top wall."""
     size = 192
-    patch = PatchSpec(45, 78, 105, 82, "boundary")
-    truth = ellipse_mask(Ellipse(96 - 45, 120 - 78, 38.0, 28.0, 0.0),
-                         patch.height, patch.width)
-    spec = PhantomSpec(
+    return PhantomSpec(
         width=size, height=size,
         vessel=VesselSpec(cx=96, cy=120, a=38, b=28, wall_thickness=4,
                           wall_intensity=0.85),
@@ -206,7 +203,16 @@ def _segmentation_ordering(seed, oracle=True):
         views=(RigidTransform2D(),
                RigidTransform2D(rotation=math.radians(90), dx=size - 1)),
     )
-    warped = prepare_views(_view_inputs(generate(spec), oracle), size, size)
+
+
+def _segmentation_ordering(seed, oracle=True):
+    """(holds, report row) of criterion 7 on one scene."""
+    patch = PatchSpec(45, 78, 105, 82, "boundary")
+    truth = ellipse_mask(Ellipse(96 - 45, 120 - 78, 38.0, 28.0, 0.0),
+                         patch.height, patch.width)
+    spec = _segmentation_spec(seed)
+    warped = prepare_views(_view_inputs(generate(spec), oracle),
+                           spec.width, spec.height)
     scores = {}
     for m in ("average", "ubf", "pyramid"):
         mask, _ = segment_vessel(extract_patch(compound(warped, m), patch))
@@ -233,6 +239,57 @@ def test_criterion_7_twin_bare_inputs():
     passed = sum(good for good, _ in rows)
     _report("criterion 7 twin (bare inputs)", passed >= 9,
             f"{passed}/10 on seeds 0-9\n" + "\n".join(row for _, row in rows))
+
+
+def _gates_and_selections(warped, params):
+    """Per layer of `compound_pyramid(warped, params)`: the gate (valid
+    views' structural confidences agree to within gamma) from float64
+    layers of both maps, as the fusion builds them, and the selection; and
+    the output."""
+    selections = []
+    out = compound_pyramid(warped, params, lambda name, a: selections.append(a)
+                           if name.startswith("selection") else None)
+    gs, gv = (gaussian_pyramid([getattr(v, name) for v in warped],
+                               params.levels, np.float64)
+              for name in ("structural_confidence", "validity"))
+    gates = [np.where(v > 0.5, g, -np.inf).max(axis=0)
+             - np.where(v > 0.5, g, np.inf).min(axis=0) < params.gamma
+             for g, v in zip(gs, gv)]
+    return gates, selections, out
+
+
+def test_float32_pyramid_agrees_with_float64():
+    # The pyramid fusion blends in the dtype of the views' planes: float32
+    # on the views prepare_views makes, float64 on the same planes cast.  On
+    # the battery's scenes (criteria 6 and 7, with and without oracle maps)
+    # the outputs may differ only by float32 rounding; the flips of the gate
+    # and of the selection per layer are reported.  (With float32 layers of
+    # the oracle structural confidence, 0.2 on artifacts and 1 elsewhere, the
+    # layer-2 spread of some pixels lands within float32 rounding of gamma =
+    # 0.05 and the gate flips there, which is why those layers are float64.)
+    params = PyramidParams()
+    specs = ([two_view_phantom(s) for s in range(10)]
+             + [_segmentation_spec(s) for s in range(10)])
+    worst = 0.0
+    gate_flips = np.zeros(params.levels, int)
+    selection_flips = np.zeros(params.levels, int)
+    for spec in specs:
+        scene = generate(spec)
+        for oracle in (True, False):
+            warped = prepare_views(_view_inputs(scene, oracle),
+                                   spec.width, spec.height)
+            gates, selections, out = _gates_and_selections(warped, params)
+            gates64, selections64, out64 = _gates_and_selections(
+                float64_views(warped), params)
+            assert out.dtype == out64.dtype == np.float32
+            worst = max(worst, float(np.abs(out - out64).max()))
+            gate_flips += [np.count_nonzero(a != b) for a, b in zip(gates, gates64)]
+            selection_flips += [np.count_nonzero(a != b)
+                                for a, b in zip(selections, selections64)]
+    _report("float32 pyramid vs float64", worst <= 1e-6,
+            f"max |diff| {worst:.2e} over {2 * len(specs)} scenes; flips per "
+            f"layer 1-{params.levels}: gate {gate_flips.tolist()}, selection "
+            f"{selection_flips.tolist()}")
 
 
 def test_criterion_8_otsu_oracle():

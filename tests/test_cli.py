@@ -658,11 +658,11 @@ _BLOCK_SIZES = (blocks.BLOCK_PIXELS, 1)
     ((), "average", "dfb05caee6dc77b9c083c4a752e52cb73d81d9d282e3e2cdbddf4ba06dfa2168"),
     ((), "maximum", "7aea502c7f6ee0501f1023ced12264b1d6b0d0b02af97913f48c587189947290"),
     ((), "ubf", "bde93ddf2c09f751434c2d1215e3adf8c303341e446095b9bac75224d492101b"),
-    ((), "pyramid", "4b385c847dc7c1215acded1ef055f0aa8ee57931b275c1bebea2ed0d1a0d2df0"),
+    ((), "pyramid", "7e3f4f860c26d6c7dbaf5074bbfc8bf93c8264c410f90caae71863fa99c0ea86"),
     ((95, 93), "average", "640de38a56ae29140ad88f99b370e843e6c16c846d609d9c85715e5abfdd6eed"),
     ((95, 93), "maximum", "f36ad09663963bc4d19fe35a71c1d2da4e74713ab034763d11c1ce1e36ff0285"),
     ((95, 93), "ubf", "3ac7aad32cb21ff6e72a424dd877da097471ce05dd59919e7754686bb651a9bf"),
-    ((95, 93), "pyramid", "81369bd8f9164c5b0ec1f33971736f58055f2cb274f3a0cffb2894663f6bd894"),
+    ((95, 93), "pyramid", "206418c1e819a1f34aa69084a956a73b4fda5f916dd5c9149930a9b6ca486178"),
 ])
 def test_compound_output_bytes_pinned(tmp_path, monkeypatch, phantom_dir, size,
                                       method, digest):
@@ -678,14 +678,14 @@ def test_compound_output_bytes_pinned(tmp_path, monkeypatch, phantom_dir, size,
 # sha256 of the intermediates `--dump-intermediates` writes for the pyramid
 # run on the phantom_dir scene: the pyramid layers of the fusion, pinned.
 _INTERMEDIATE_DIGESTS = {
-    "blended_layer1": "03e70f1b83b0fb1e3b193c31749d07b50d66932931f1a46fdeab1e025273c786",
-    "blended_layer2": "1fe07956313e3946c4d11c8841cdc2975867a8f5b14ed9c2dbba4e8c45c7d05f",
-    "blended_layer3": "ff164a378a0f54395376fbaf8c9d6492dd9c29e4e753b9e332b137053a8d466f",
-    "blended_layer4": "c8285e024ac79bb011baa62fe9212dcb6b46633753806ee2f079a2d65e655aed",
-    "blended_layer5": "9c6f1eb1791a3a3fe271934c4bc43f0d2a774d8988a24aaa517f6905140df7b7",
-    "partial_layer3_post_enhance": "7676190e9f1b4d0996d9b8b69f23394436005e936804312a8a986802dc93747e",
-    "partial_layer3_pre_enhance": "c22828f154774e2aae90ac2d61fd0ad9cf04770dce87f582bc56e05390cadb0b",
-    "selection_layer1": "c09c9dfccbfc7869082edaafcfd0bbd33ba831288c84a4adf8c8e8cfccf0f79b",
+    "blended_layer1": "baaa7a53d36b0cdffc2921ea17af17009b4811431a60ad94c1c29aa997262a72",
+    "blended_layer2": "93e6c5d19355d37f8d96c19f4a51ebbd5f3f8d14b34f9ea209da3509416c97a2",
+    "blended_layer3": "9c54f21b6d9e65d3981b067356b993286ed6d09c0e59087f5822a42a3d10ad18",
+    "blended_layer4": "adba1f17e26d0814b0a49b2ec1a5bee20b1c15a6e59fd43ec27ddd73de41598a",
+    "blended_layer5": "dcbc9c8c1cd42b90d1a24a702c794f6e7b5d03585100cdfff3c4917b64476e98",
+    "partial_layer3_post_enhance": "5df349c1f14e9fe54db9f364137cf88ec865a1ddd9e35924e42598fcb546474f",
+    "partial_layer3_pre_enhance": "fe3382168e87374e66527f44f35f183a11e347469a23c46be3f08d0564bb18b9",
+    "selection_layer1": "614cab9f36acd999e02bad386089bb505b18719163b5db52213ec080b687d200",
     "selection_layer2": "01c09123341ac6bcec801b0774b442bf15ee9bc6b528b54a4c8965dedee87708",
     "selection_layer3": "a9418e8f80bb33055a237663a4625028ae0b6f34b6cb0c4482802d273eb46830",
     "selection_layer4": "671633f80c353246fdb3017b64fb73aae09ec4c2d3378a026741742997b9f15f",

@@ -1,7 +1,8 @@
 import ast
+import hashlib
 import importlib
 import inspect
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import traced_peak_mib, two_view_phantom
+from test_pyramid import layer_dtype
 from uscompound import blocks
 from uscompound import pyramid as pyr
 from uscompound.compound import (PyramidParams, blend_layer, compound,
@@ -261,8 +263,9 @@ _OFFSETS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)
 
 
 def local_contrast_oracle(layer):
-    """One |neighbor - center| per directed offset, over all 8 offsets."""
-    a = np.asarray(layer, dtype=np.float64)
+    """One |neighbor - center| per directed offset, over all 8 offsets, in
+    the dtype of `layer`."""
+    a = np.asarray(layer, dtype=layer_dtype(layer))
     h, w = a.shape[-2:]
     out = np.zeros_like(a)
     for di, dj in _OFFSETS:
@@ -275,7 +278,8 @@ def local_contrast_oracle(layer):
 
 
 def select_oracle(image_layers, structural_layers, validity_layers, gamma):
-    """Both branches ranked by `argmax(axis=0)` over masked views."""
+    """Both branches ranked by `argmax(axis=0)` over masked views: the
+    structural confidences in float64, the contrast in the images' dtype."""
     gs = np.asarray(structural_layers, dtype=np.float64)
     valid = np.asarray(validity_layers, dtype=bool)
     spread = (np.where(valid, gs, -np.inf).max(axis=0)
@@ -326,7 +330,7 @@ def test_local_contrast_matches_oracle_on_batched_layers(batch, h, w, dtype,
                      rng.choice([-0.5, -0.0, 0.0, 0.25], size=size),
                      rng.random(size)).astype(dtype)
     got, want = _local_contrast(layer), local_contrast_oracle(layer)
-    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.dtype == dtype and got.shape == want.shape
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -358,9 +362,10 @@ def whole_frame_select(image_layers, structural_layers, validity_layers, gamma):
 def whole_frame_weighted_average(laplacian_layers, intensity_layers,
                                  validity_layers):
     """`weighted_average_layer` over the whole frame at once."""
-    values = np.asarray(laplacian_layers, dtype=np.float64)
+    dtype = layer_dtype(laplacian_layers, intensity_layers)
+    values = np.asarray(laplacian_layers, dtype=dtype)
     valid = np.asarray(validity_layers, dtype=bool)
-    w = np.where(valid, np.asarray(intensity_layers, dtype=np.float64), 0.0)
+    w = np.where(valid, np.asarray(intensity_layers, dtype=dtype), 0.0)
     wsum = w.sum(axis=0)
     num = (w * values).sum(axis=0)
     out = np.divide(num, wsum, out=np.zeros_like(num), where=wsum > 0)
@@ -373,10 +378,11 @@ def whole_frame_weighted_average(laplacian_layers, intensity_layers,
 def whole_frame_enhance(partial, boundary_layers, image_layers,
                         validity_layers):
     """`enhance_boundaries` over the whole frame at once."""
-    part = np.asarray(partial, dtype=np.float64)
-    gi = np.asarray(image_layers, dtype=np.float64)
+    dtype = layer_dtype(partial, boundary_layers, image_layers)
+    part = np.asarray(partial, dtype=dtype)
+    gi = np.asarray(image_layers, dtype=dtype)
     valid = np.asarray(validity_layers, dtype=bool)
-    gb = np.where(valid, np.asarray(boundary_layers, dtype=np.float64), 0.0)
+    gb = np.where(valid, np.asarray(boundary_layers, dtype=dtype), 0.0)
     den = gb.sum(axis=0)
     num = (gb * gi).sum(axis=0)
     weighted = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
@@ -414,18 +420,19 @@ def test_select_and_average_blocks_match_whole_frame(n_views, h, w, rows, gamma,
         sel = select_view_layer(args[0], args[1], args[4], PyramidParams(gamma=gamma))
         avg = weighted_average_layer(args[2], args[3], args[4])
         enhanced = enhance_boundaries(partial, args[5], args[0], args[4])
-    assert sel.dtype == np.intp
+    assert sel.dtype == np.uint8
     assert np.array_equal(sel, whole_frame_select(image, gs, valid, gamma))
     for got, want in [(avg, whole_frame_weighted_average(lap, gc, valid)),
                       (enhanced, whole_frame_enhance(partial, gb, image, valid))]:
-        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.dtype == dtype and got.shape == want.shape
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-# Each output is 2 MiB; the whole-frame forms peaked at 16.8 MiB
-# (select_view_layer) and 18.0 MiB (weighted_average_layer) on these calls.
-# Each may take its output plus 3 MiB.
+# The average is 2 MiB and the uint8 selection 0.25 MiB; the whole-frame
+# forms peaked at 16.8 MiB (select_view_layer, with an intp selection) and
+# 18.0 MiB (weighted_average_layer) on these calls.  Each may take 2 MiB
+# plus 3 MiB.
 def test_select_and_average_memory_is_their_output_plus_a_block(rng):
     layer, gs = rng.random((2, 512, 512)), rng.random((2, 512, 512))
     valid = rng.random((2, 512, 512)) > 0.1
@@ -540,7 +547,7 @@ def test_baseline_memory_is_its_output_plus_a_block(method, bound):
 def test_select_matches_argmax_oracle(n_views, gamma, seed):
     image, gs, valid = tie_prone_layers(np.random.default_rng(seed), n_views)
     sel = select_view_layer(image, gs, valid, PyramidParams(gamma=gamma))
-    assert sel.dtype == np.intp
+    assert sel.dtype == np.uint8
     assert np.array_equal(sel, select_oracle(image, gs, valid, gamma))
     # the ties and the pixels invalid everywhere are really there
     assert np.all(sel[:, 3] == 0)
@@ -548,6 +555,18 @@ def test_select_matches_argmax_oracle(n_views, gamma, seed):
         contrast = np.where(valid, local_contrast_oracle(image), -np.inf)
         top = contrast == contrast.max(axis=0)
         assert np.any(top.sum(axis=0)[valid.any(axis=0)] > 1)
+
+
+def test_selection_takes_the_smallest_index_dtype():
+    # uint8 holds the indices of up to 256 views; 257 views need uint16
+    rng = np.random.default_rng(0)
+    for n_views, dtype in [(1, np.uint8), (256, np.uint8), (257, np.uint16)]:
+        image, gs = rng.random((2, n_views, 3, 2))
+        valid = np.ones((n_views, 3, 2), bool)
+        image[-1] = 100.0 * (np.indices((3, 2)).sum(axis=0) % 2)  # most contrast
+        sel = select_view_layer(image, gs, valid, PyramidParams(gamma=1.0))
+        assert sel.dtype == dtype
+        assert np.all(sel == n_views - 1)
 
 
 def weighted_laplacian_oracle(views, levels):
@@ -578,16 +597,19 @@ def test_phi_zero_matches_weighted_average_oracle(rng):
 
 def per_view_pyramid_reference(views, params=PyramidParams()):
     """List-based compound_pyramid: one 2-D pyramid per map and per view,
-    regrouped into per-layer lists of views."""
+    regrouped into per-layer lists of views.  The pyramids of the gating
+    maps (structural confidence and validity) are float64; every other
+    pyramid, and all that is computed from it, takes the dtype of its map:
+    float32 from float32 and bool maps, float64 from float64 ones."""
     levels = params.levels
     gi = [gaussian_pyramid(v.image, levels) for v in views]
     lap = [laplacian_pyramid(gaussian_pyramid(v.image, levels)) for v in views]
     gc = [gaussian_pyramid(v.intensity_confidence, levels) for v in views]
-    gs = [gaussian_pyramid(v.structural_confidence, levels) for v in views]
-    gb = [gaussian_pyramid(v.boundary_mask.astype(np.float64), levels)
+    gs = [gaussian_pyramid(v.structural_confidence, levels, np.float64)
           for v in views]
+    gb = [gaussian_pyramid(v.boundary_mask, levels) for v in views]
     gv = [[layer > 0.5
-           for layer in gaussian_pyramid(v.validity.astype(np.float64), levels)]
+           for layer in gaussian_pyramid(v.validity, levels, np.float64)]
           for v in views]
 
     blended = []
@@ -620,6 +642,22 @@ def per_view_pyramid_reference(views, params=PyramidParams()):
     return np.where(any_valid, np.clip(recon, 0.0, 1.0), 0.0).astype(np.float32)
 
 
+def float64_views(views):
+    """The views with every plane, validity and boundary mask included, cast
+    to float64, so that the whole fusion runs in float64."""
+    return [replace(v, **{f.name: np.asarray(getattr(v, f.name), np.float64)
+                          for f in fields(v)})
+            for v in views]
+
+
+def assert_matches_per_view_reference(views, params=PyramidParams()):
+    """`compound_pyramid` equals the per-view reference bit for bit on the
+    views as given (float32 maps, bool masks) and cast to float64."""
+    for vs in (views, float64_views(views)):
+        assert np.array_equal(compound_pyramid(vs, params),
+                              per_view_pyramid_reference(vs, params))
+
+
 def partially_seen_views(rng, first_view_covers=True):
     """Three views seeing slanted half-planes with scattered holes; unless the
     first view covers the frame, no view sees the far corner, down to the
@@ -643,17 +681,14 @@ def partially_seen_views(rng, first_view_covers=True):
     PyramidParams(phi_overrides=(0.3, 0.9, 0.1, 1.0, 0.5), enhance_layer=1),
 ])
 def test_pyramid_matches_per_view_reference_random(rng, params):
-    views = partially_seen_views(rng)
-    assert np.array_equal(compound_pyramid(views, params),
-                          per_view_pyramid_reference(views, params))
+    assert_matches_per_view_reference(partially_seen_views(rng), params)
 
 
 def test_pyramid_matches_per_view_reference_where_no_view_sees(rng):
     # the selection is zeroed where no view is valid at a layer, which the
     # upsampling would otherwise carry into the seen pixels nearby
-    views = partially_seen_views(rng, first_view_covers=False)
-    assert np.array_equal(compound_pyramid(views),
-                          per_view_pyramid_reference(views))
+    assert_matches_per_view_reference(
+        partially_seen_views(rng, first_view_covers=False))
 
 
 def test_pyramid_matches_per_view_reference_phantom():
@@ -661,18 +696,42 @@ def test_pyramid_matches_per_view_reference_phantom():
     warped = prepare_views([ViewInput(v.image, v.to_common) for v in scene.views],
                            192, 192)
     assert not all(v.validity.all() for v in warped)
-    assert np.array_equal(compound_pyramid(warped),
-                          per_view_pyramid_reference(warped))
+    assert_matches_per_view_reference(warped)
+
+
+# sha256 of every array the debug sink gets (by name) and of the output, for
+# the two views prepare_views makes of a 192² phantom with every plane cast
+# to float64.  Recorded when every pyramid layer was float64 whatever the
+# views' dtype, so float64 views must keep giving those bytes.
+@pytest.mark.parametrize("params,digest", [
+    (PyramidParams(),
+     "1aadc704377b72ffc302b25acc5efe40181be56a802812554901e6d8d5154f48"),
+    (PyramidParams(levels=4, enhance_layer=1, gamma=0.2),
+     "018982f53da4cf89933c3d42433b308686bf40718065bb47f52e2541911c480b"),
+])
+def test_float64_views_keep_the_float64_pyramid_bytes(params, digest):
+    scene = generate(two_view_phantom(0))
+    warped = prepare_views([ViewInput(v.image, v.to_common) for v in scene.views],
+                           192, 192)
+    h = hashlib.sha256()
+
+    def sink(name, a):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(compound_pyramid(float64_views(warped), params, sink).tobytes())
+    assert h.hexdigest() == digest
 
 
 # With every map's pyramid and frame-sized per-layer temporaries alive at
 # once, compound_pyramid peaked at 50.1 MiB on this call, and at 26.3 MiB
-# with float64 stacks of the maps; stacked in their own dtypes, 20.6 MiB.
+# with float64 stacks of the maps; stacked in their own dtypes, 20.6 MiB;
+# with float32 layers of the blended maps, float64 layers of the gating maps
+# and a uint8 selection, 13.9 MiB.
 def test_pyramid_fusion_memory_is_bounded():
     scene = generate(two_view_phantom(0, size=512))
     warped = prepare_views([ViewInput(v.image, v.to_common) for v in scene.views],
                            512, 512)
-    assert traced_peak_mib(lambda: compound_pyramid(warped)) <= 22
+    assert traced_peak_mib(lambda: compound_pyramid(warped)) <= 15
 
 
 def test_pyramid_builds_traced_by_name(monkeypatch):

@@ -13,11 +13,20 @@ from uscompound.pyramid import (_reduce, collapse, gaussian_pyramid,
                                 laplacian_pyramid, layer_shapes,
                                 partial_collapse, upsample)
 
-KERNEL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
+# Python floats, as the library's taps, so each product keeps the dtype of
+# the array it multiplies.
+KERNEL = [1.0 / 16.0, 4.0 / 16.0, 6.0 / 16.0, 4.0 / 16.0, 1.0 / 16.0]
+
+
+def layer_dtype(*arrays):
+    """The dtype the pyramid and the per-layer helpers compute in from
+    `arrays`: float32 from bool and float32, float64 from float64."""
+    return np.result_type(*(np.asarray(a).dtype for a in arrays), np.float32)
 
 
 def blur_oracle(a):
-    """The 5-tap separable blur with reflect-101 borders at every pixel."""
+    """The 5-tap separable blur with reflect-101 borders at every pixel, in
+    the dtype of `a`, each sum started from 0."""
     h, w = a.shape[-2:]
     p = np.pad(a, [(0, 0)] * (a.ndim - 2) + [(2, 2), (2, 2)], mode="reflect")
     horiz = sum(k * p[..., i:i + w] for i, k in enumerate(KERNEL))
@@ -26,14 +35,14 @@ def blur_oracle(a):
 
 def reduce_oracle(a):
     """Blur every pixel, then keep the even rows and columns."""
-    return blur_oracle(np.asarray(a, dtype=np.float64))[..., ::2, ::2]
+    return blur_oracle(np.asarray(a, dtype=layer_dtype(a)))[..., ::2, ::2]
 
 
 def upsample_oracle(a, target_shape):
     """Zero-insert to the full target size, then blur it all with the
     x4-scaled kernel."""
     th, tw = target_shape[-2:]
-    z = np.zeros(a.shape[:-2] + (th, tw), dtype=np.float64)
+    z = np.zeros(a.shape[:-2] + (th, tw), dtype=layer_dtype(a))
     z[..., ::2, ::2] = a
     return blur_oracle(z) * 4.0
 
@@ -44,19 +53,23 @@ def same_bits(x, y):
             and np.array_equal(np.signbit(x), np.signbit(y)))
 
 
-# both signed zeros are drawn often, so that a sign flip would show
-_values = st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0)
+def _values(width):
+    """Floats of `width` bits; both signed zeros are drawn often, so that a
+    sign flip would show."""
+    return st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0, width=width)
 
 
 @st.composite
 def batched_grids(draw, axis=st.integers(2, 64)):
-    """float64 with signed zeros, or bool as the validity pyramid gets, with
-    0-2 leading batch axes."""
+    """float32 or float64 with signed zeros, or bool as the validity pyramid
+    gets, with 0-2 leading batch axes."""
     shape = (tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
              + (draw(axis), draw(axis)))
     if draw(st.booleans()):
         return draw(arrays(bool, shape))
-    return draw(arrays(np.float64, shape, elements=_values))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return draw(arrays(dtype, shape,
+                       elements=_values(8 * np.dtype(dtype).itemsize)))
 
 
 @given(batched_grids())
@@ -64,37 +77,69 @@ def batched_grids(draw, axis=st.integers(2, 64)):
 def test_pyramid_matches_full_blur_oracles(a):
     levels = min(a.shape[-2:]).bit_length()   # the deepest pyramid that fits
     g = gaussian_pyramid(a, levels)
-    assert g[0] is a          # layer 1 is the input as given, float64 or bool
+    assert g[0] is a          # layer 1 is the input as given
+    assert all(layer.dtype == layer_dtype(a) for layer in g[1:])
     for fine, coarse in zip(g, g[1:]):
         assert same_bits(coarse, reduce_oracle(fine))
         assert same_bits(upsample(coarse, fine.shape),
                          upsample_oracle(coarse, fine.shape))
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64, bool, np.uint8,
-                                   np.int64, np.float16])
+# The dtype of every coarser layer for each input dtype drawn below:
+# np.result_type(input, np.float32).
+_LAYER_DTYPES = {np.float32: np.float32, np.float64: np.float64,
+                 bool: np.float32, np.uint8: np.float32,
+                 np.int64: np.float64, np.float16: np.float32}
+
+
+@pytest.mark.parametrize("dtype", list(_LAYER_DTYPES))
 def test_layer_1_is_kept_only_for_float_and_bool_inputs(rng, dtype):
-    # REDUCE reads every block as float64, so a float32, float64 or bool
-    # layer 1 needs no copy; any other dtype is converted to float64
+    # REDUCE reads every block in the layers' dtype, exactly, so a float32,
+    # float64 or bool layer 1 needs no copy; any other dtype is converted to
+    # the layers' dtype: uint8 and float16 to float32, int64 to float64
+    want = _LAYER_DTYPES[dtype]
     a = (rng.random((2, 12, 10)) * 3).astype(dtype)
     g = gaussian_pyramid(a, 3)
     if dtype in (np.float32, np.float64, bool):
         assert g[0] is a
     else:
-        assert same_bits(g[0], a.astype(np.float64))
+        assert same_bits(g[0], a.astype(want))
+    assert all(layer.dtype == want for layer in g[1:])
     for fine, coarse in zip(g, g[1:]):
         assert same_bits(coarse, reduce_oracle(fine))
     assert all(same_bits(x, y) for x, y in
-               zip(g[1:], gaussian_pyramid(a.astype(np.float64), 3)[1:]))
+               zip(g[1:], gaussian_pyramid(a.astype(want), 3)[1:]))
+
+
+@pytest.mark.parametrize("dtype,want", [
+    (np.float32, np.float32), (bool, np.float32), (np.float64, np.float64)])
+def test_every_layer_takes_the_dtype_of_its_inputs(rng, dtype, want):
+    a = (rng.random((2, 33, 47)) * 2).astype(dtype)
+    g = gaussian_pyramid(a, 4)
+    lap = laplacian_pyramid(g)
+    assert [layer.dtype for layer in g[1:]] == [want] * 3
+    assert [layer.dtype for layer in lap] == [want] * 4
+    assert [partial_collapse(lap, k).dtype for k in range(1, 5)] == [want] * 4
+    assert collapse(lap).dtype == want
+    # float64 asked for: the coarser layers are float64, layer 1 is as given
+    g64 = gaussian_pyramid(a, 4, np.float64)
+    assert g64[0] is a and [layer.dtype for layer in g64[1:]] == [np.float64] * 3
+    # one float64 layer in a chain makes what is computed from it float64
+    mixed = lap[:-1] + [lap[-1].astype(np.float64)]
+    assert partial_collapse(mixed, 1).dtype == np.float64
+    assert laplacian_pyramid(mixed)[0].dtype == np.float64
 
 
 @given(batched_grids(axis=st.integers(1, 32)), st.integers(0, 1),
        st.integers(0, 1))
 @settings(max_examples=60, deadline=None)
 def test_upsample_matches_zero_insert_oracle(a, drop_row, drop_col):
-    # target axes 1..64, odd and even; `a` itself carries the signed zeros
+    # target axes 1..64, odd and even; `a` itself carries the signed zeros,
+    # and the result its layers' dtype
     target = (2 * a.shape[-2] - drop_row, 2 * a.shape[-1] - drop_col)
-    assert same_bits(upsample(a, target), upsample_oracle(a, target))
+    up = upsample(a, target)
+    assert up.dtype == layer_dtype(a)
+    assert same_bits(up, upsample_oracle(a, target))
 
 
 @pytest.mark.parametrize("coarse,target", [
@@ -158,7 +203,8 @@ def test_blocked_reduce_and_upsample_match_whole_frame(a, rows, drop_row,
                 mp.setattr(blocks, "BLOCK_PIXELS", rows * 2 * fine_width)
             return fn(*args)
 
-    assert same_bits(blocked(_reduce, a.shape[-1], a), whole_frame_reduce(a))
+    assert same_bits(blocked(_reduce, a.shape[-1], a, a.dtype),
+                     whole_frame_reduce(a))
     assert same_bits(blocked(upsample, target[-1], a, target),
                      whole_frame_upsample(a, target))
     # the Laplacian and the collapse add and subtract in place
