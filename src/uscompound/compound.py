@@ -156,8 +156,9 @@ def compound_ubf(views: Sequence[WarpedView]) -> np.ndarray:
 
 
 def _masked_mean(values, valid):
-    """Sum(v)/count over the valid views; pixels valid nowhere get 0."""
-    counts = valid.sum(axis=0)
+    """Sum(v)/count over the valid views; pixels valid nowhere get 0.  The
+    count is taken in the values' dtype, so the divide runs in it too."""
+    counts = valid.sum(axis=0, dtype=values.dtype)
     total = np.where(valid, values, 0.0).sum(axis=0)
     return np.divide(total, counts, out=np.zeros_like(total), where=counts > 0)
 
@@ -248,7 +249,9 @@ def select_view_layer(image_layers: Sequence[np.ndarray],
 
     Where the valid views' structural confidences agree to within `gamma`,
     pick the view with the largest local contrast; otherwise pick the view
-    with the largest structural confidence.  Ties go to the lowest index.
+    with the largest structural confidence.  Ties between the computed keys
+    go to the lowest index; keys equal in real arithmetic but an ulp apart
+    once rounded (as 8-bit inputs' contrasts often are) go by rounding.
     The structural confidences, which gate, are read as float64 whatever
     their dtype; the local contrast is taken in the image layers' dtype.
 
@@ -393,13 +396,13 @@ def prepare_views(views: Sequence[ViewInput], out_width: int, out_height: int,
     """
     warped = []
     for v in views:
+        fill = {}
         if v.intensity_confidence is None:
-            v = replace(v, intensity_confidence=attenuation_intensity_confidence(
-                v.image, attenuation_params))
+            fill["intensity_confidence"] = attenuation_intensity_confidence(
+                v.image, attenuation_params)
         if v.boundary_mask is None:
-            v = replace(v, boundary_mask=detect_boundaries(v.image.data,
-                                                           boundary_params))
-        w = warp_to_common(v, out_width, out_height)
+            fill["boundary_mask"] = detect_boundaries(v.image.data, boundary_params)
+        w = warp_to_common(replace(v, **fill) if fill else v, out_width, out_height)
         if w.structural_confidence is None:
             w.structural_confidence = np.ones_like(w.image, dtype=np.float32)
         warped.append(w)

@@ -7,7 +7,6 @@ the effective config and re-running is a no-op.
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import fields
 
@@ -16,7 +15,7 @@ from .compound import PyramidParams
 from .confidence import AttenuationParams
 from .errors import SpecError, check_value
 
-__all__ = ["DEFAULTS", "load_config", "merge_config", "read_json", "Config"]
+__all__ = ["DEFAULTS", "load_config", "read_json", "Config"]
 
 # Each table's fields, read off the parameter dataclasses.  PyramidParams.levels
 # is exposed as pyramid.K; its other fields live under "compound".
@@ -31,34 +30,26 @@ DEFAULTS = {table: {key: f.default for key, f in table_fields.items()}
             for table, table_fields in _FIELDS.items()}
 
 
-def merge_config(base: dict, override: dict, path: str = "",
-                 spec: dict = _FIELDS) -> dict:
-    """Deep-merge `override` into a copy of `base`, rejecting unknown keys
-    and leaf values that the annotation of the dataclass field in the same
-    place of `spec` does not admit."""
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        where = f"{path}.{key}" if path else key
-        if key not in base:
-            raise SpecError(f"unknown config key {where!r}")
-        if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise SpecError(f"config key {where!r} must be a table")
-            out[key] = merge_config(base[key], value, where, spec[key])
-        else:
-            check_value(value, spec[key].type, f"config key {where!r}",
-                        SpecError)
-            out[key] = value
-    return out
-
-
 class Config:
     """Effective configuration resolved from defaults plus overrides."""
 
     def __init__(self, values: dict | None = None):
-        """Merge `values` over the defaults and check every range, so a
-        config is accepted or rejected whatever stage reads it."""
-        self.values = merge_config(DEFAULTS, values or {})
+        """Lay `values` over a copy of the defaults, table by table, and
+        check every key, type and range, so a config is accepted or
+        rejected whatever stage reads it."""
+        self.values = {table: dict(keys) for table, keys in DEFAULTS.items()}
+        for table, given in (values or {}).items():
+            if table not in _FIELDS:
+                raise SpecError(f"unknown config key {table!r}")
+            if not isinstance(given, dict):
+                raise SpecError(f"config key {table!r} must be a table")
+            for key, value in given.items():
+                name = f"{table}.{key}"
+                if key not in _FIELDS[table]:
+                    raise SpecError(f"unknown config key {name!r}")
+                check_value(value, _FIELDS[table][key].type,
+                            f"config key {name!r}", SpecError)
+                self.values[table][key] = value
         c = dict(self.values["compound"])
         if c["phi_overrides"] is not None:
             c["phi_overrides"] = tuple(c["phi_overrides"])

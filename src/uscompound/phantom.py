@@ -19,7 +19,7 @@ as uint64 arrays; the draws equal the serial stream's bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,16 +111,8 @@ def _rayleigh(seed: int, scale: float, n: int) -> np.ndarray:
     return scale * np.sqrt(-2.0 * np.log1p(-u))
 
 
-class _Checked:
-    """A spec whose fields go through `errors.check_fields` when it is
-    built, so a wrong type or a non-finite number is named by its field."""
-
-    def __post_init__(self):
-        check_fields(self)
-
-
 @dataclass(frozen=True)
-class VesselSpec(_Checked):
+class VesselSpec:
     cx: float
     cy: float
     a: float
@@ -129,16 +121,30 @@ class VesselSpec(_Checked):
     wall_intensity: float = 0.8
     rotation: float = 0.0
 
+    def __post_init__(self):
+        check_fields(self)
+        if self.a <= 0 or self.b <= 0 or self.wall_thickness <= 0:
+            raise SpecError("vessel axes and wall thickness must be positive")
+        if self.wall_intensity <= 0:
+            raise SpecError("vessel wall_intensity must be positive")
+
 
 @dataclass(frozen=True)
-class ReverbSpec(_Checked):
+class ReverbSpec:
     count: int = 3
-    spacing: float = 30.0     # rows between consecutive echoes
+    spacing: float = 30.0     # rows between consecutive echoes, at least 1
     decay: float = 0.5        # per-echo intensity factor, in (0, 1)
 
+    def __post_init__(self):
+        check_fields(self)
+        if not 0.0 < self.decay < 1.0:
+            raise SpecError("echo decay factor must lie in (0, 1)")
+        if self.spacing < 1:
+            raise SpecError("reverb spacing must be at least 1 row")
+
 
 @dataclass(frozen=True)
-class ReflectorSpec(_Checked):
+class ReflectorSpec:
     row: float
     col_start: float
     col_end: float
@@ -147,11 +153,23 @@ class ReflectorSpec(_Checked):
     reverb: ReverbSpec | None = None
     shadow: float = 1.0       # attenuation factor applied below, 1 = none
 
+    def __post_init__(self):
+        check_fields(self)
+        if self.thickness <= 0 or self.intensity <= 0:
+            raise SpecError("reflector thickness and intensity must be positive")
+        if not 0.0 <= self.shadow <= 1.0:
+            raise SpecError("shadow factor must lie in [0, 1]")
+
 
 @dataclass(frozen=True)
-class SpeckleSpec(_Checked):
+class SpeckleSpec:
     scale: float = 0.03       # Rayleigh scale
     seed: int = 1
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.scale < 0:
+            raise SpecError("speckle scale must not be negative")
 
 
 def _optional(kind, value, what: str):
@@ -161,7 +179,7 @@ def _optional(kind, value, what: str):
 
 
 @dataclass(frozen=True)
-class PhantomSpec(_Checked):
+class PhantomSpec:
     width: int
     height: int
     vessel: VesselSpec | None = None
@@ -169,15 +187,31 @@ class PhantomSpec(_Checked):
     speckle: SpeckleSpec | None = None
     views: tuple[RigidTransform2D, ...] = (RigidTransform2D(),)
 
+    def __post_init__(self):
+        check_fields(self)  # then the rules that span specs
+        w, h = self.width, self.height
+        if w <= 0 or h <= 0:
+            raise SpecError("phantom dimensions must be positive")
+        if not self.views:
+            raise SpecError("phantom views must list at least one view")
+        v = self.vessel
+        if v is not None:
+            r = max(v.a, v.b) + v.wall_thickness
+            if not (0 <= v.cx - r and v.cx + r < w and 0 <= v.cy - r and v.cy + r < h):
+                raise SpecError("vessel extends outside the phantom")
+        for refl in self.reflectors:
+            if not (0 <= refl.col_start <= refl.col_end < w and 0 <= refl.row < h):
+                raise SpecError("reflector outside the phantom")
+
     @classmethod
     def from_dict(cls, d: dict) -> "PhantomSpec":
         checked(cls, d, "phantom spec")
         vessel = _optional(VesselSpec, d.get("vessel"), "vessel")
         reflectors = []
         for i, r in enumerate(d.get("reflectors", [])):
-            r = ReflectorSpec(**checked(ReflectorSpec, r, f"reflectors[{i}]"))
-            reflectors.append(replace(r, reverb=_optional(
-                ReverbSpec, r.reverb, f"reflectors[{i}].reverb")))
+            r = checked(ReflectorSpec, r, f"reflectors[{i}]")
+            reflectors.append(ReflectorSpec(**{**r, "reverb": _optional(
+                ReverbSpec, r.get("reverb"), f"reflectors[{i}].reverb")}))
         speckle = _optional(SpeckleSpec, d.get("speckle"), "speckle")
         views = tuple(RigidTransform2D.from_dict(v) for v in d.get("views", [{}]))
         return cls(d["width"], d["height"], vessel,
@@ -196,36 +230,6 @@ class PhantomView:
 class PhantomScene:
     views: list[PhantomView]
     spec: PhantomSpec
-
-
-def _validate(spec: PhantomSpec) -> None:
-    w, h = spec.width, spec.height
-    if w <= 0 or h <= 0:
-        raise SpecError("phantom dimensions must be positive")
-    if not spec.views:
-        raise SpecError("phantom views must list at least one view")
-    if spec.speckle is not None and spec.speckle.scale < 0:
-        raise SpecError("speckle scale must not be negative")
-    if spec.vessel is not None:
-        v = spec.vessel
-        r = max(v.a, v.b) + v.wall_thickness
-        if not (0 <= v.cx - r and v.cx + r < w and 0 <= v.cy - r and v.cy + r < h):
-            raise SpecError("vessel extends outside the phantom")
-        if v.a <= 0 or v.b <= 0 or v.wall_thickness <= 0:
-            raise SpecError("vessel axes and wall thickness must be positive")
-        if v.wall_intensity <= 0:
-            raise SpecError("vessel wall_intensity must be positive")
-    for refl in spec.reflectors:
-        if not (0 <= refl.col_start <= refl.col_end < w and 0 <= refl.row < h):
-            raise SpecError("reflector outside the phantom")
-        if refl.thickness <= 0 or refl.intensity <= 0:
-            raise SpecError("reflector thickness and intensity must be positive")
-        if refl.reverb is not None and not 0.0 < refl.reverb.decay < 1.0:
-            raise SpecError("echo decay factor must lie in (0, 1)")
-        if refl.reverb is not None and refl.reverb.spacing <= 0:
-            raise SpecError("reverb spacing must be positive")
-        if not 0.0 <= refl.shadow <= 1.0:
-            raise SpecError("shadow factor must lie in [0, 1]")
 
 
 def _wrap_angle(a: float) -> float:
@@ -276,7 +280,8 @@ def _render_view(spec: PhantomSpec, t: RigidTransform2D,
             for col in np.unique(cols):
                 bottom = rows[cols == col].max()
                 img[bottom + 1:, col] *= refl.shadow
-        # Echo train straight down the beam at multiples of the spacing.
+        # Echo train straight down the beam at multiples of the spacing; as
+        # spacing >= 1, echo n lies n rows down or more: at most h echoes.
         if refl.reverb is not None:
             rv = refl.reverb
             for n in range(1, rv.count + 1):
@@ -300,7 +305,6 @@ def _render_view(spec: PhantomSpec, t: RigidTransform2D,
 
 def generate(spec: PhantomSpec) -> PhantomScene:
     """Render every view of the scene; bit-identical for identical specs."""
-    _validate(spec)
     base_seed = spec.speckle.seed if spec.speckle is not None else 0
     views = []
     for idx, t in enumerate(spec.views):

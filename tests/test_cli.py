@@ -13,7 +13,7 @@ from uscompound.cli import run
 from uscompound.compound import PyramidParams
 from uscompound.confidence import (AttenuationParams,
                                    attenuation_intensity_confidence)
-from uscompound.config import Config, load_config, merge_config
+from uscompound.config import Config, load_config
 from uscompound.errors import SpecError
 from uscompound.image import Image, load_image, save_image
 from uscompound.pyramid import layer_shapes
@@ -193,10 +193,12 @@ def test_config_defaults_are_the_dataclass_defaults():
 
 
 def test_config_unknown_key_rejected():
-    with pytest.raises(SpecError):
+    with pytest.raises(SpecError, match=r"^unknown config key 'boundary\.alhpa'$"):
         Config({"boundary": {"alhpa": 3}})
-    with pytest.raises(SpecError):
-        merge_config({"a": 1}, {"b": 2})
+    with pytest.raises(SpecError, match="^unknown config key 'bogus'$"):
+        Config({"bogus": {}})
+    with pytest.raises(SpecError, match="^config key 'boundary' must be a table$"):
+        Config({"boundary": 3})
 
 
 def test_config_roundtrip_noop(tmp_path):
@@ -399,9 +401,11 @@ def _write_spec(tmp_path, **changes):
     ({"views": [{"rotation": "0.5"}]}, "transform key 'rotation' must be a number"),
     ({"views": []}, "views must list at least one view"),
     ({"reflectors": [{"row": 3, "col_start": 10, "col_end": 38,
-                      "reverb": {"spacing": -10}}]}, "spacing must be positive"),
+                      "reverb": {"spacing": -10}}]},
+     "spacing must be at least 1 row"),
     ({"reflectors": [{"row": 3, "col_start": 10, "col_end": 38,
-                      "reverb": {"spacing": 0}}]}, "spacing must be positive"),
+                      "reverb": {"spacing": 0}}]},
+     "spacing must be at least 1 row"),
     ({"speckle": {"scale": -0.02}}, "scale must not be negative"),
     ({"reflectors": [{"row": 8, "col_start": 10, "col_end": 38,
                       "thickness": 0}]}, "thickness and intensity must be positive"),

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import traced_peak_mib, two_view_phantom
 from test_pyramid import layer_dtype
@@ -21,13 +22,14 @@ from uscompound.compound import (PyramidParams, blend_layer, compound,
                                  _local_contrast, _planes)
 from uscompound.confidence import AttenuationParams
 from uscompound.errors import DimensionError
-from uscompound.image import ViewInput, WarpedView
+from uscompound.image import Image, ViewInput, WarpedView
 from uscompound.phantom import generate
 from uscompound.pyramid import (collapse, gaussian_pyramid, laplacian_pyramid,
                                 upsample)
 
 # The package's `compound` attribute is the function, not the module.
 compound_module = importlib.import_module("uscompound.compound")
+image_module = importlib.import_module("uscompound.image")
 
 
 def make_view(img, valid=None, gc=None, gs=None, bm=None):
@@ -902,6 +904,40 @@ def test_prepare_views_reads_its_attenuation_params():
     for f, d in zip(flat, prepare_views(views, 192, 192)):
         assert np.all(f.intensity_confidence[f.validity] == 1.0)
         assert d.intensity_confidence[d.validity].min() < 0.5
+
+
+def test_prepare_views_builds_each_filled_view_once(monkeypatch, rng):
+    # Building a ViewInput checks each confidence map it holds with
+    # `unit_grid`; a bare view gets both missing maps in one build, so its
+    # computed intensity confidence is checked once, not once per map.
+    views = [ViewInput(Image(rng.random((64, 64), dtype=np.float32)))
+             for _ in range(2)]
+    checked, check = [], image_module.unit_grid
+
+    def counting(data, what):
+        checked.append(what)
+        return check(data, what)
+    monkeypatch.setattr(image_module, "unit_grid", counting)
+    prepare_views(views, 64, 64)
+    assert checked == ["intensity_confidence"] * 2
+
+
+@given(st.integers(1, 6), st.data())
+@settings(max_examples=50, deadline=None)
+def test_masked_mean_divides_once_in_float32(n, data):
+    # The count is taken in float32, so the divide runs in float32 and
+    # rounds once; float64 has 2 * 24 + 2 bits or more, so that equals the
+    # float64 quotient rounded to float32, bit for bit.
+    values = data.draw(arrays(np.float32, (n, 16),
+                              elements=st.floats(0.0, 1.0, width=32)))
+    valid = data.draw(arrays(bool, (n, 16)))
+    got = compound_module._masked_mean(values, valid)
+    total = np.where(valid, values, np.float32(0.0)).sum(axis=0)
+    counts = valid.sum(axis=0)
+    want = np.divide(total.astype(np.float64), counts, out=np.zeros(16),
+                     where=counts > 0).astype(np.float32)
+    assert got.dtype == np.float32
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 def test_pointwise_methods_flip_equivariant(rng):

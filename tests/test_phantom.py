@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 from dataclasses import replace
 
@@ -129,25 +131,67 @@ def test_out_of_bounds_geometry_rejected():
                                       reverb=ReverbSpec(2, 10, 1.5)),)))
 
 
-@pytest.mark.parametrize("spec,field", [
-    (PhantomSpec(32, 32, views=()), "views"),
-    (PhantomSpec(32, 32, reflectors=(ReflectorSpec(
+# Each case is a function that builds the spec, so the rule is met inside
+# the test: a spec breaking one is rejected when it is built.
+_WRONG_SPECS = [
+    (lambda: PhantomSpec(32, 32, views=()), "views"),
+    (lambda: PhantomSpec(32, 32, reflectors=(ReflectorSpec(
         3, 4, 20, reverb=ReverbSpec(2, -10, 0.5)),)), "spacing"),
-    (PhantomSpec(32, 32, reflectors=(ReflectorSpec(
+    (lambda: PhantomSpec(32, 32, reflectors=(ReflectorSpec(
         3, 4, 20, reverb=ReverbSpec(2, 0, 0.5)),)), "spacing"),
-    (PhantomSpec(32, 32, speckle=SpeckleSpec(scale=-0.03)), "scale"),
-    (PhantomSpec(32, 32, reflectors=(ReflectorSpec(3, 4, 20, thickness=0),)),
-     "thickness"),
-    (PhantomSpec(32, 32, reflectors=(ReflectorSpec(3, 4, 20, thickness=-1),)),
-     "thickness"),
-    (PhantomSpec(32, 32, reflectors=(ReflectorSpec(3, 4, 20, intensity=0),)),
-     "intensity"),
-    (PhantomSpec(32, 32, vessel=VesselSpec(16, 16, 8, 6, wall_intensity=-0.5)),
-     "wall_intensity"),
-])
+    (lambda: PhantomSpec(32, 32, speckle=SpeckleSpec(scale=-0.03)), "scale"),
+    (lambda: PhantomSpec(32, 32, reflectors=(ReflectorSpec(
+        3, 4, 20, thickness=0),)), "thickness"),
+    (lambda: PhantomSpec(32, 32, reflectors=(ReflectorSpec(
+        3, 4, 20, thickness=-1),)), "thickness"),
+    (lambda: PhantomSpec(32, 32, reflectors=(ReflectorSpec(
+        3, 4, 20, intensity=0),)), "intensity"),
+    (lambda: PhantomSpec(32, 32, vessel=VesselSpec(
+        16, 16, 8, 6, wall_intensity=-0.5)), "wall_intensity"),
+]
+
+
+@pytest.mark.parametrize("spec,field", _WRONG_SPECS, ids=[
+    f"spec{i}-{field}" for i, (_, field) in enumerate(_WRONG_SPECS)])
 def test_specs_that_render_wrongly_rejected(spec, field):
     with pytest.raises(SpecError, match=field):
-        generate(spec)
+        generate(spec())
+
+
+def test_echo_spacing_below_one_row_rejected():
+    # A sub-row spacing would let `count` echoes pile onto the same rows,
+    # one pass of the echo loop each: 10**9 of them would run for hours.
+    with pytest.raises(SpecError, match="spacing"):
+        ReverbSpec(10**9, 1e-9, 0.5)
+
+
+def test_echo_train_stops_at_the_frame_bottom():
+    # With spacing >= 1, echo n lies n rows down or more, so the train ends
+    # at the frame bottom: a huge count renders what `height` echoes do.
+    def scene(count):
+        return generate(PhantomSpec(48, 48, reflectors=(ReflectorSpec(
+            2, 4, 40, reverb=ReverbSpec(count, 1.0, 0.5)),))).views[0]
+
+    huge, enough = scene(10**9), scene(48)
+    assert huge.artifact_mask.any()
+    assert np.array_equal(huge.artifact_mask, enough.artifact_mask)
+    assert np.array_equal(huge.boundary_mask, enough.boundary_mask)
+    assert np.array_equal(huge.image.data, enough.image.data)
+
+
+def test_only_spec_types_raise_spec_errors():
+    # Every range rule lives in the spec type whose fields it reads, so a
+    # spec is checked when it is built and `generate` only renders.
+    tree = ast.parse(inspect.getsource(phantom))
+    in_specs = {id(node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                and cls.name.endswith("Spec")
+                for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                for node in ast.walk(fn)}
+    raises = [node for node in ast.walk(tree) if isinstance(node, ast.Raise)
+              and "SpecError" in ast.unparse(node)]
+    assert raises
+    assert all(id(node) in in_specs for node in raises), [
+        node.lineno for node in raises if id(node) not in in_specs]
 
 
 @pytest.mark.parametrize("build,message", [
