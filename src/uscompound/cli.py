@@ -56,11 +56,6 @@ def _config_from_args(args) -> Config:
     return load_config(args.config) if getattr(args, "config", None) else Config()
 
 
-def _fmt_out(image: np.ndarray, path) -> None:
-    fmt = "fmap" if str(path).endswith(".fmap") else "pgm8"
-    save_image(Image(np.clip(image, 0.0, 1.0).astype(np.float32)), path, fmt)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -72,7 +67,7 @@ def _cmd_confidence(args) -> int:
         cmap = attenuation_intensity_confidence(image, cfg.attenuation_params())
     else:
         cmap = np.ones_like(image.data)
-    save_image(Image(cmap), args.out, "fmap")
+    save_image(Image(cmap), args.out)
     return EXIT_OK
 
 
@@ -101,15 +96,14 @@ def _cmd_compound(args) -> int:
 
     sink = None
     if args.dump_intermediates:
-        os.makedirs(args.dump_intermediates, exist_ok=True)
-
         def sink(name, array):
-            _fmt_out(array, os.path.join(args.dump_intermediates, name + ".fmap"))
+            os.makedirs(args.dump_intermediates, exist_ok=True)
+            np.save(os.path.join(args.dump_intermediates, name + ".npy"), array)
 
     print(json.dumps({"method": args.method, "effective_config":
                       json.loads(cfg.dump())}), file=sys.stderr)
     out = compound_views(warped, args.method, params, sink)
-    _fmt_out(out, args.out)
+    save_image(Image(out), args.out)
     return EXIT_OK
 
 
@@ -177,7 +171,7 @@ def build_parser() -> _Parser:
                      description="Multi-view ultrasound compounding toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("confidence", help="write a confidence map as FMAP")
+    p = sub.add_parser("confidence", help="write a confidence map")
     p.add_argument("--image", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--kind", choices=["intensity", "structural"],
@@ -199,7 +193,8 @@ def build_parser() -> _Parser:
     p.add_argument("--width", type=int)
     p.add_argument("--height", type=int)
     p.add_argument("--config")
-    p.add_argument("--dump-intermediates", metavar="DIR")
+    p.add_argument("--dump-intermediates", metavar="DIR", help="pyramid "
+                   "only: write each intermediate to DIR/<name>.npy as computed")
     p.set_defaults(func=_cmd_compound)
 
     p = sub.add_parser("metrics", help="patch mean/variance ratio report")

@@ -62,6 +62,8 @@ __all__ = [
 
 METHODS = ("average", "maximum", "ubf", "pyramid")
 
+# Gets each intermediate's name and array as the fusion holds it: uint8 view
+# indices for `selection_layer<k>`, signed float layers for the others.
 DebugSink = Callable[[str, np.ndarray], None]
 
 
@@ -334,6 +336,7 @@ def compound_pyramid(views: Sequence[WarpedView],
     the confidence-weighted Laplacian average by the layer weight; boundary
     enhancement is applied to the partial reconstruction at `enhance_layer`
     on the way back down.
+    `debug_sink` gets each intermediate as computed; it must not modify it.
     """
     imgs, valid, gc, gs, gb = _planes(views, *MAPS)
     k_levels, e = params.levels, params.enhance_layer
@@ -365,7 +368,7 @@ def compound_pyramid(views: Sequence[WarpedView],
         del band
         blended.append(blend_layer(selected, averaged, k, params))
         if debug_sink is not None:
-            debug_sink(f"selection_layer{k}", selection.astype(np.float64))
+            debug_sink(f"selection_layer{k}", selection)
             debug_sink(f"blended_layer{k}", blended[-1])
         del selection, selected, averaged
 
@@ -414,7 +417,9 @@ def compound(views: Sequence[WarpedView], method: str,
              debug_sink: DebugSink | None = None) -> np.ndarray:
     """Dispatch to one of the four compounding methods.  `ubf` and `pyramid`
     need complete views, as `prepare_views` returns; a missing map raises
-    ValueError."""
+    ValueError, as does a `debug_sink` given to a method but `pyramid`."""
+    if debug_sink is not None and method != "pyramid":
+        raise ValueError(f"debug_sink needs method 'pyramid', not {method!r}")
     if method == "average":
         return compound_average(views)
     if method == "maximum":

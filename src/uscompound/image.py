@@ -222,32 +222,31 @@ def quantize8(a: np.ndarray) -> np.ndarray:
     return np.floor(np.asarray(a, dtype=np.float64) * 255.0 + 0.5).astype(np.uint8)
 
 
-def save_image(image: Image, path, format: str = "pgm8") -> None:
-    """Write an Image as pgm8 (lossy, round-half-up) or fmap (lossless)."""
+def save_image(image: Image, path) -> None:
+    """Write an Image as FMAP (lossless) when `path` ends in ".fmap", and as
+    8-bit PGM (round-half-up) otherwise."""
     a = image.data
-    if format == "pgm8":
-        header = f"P5\n{a.shape[1]} {a.shape[0]}\n255\n".encode()
-        payload = quantize8(a).tobytes()
-    elif format == "fmap":
+    if str(path).endswith(".fmap"):
         header = f"FMAP {a.shape[1]} {a.shape[0]}\n".encode()
         payload = a.astype("<f4").tobytes()
     else:
-        raise ValueError(f"unknown format {format!r}")
+        header = f"P5\n{a.shape[1]} {a.shape[0]}\n255\n".encode()
+        payload = quantize8(a).tobytes()
     with open(path, "wb") as f:
         f.write(header)
         f.write(payload)
 
 
 def save_mask(mask: np.ndarray, path) -> None:
-    """Write a boolean mask as PGM with values {0, 255}."""
-    save_image(Image(mask.astype(np.float32)), path, format="pgm8")
+    """Write a boolean mask as 0/1 by `save_image` (a PGM holds 0 and 255)."""
+    save_image(Image(mask.astype(np.float32)), path)
 
 
 def load_mask(path) -> np.ndarray:
-    """Read a {0, 255}-valued PGM back into a boolean mask."""
+    """Read a mask `save_mask` wrote, PGM or FMAP, back as booleans."""
     a = load_image(path).data
     if not np.all((a == 0.0) | (a == 1.0)):
-        raise FormatError(f"{path}: mask must contain only 0 and 255")
+        raise FormatError(f"{path}: mask must contain only 0 and 1 (255 in a PGM)")
     return a == 1.0
 
 

@@ -17,7 +17,7 @@ from uscompound.compound import (PyramidParams, compound, compound_pyramid,
                                  phi, prepare_views, select_view_layer,
                                  _local_contrast)
 from uscompound.errors import EllipseFitError
-from uscompound.image import RigidTransform2D, ViewInput
+from uscompound.image import Image, RigidTransform2D, ViewInput
 from uscompound.metrics import (Ellipse, PatchSpec, dice, ellipse_mask,
                                 extract_patch, fit_ellipse, otsu_threshold,
                                 segment_vessel, variance_ratio)
@@ -205,8 +205,9 @@ def _segmentation_spec(seed):
     )
 
 
-def _segmentation_ordering(seed, oracle=True):
-    """(holds, report row) of criterion 7 on one scene."""
+def _segmentation_scores(seed, oracle=True):
+    """Dice of the vessel segmented from the `average`, `ubf` and `pyramid`
+    fusions of criterion 7's scene, by method."""
     patch = PatchSpec(45, 78, 105, 82, "boundary")
     truth = ellipse_mask(Ellipse(96 - 45, 120 - 78, 38.0, 28.0, 0.0),
                          patch.height, patch.width)
@@ -217,6 +218,12 @@ def _segmentation_ordering(seed, oracle=True):
     for m in ("average", "ubf", "pyramid"):
         mask, _ = segment_vessel(extract_patch(compound(warped, m), patch))
         scores[m] = dice(mask, truth)
+    return scores
+
+
+def _segmentation_ordering(seed, oracle=True):
+    """(holds, report row) of criterion 7 on one scene."""
+    scores = _segmentation_scores(seed, oracle)
     good = (scores["pyramid"] >= scores["average"]
             and scores["pyramid"] >= scores["ubf"])
     return good, (f"seed {seed}: dice pyr {scores['pyramid']:.3f} "
@@ -239,6 +246,73 @@ def test_criterion_7_twin_bare_inputs():
     passed = sum(good for good, _ in rows)
     _report("criterion 7 twin (bare inputs)", passed >= 9,
             f"{passed}/10 on seeds 0-9\n" + "\n".join(row for _, row in rows))
+
+
+# The strict twins ask the pyramid to beat `ubf` by a margin, not to tie it.
+# The margin is fixed from the oracle maps, where the pyramid reads 0.947-0.949
+# against `ubf`'s 0.934 on seeds 0-9, so it is at least 0.013 ahead.
+_STRICT_MARGIN = 0.005
+
+
+def _strict_segmentation_ordering(oracle):
+    scores = [_segmentation_scores(seed, oracle) for seed in range(10)]
+    passed = sum(s["pyramid"] >= s["ubf"] + _STRICT_MARGIN for s in scores)
+    _report(f"criterion 7 strict ({'oracle' if oracle else 'bare inputs, xfail'})",
+            passed >= 9, f"{passed}/10 on seeds 0-9 with pyramid >= ubf + "
+            f"{_STRICT_MARGIN}\n" + "\n".join(
+                f"seed {seed}: dice pyr {s['pyramid']:.3f} ubf {s['ubf']:.3f}"
+                for seed, s in enumerate(scores)))
+
+
+def test_criterion_7_strict_ordering():
+    _strict_segmentation_ordering(oracle=True)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 2: no structural-confidence estimator, so on bare inputs "
+    "the pyramid ties ubf instead of beating it"))
+def test_criterion_7_strict_twin_bare_inputs():
+    _strict_segmentation_ordering(oracle=False)
+
+
+def _rotated_about_centre(size, degrees):
+    """The rigid transform rotating a `size`² frame by `degrees` about its
+    centre c = (size - 1) / 2."""
+    c, t = (size - 1) / 2, math.radians(degrees)
+    return RigidTransform2D(rotation=t,
+                            dx=c - (math.cos(t) * c - math.sin(t) * c),
+                            dy=c - (math.sin(t) * c + math.cos(t) * c))
+
+
+# View geometries rotated about the frame centre, in degrees.
+_ROTATED_GEOMETRIES = [(0, 90), (-15, 0, 15), (-20, -10, 0, 10, 20),
+                       (0, 30, 60, 90)]
+
+
+@pytest.mark.parametrize("size", [192, 256])
+@pytest.mark.parametrize("angles", _ROTATED_GEOMETRIES,
+                         ids=lambda a: ",".join(map(str, a)))
+@pytest.mark.parametrize("method", [
+    "average", "maximum", "ubf",
+    pytest.param("pyramid", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=(
+            "ROADMAP item 3: each view's image pyramid steps from the level "
+            "to 0 at its coverage edge, and the step leaks into the seen "
+            "pixels nearby"))),
+])
+def test_flat_field_twin(method, angles, size):
+    # Identical constant views with uniform confidences and empty masks:
+    # every fusion must return the level wherever some view sees the pixel.
+    for level in (0.5, 0.9):
+        ones = np.ones((size, size), np.float32)
+        views = [ViewInput(Image(level * ones), _rotated_about_centre(size, a),
+                           intensity_confidence=ones, structural_confidence=ones,
+                           boundary_mask=np.zeros((size, size), bool))
+                 for a in angles]
+        warped = prepare_views(views, size, size)
+        seen = np.any([v.validity for v in warped], axis=0)
+        error = np.abs(compound(warped, method)[seen] - np.float32(level)).max()
+        assert error <= 1e-6, f"level {level}: error {error:.3g}"
 
 
 def _gates_and_selections(warped, params):

@@ -10,18 +10,24 @@ import pytest
 from uscompound import blocks
 from uscompound.boundary import BoundaryParams
 from uscompound.cli import run
-from uscompound.compound import PyramidParams
+from uscompound.compound import METHODS, PyramidParams, compound, prepare_views
 from uscompound.confidence import (AttenuationParams,
                                    attenuation_intensity_confidence)
 from uscompound.config import Config, load_config
 from uscompound.errors import SpecError
-from uscompound.image import Image, load_image, save_image
+from uscompound.image import (Image, RigidTransform2D, ViewInput, load_image,
+                              load_mask, save_image)
 from uscompound.pyramid import layer_shapes
 
 
-@pytest.fixture
-def phantom_dir(tmp_path):
-    """Two-view phantom rendered to disk via the synth subcommand."""
+# Head-on, and rotated by 90 and by -90 degrees onto the same 96² square.
+_VIEWS = [{}, {"rotation": 1.5707963267948966, "dx": 95.0},
+          {"rotation": -1.5707963267948966, "dy": 95.0}]
+
+
+def _synth(tmp_path, n_views=2):
+    """A phantom with the first `n_views` of `_VIEWS` rendered to disk via
+    the synth subcommand."""
     spec = {
         "width": 96, "height": 96,
         "vessel": {"cx": 48, "cy": 60, "a": 20, "b": 14,
@@ -30,7 +36,7 @@ def phantom_dir(tmp_path):
                         "intensity": 0.9,
                         "reverb": {"count": 2, "spacing": 10, "decay": 0.6}}],
         "speckle": {"scale": 0.02, "seed": 5},
-        "views": [{}, {"rotation": 1.5707963267948966, "dx": 95.0}],
+        "views": _VIEWS[:n_views],
     }
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
@@ -39,9 +45,15 @@ def phantom_dir(tmp_path):
     return outdir
 
 
-def _view_args(outdir):
-    return ["--view", f"{outdir}/view0.pgm:{outdir}/view0_transform.json",
-            "--view", f"{outdir}/view1.pgm:{outdir}/view1_transform.json"]
+@pytest.fixture
+def phantom_dir(tmp_path):
+    """Two-view phantom rendered to disk via the synth subcommand."""
+    return _synth(tmp_path)
+
+
+def _view_args(outdir, n_views=2):
+    return [arg for i in range(n_views) for arg in
+            ("--view", f"{outdir}/view{i}.pgm:{outdir}/view{i}_transform.json")]
 
 
 def test_confidence_subcommand(tmp_path, phantom_dir):
@@ -58,6 +70,41 @@ def test_boundaries_subcommand(tmp_path, phantom_dir):
                 "--out", str(out)]) == 0
     mask = load_image(out).data
     assert set(np.unique(mask)).issubset({0.0, 1.0})
+
+
+# The suffix of --out picks the format: FMAP for ".fmap", PGM otherwise.
+def test_confidence_out_pgm_writes_a_pgm(tmp_path, phantom_dir):
+    pgm, fmap = tmp_path / "c.pgm", tmp_path / "c.fmap"
+    for out in (pgm, fmap):
+        assert run(["confidence", "--image", f"{phantom_dir}/view0.pgm",
+                    "--out", str(out)]) == 0
+    assert pgm.read_bytes().startswith(b"P5\n96 96\n255\n")
+    assert np.abs(load_image(pgm).data - load_image(fmap).data).max() <= 1 / 510 + 1e-7
+
+
+def test_boundaries_out_fmap_holds_the_mask(tmp_path, phantom_dir):
+    pgm, fmap = tmp_path / "m.pgm", tmp_path / "m.fmap"
+    for out in (pgm, fmap):
+        assert run(["boundaries", "--image", f"{phantom_dir}/view0.pgm",
+                    "--out", str(out)]) == 0
+    assert fmap.read_bytes().startswith(b"FMAP 96 96\n")
+    assert load_mask(pgm).any()
+    assert np.array_equal(load_mask(fmap), load_mask(pgm))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_compound_out_fmap_is_the_fusion_bit_for_bit(tmp_path, phantom_dir,
+                                                     method):
+    out = tmp_path / "o.fmap"
+    assert run(["compound", "--method", method, *_view_args(phantom_dir),
+                "--out", str(out)]) == 0
+    views = [ViewInput(load_image(phantom_dir / f"view{i}.pgm"),
+                       RigidTransform2D.from_dict(json.loads(
+                           (phantom_dir / f"view{i}_transform.json").read_text())))
+             for i in range(2)]
+    expected = compound(prepare_views(views, 96, 96), method)
+    assert out.read_bytes().startswith(b"FMAP 96 96\n")
+    assert np.array_equal(load_image(out).data, expected)
 
 
 @pytest.mark.parametrize("method", ["average", "maximum", "ubf", "pyramid"])
@@ -86,22 +133,43 @@ def test_compound_provenance_log(tmp_path, phantom_dir, capsys):
     assert log["effective_config"]["compound"]["gamma"] == 0.05
 
 
-def test_dump_intermediates(tmp_path, phantom_dir):
-    plain, out = tmp_path / "plain.pgm", tmp_path / "o.pgm"
-    dump = tmp_path / "layers"
-    args = ["compound", "--method", "pyramid", *_view_args(phantom_dir)]
-    assert run([*args, "--out", str(plain)]) == 0
-    assert run([*args, "--out", str(out), "--dump-intermediates", str(dump)]) == 0
+def test_dump_intermediates(tmp_path):
+    # Each array is dumped as the fusion holds it: the selections as uint8
+    # view indices, and the layers as signed float32.
     shapes = layer_shapes(96, 96, 5)
-    expected = {f"{kind}_layer{k}": shapes[k - 1]
-                for kind in ("selection", "blended") for k in range(1, 6)}
-    expected.update({f"partial_layer3_{when}_enhance": shapes[2]
+    expected = {f"{kind}_layer{k}": (shapes[k - 1], dtype)
+                for kind, dtype in (("selection", np.uint8),
+                                    ("blended", np.float32))
+                for k in range(1, 6)}
+    expected.update({f"partial_layer3_{when}_enhance": (shapes[2], np.float32)
                      for when in ("pre", "post")})
-    assert sorted(p.name for p in dump.iterdir()) == sorted(
-        name + ".fmap" for name in expected)
-    for name, shape in expected.items():
-        assert load_image(dump / f"{name}.fmap").data.shape == shape
-    assert out.read_bytes() == plain.read_bytes()
+    for n_views in (2, 3):
+        d = tmp_path / f"views{n_views}"
+        d.mkdir()
+        plain, out, dump = d / "plain.pgm", d / "o.pgm", d / "layers"
+        args = ["compound", "--method", "pyramid",
+                *_view_args(_synth(d, n_views), n_views)]
+        assert run([*args, "--out", str(plain)]) == 0
+        assert run([*args, "--out", str(out), "--dump-intermediates", str(dump)]) == 0
+        assert sorted(p.name for p in dump.iterdir()) == sorted(
+            name + ".npy" for name in expected)
+        arrays = {name: np.load(dump / f"{name}.npy") for name in expected}
+        for name, (shape, dtype) in expected.items():
+            assert (arrays[name].shape, arrays[name].dtype) == (shape, dtype), name
+        assert max(arrays[f"selection_layer{k}"].max()
+                   for k in range(1, 6)) == n_views - 1
+        assert arrays["blended_layer1"].min() < -0.1
+        assert out.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize("method", ["average", "maximum", "ubf"])
+def test_dump_intermediates_of_a_baseline_exit2(tmp_path, phantom_dir, capsys,
+                                               method):
+    out, dump = tmp_path / "o.pgm", tmp_path / "d"
+    assert run(["compound", "--method", method, *_view_args(phantom_dir),
+                "--out", str(out), "--dump-intermediates", str(dump)]) == 2
+    assert "debug_sink" in capsys.readouterr().err
+    assert not dump.exists() and not out.exists()
 
 
 def test_metrics_subcommand(tmp_path, phantom_dir, capsys):
@@ -679,21 +747,22 @@ def test_compound_output_bytes_pinned(tmp_path, monkeypatch, phantom_dir, size,
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, block_pixels
 
 
-# sha256 of the intermediates `--dump-intermediates` writes for the pyramid
-# run on the phantom_dir scene: the pyramid layers of the fusion, pinned.
+# (dtype, shape, sha256 of the data) of each array `--dump-intermediates`
+# writes for the pyramid run on the phantom_dir scene: the pyramid layers of
+# the fusion, pinned.
 _INTERMEDIATE_DIGESTS = {
-    "blended_layer1": "baaa7a53d36b0cdffc2921ea17af17009b4811431a60ad94c1c29aa997262a72",
-    "blended_layer2": "93e6c5d19355d37f8d96c19f4a51ebbd5f3f8d14b34f9ea209da3509416c97a2",
-    "blended_layer3": "9c54f21b6d9e65d3981b067356b993286ed6d09c0e59087f5822a42a3d10ad18",
-    "blended_layer4": "adba1f17e26d0814b0a49b2ec1a5bee20b1c15a6e59fd43ec27ddd73de41598a",
-    "blended_layer5": "dcbc9c8c1cd42b90d1a24a702c794f6e7b5d03585100cdfff3c4917b64476e98",
-    "partial_layer3_post_enhance": "5df349c1f14e9fe54db9f364137cf88ec865a1ddd9e35924e42598fcb546474f",
-    "partial_layer3_pre_enhance": "fe3382168e87374e66527f44f35f183a11e347469a23c46be3f08d0564bb18b9",
-    "selection_layer1": "614cab9f36acd999e02bad386089bb505b18719163b5db52213ec080b687d200",
-    "selection_layer2": "01c09123341ac6bcec801b0774b442bf15ee9bc6b528b54a4c8965dedee87708",
-    "selection_layer3": "a9418e8f80bb33055a237663a4625028ae0b6f34b6cb0c4482802d273eb46830",
-    "selection_layer4": "671633f80c353246fdb3017b64fb73aae09ec4c2d3378a026741742997b9f15f",
-    "selection_layer5": "7c6229919be3327e8c2090bdb5cfcde531ef8fbe5a26b65641adff9194aceb54",
+    "blended_layer1": ("float32", (96, 96), "2381b582588e0d9447b48354714424c0a4156433b7fddc86df310ee7467aa32c"),
+    "blended_layer2": ("float32", (48, 48), "2a27a5db3b2b97518b55ff9f382ffe3f55d95fed4a9a73f9555e7ca9e5940cd0"),
+    "blended_layer3": ("float32", (24, 24), "0079dc60a74e185c1a360314874429f4c814001f6d3e93deebb36f9592250084"),
+    "blended_layer4": ("float32", (12, 12), "adb262f30a24db886237a1981c5d13082b7d25a5181955a50e0cbd5fc4ab982f"),
+    "blended_layer5": ("float32", (6, 6), "19f2f44e074f19e7860f21b30a61222d2c5b198e193e954c1c655b4b8c97a6ab"),
+    "partial_layer3_post_enhance": ("float32", (24, 24), "003044f7d00c63261e31aabf4563b4ab14d5f7c4d24c1f76701d6df8d0cf6ddd"),
+    "partial_layer3_pre_enhance": ("float32", (24, 24), "1783a1bf2dc0423bf8e13e18595517caf74308d40e1d260b301ecea33c59b264"),
+    "selection_layer1": ("uint8", (96, 96), "b86a6c406b9238cf6fb157750cc43245c22c33248e78e42527411fe07dc364dc"),
+    "selection_layer2": ("uint8", (48, 48), "a29063dde915ad2edd80e6c68d052fb97ea1c01f9afc72055a577476579aaa72"),
+    "selection_layer3": ("uint8", (24, 24), "5ea11a8d2edd83f1029719571afff492b9a66e53544ffef061f094dd8c4859f6"),
+    "selection_layer4": ("uint8", (12, 12), "767fc42c8a8d679e03feacdf81b4edcf5986276334c195463cef5711e89f1547"),
+    "selection_layer5": ("uint8", (6, 6), "2a577c89322395179e10ef53b4b04d2aa20450676b3c830c0abf773229f75663"),
 }
 
 
@@ -704,8 +773,10 @@ def test_pyramid_intermediate_bytes_pinned(tmp_path, monkeypatch, phantom_dir):
         assert run(["compound", "--method", "pyramid", *_view_args(phantom_dir),
                     "--out", str(tmp_path / "o.pgm"),
                     "--dump-intermediates", str(dump)]) == 0
-        assert {p.stem: hashlib.sha256(p.read_bytes()).hexdigest()
-                for p in dump.iterdir()} == _INTERMEDIATE_DIGESTS, block_pixels
+        arrays = {p.stem: np.load(p) for p in dump.iterdir()}
+        assert {name: (str(a.dtype), a.shape,
+                       hashlib.sha256(a.tobytes()).hexdigest())
+                for name, a in arrays.items()} == _INTERMEDIATE_DIGESTS, block_pixels
 
 
 @pytest.mark.parametrize("option", ["--decay", "--absorption"])

@@ -14,7 +14,7 @@ from conftest import traced_peak_mib, two_view_phantom
 from test_pyramid import layer_dtype
 from uscompound import blocks
 from uscompound import pyramid as pyr
-from uscompound.compound import (PyramidParams, blend_layer, compound,
+from uscompound.compound import (METHODS, PyramidParams, blend_layer, compound,
                                  compound_average, compound_maximum,
                                  compound_pyramid, compound_ubf,
                                  enhance_boundaries, phi, prepare_views,
@@ -74,6 +74,40 @@ def test_average_within_view_range(rng):
     stack = np.stack([v.image for v in views])
     assert np.all(out >= stack.min(axis=0) - 1e-7)
     assert np.all(out <= stack.max(axis=0) + 1e-7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_views=st.integers(1, 5), h=st.integers(16, 40), w=st.integers(16, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_every_method_returns_float32_within_unit_range(n_views, h, w, seed):
+    # The range every written output must meet (`Image` checks it), on
+    # random validity, pixels at exactly 0 and 1, and intensity confidences
+    # of 0 and from 1e-30 up to 1; frames of at least 16 px a side, as the
+    # default 5 pyramid levels need.
+    rng = np.random.default_rng(seed)
+
+    def mixed(choices, values):
+        return np.where(rng.random((h, w)) < 0.5, rng.choice(choices, (h, w)),
+                        values).astype(np.float32)
+
+    views = [WarpedView(mixed([0.0, 1.0], rng.random((h, w))),
+                        rng.random((h, w)) > 0.3,
+                        mixed([0.0, 1e-30, 1.0], 10.0 ** rng.uniform(-30, 0, (h, w))),
+                        rng.random((h, w)).astype(np.float32),
+                        mixed([0.0, 1.0], rng.random((h, w))))
+             for _ in range(n_views)]
+    for method in METHODS:
+        out = compound(views, method)
+        assert out.dtype == np.float32 and out.shape == (h, w), method
+        assert 0.0 <= out.min() and out.max() <= 1.0, method
+
+
+@pytest.mark.parametrize("method", ["average", "maximum", "ubf"])
+def test_debug_sink_needs_the_pyramid(rng, method):
+    # only the pyramid has intermediates, so a sink elsewhere is an error
+    with pytest.raises(ValueError, match="debug_sink"):
+        compound(duplicate_views(rng), method, PyramidParams(),
+                 lambda name, a: None)
 
 
 def test_maximum_simple_values():
@@ -718,6 +752,9 @@ def test_float64_views_keep_the_float64_pyramid_bytes(params, digest):
     h = hashlib.sha256()
 
     def sink(name, a):
+        # the digests were recorded when the sink got float64 selections
+        if name.startswith("selection_"):
+            a = a.astype(np.float64)
         h.update(name.encode())
         h.update(np.ascontiguousarray(a).tobytes())
     h.update(compound_pyramid(float64_views(warped), params, sink).tobytes())

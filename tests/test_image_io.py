@@ -76,7 +76,7 @@ def test_save_pgm8_rounding(tmp_path):
 def test_fmap_roundtrip_bit_exact(tmp_path, rng):
     img = Image(rng.random((16, 16), dtype=np.float32))
     path = tmp_path / "r.fmap"
-    save_image(img, path, "fmap")
+    save_image(img, path)
     back = load_image(path)
     assert np.array_equal(back.data, img.data)
 
@@ -84,7 +84,7 @@ def test_fmap_roundtrip_bit_exact(tmp_path, rng):
 def test_pgm8_roundtrip_tolerance(tmp_path, rng):
     img = Image(rng.random((16, 16), dtype=np.float32))
     path = tmp_path / "r.pgm"
-    save_image(img, path, "pgm8")
+    save_image(img, path)
     back = load_image(path)
     assert np.abs(back.data - img.data).max() <= 1 / 510 + 1e-7
 
@@ -97,7 +97,10 @@ def test_mask_roundtrip(tmp_path, rng):
 
 
 def test_mask_rejects_gray(tmp_path):
-    path = tmp_path / "m.pgm"
-    path.write_bytes(b"P5\n1 1\n255\n" + bytes([100]))
-    with pytest.raises(FormatError):
-        load_mask(path)
+    for name, data in [
+            ("m.pgm", b"P5\n1 1\n255\n" + bytes([100])),
+            ("m.fmap", b"FMAP 1 1\n" + np.array([0.5], dtype="<f4").tobytes())]:
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=r"only 0 and 1 \(255 in a PGM\)"):
+            load_mask(path)
