@@ -93,6 +93,7 @@ def _cmd_compound(args) -> int:
                                attenuation_params=cfg.attenuation_params())
     else:
         warped = [warp_to_common(v, width, height) for v in views]
+    del views  # the native frames are not read again
 
     sink = None
     if args.dump_intermediates:

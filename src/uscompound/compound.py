@@ -17,9 +17,10 @@ block as float64 from those planes, so beyond its float32 output a baseline
 holds one block.  The per-layer helpers read each block, and compute, in
 the dtype of the pyramid rule `pyramid.float_dtype` over their inputs:
 float32 for float32 and bool layers, float64 for float64 ones.  The pyramid
-fusion hands each map's planes to `pyramid.gaussian_pyramid`, which stacks
-them in their own dtypes (float32, bool) as its layer 1, so on the views
-`prepare_views` makes its image, intensity-confidence and boundary layers,
+fusion hands each map's planes to `pyramid.gaussian_pyramid`, whose layer 1
+is those planes themselves, read in their own dtypes (float32, bool), so no
+stage copies the views into one (V, H, W) array; on the views
+`prepare_views` makes, its image, intensity-confidence and boundary layers,
 bands, blends and collapse are float32.  The two maps that gate, validity
 and structural confidence, keep float64 coarser layers, and the selection
 reads the structural confidence as float64, so the gates are those of
@@ -32,6 +33,7 @@ result is the same bit for bit whatever the block size.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -155,6 +157,12 @@ def compound_ubf(views: Sequence[WarpedView]) -> np.ndarray:
     return _fuse_rows(lambda rows, *blocks: _masked_weighted_mean(*blocks),
                       np.float32, imgs[0].shape,
                       (imgs, np.float64), (conf, np.float64), (valid, None))
+
+
+def _any(planes) -> np.ndarray:
+    """Where any of the bool `planes` (a sequence, or an array's first axis)
+    is true, without stacking them."""
+    return functools.reduce(np.logical_or, planes)
 
 
 def _masked_mean(values, valid):
@@ -327,8 +335,8 @@ def compound_pyramid(views: Sequence[WarpedView],
     """Confidence-gated Laplacian-pyramid compounding.
 
     Each map (image, intensity and structural confidence, boundary mask,
-    validity) gets one Gaussian pyramid over its views, whose layer 1 stacks
-    the views' planes in their own dtype, and the image's Laplacian is taken
+    validity) gets one Gaussian pyramid over its views, whose layer 1 is the
+    views' planes themselves, and the image's Laplacian is taken
     from its Gaussian pyramid; the boundary mask's is built only as deep as the
     enhancement reads it.  The coarser layers take the dtype of
     `pyramid.float_dtype`, float32 on float32 and bool planes, except those
@@ -346,9 +354,10 @@ def compound_pyramid(views: Sequence[WarpedView],
     # two maps that gate (validity, and structural confidence against
     # gamma) keep float64 layers, so that the fusion's decisions are those
     # of float64 arithmetic; the blended maps take their planes' dtype.
-    gv = [layer > 0.5
-          for layer in pyr.gaussian_pyramid(valid, k_levels, np.float64)]
-    any_valid = gv[0].any(axis=0)
+    # Layer 1 is the bool validity planes themselves.
+    gv = pyr.gaussian_pyramid(valid, k_levels, np.float64)
+    gv[1:] = [layer > 0.5 for layer in gv[1:]]
+    any_valid = _any(valid)
     gs = pyr.gaussian_pyramid(gs, k_levels, np.float64)
     gi, gc = [pyr.gaussian_pyramid(a, k_levels) for a in (imgs, gc)]
     gb = pyr.gaussian_pyramid(gb, max(e, 2))[e - 1]
@@ -363,7 +372,7 @@ def compound_pyramid(views: Sequence[WarpedView],
         selection = select_view_layer(gi.pop(0), gs.pop(0), observed, params)
         band = lap.pop(0)
         selected = np.take_along_axis(band, selection[None], axis=0)[0]
-        selected[~observed.any(axis=0)] = 0.0
+        selected[~_any(observed)] = 0.0
         averaged = weighted_average_layer(band, gc.pop(0), observed)
         del band
         blended.append(blend_layer(selected, averaged, k, params))

@@ -43,12 +43,15 @@ def attenuation_intensity_confidence(image: Image,
         c(x, y) = c(x, y-1) * exp(-decay) * exp(-absorption * I(x, y-1))
 
     Monotone non-increasing down every column; row 0 is all ones.  Returns
-    a float32 array of the image's shape.
+    a float32 array of the image's shape.  The exponent is formed in one
+    float64 frame, in place, from the image's float32 running sum.
     """
     a = image.data
-    h = a.shape[0]
-    depth = np.arange(h, dtype=np.float64)[:, None]
-    absorbed = np.zeros_like(a, dtype=np.float64)
-    absorbed[1:] = np.cumsum(a[:-1], axis=0)
-    c = np.exp(-params.decay * depth - params.absorption * absorbed)
-    return c.astype(np.float32)
+    depth = np.arange(a.shape[0], dtype=np.float64)[:, None]
+    c = np.zeros_like(a, dtype=np.float64)
+    # the running sum is float32, the image's dtype; one in float64
+    # would round differently
+    np.cumsum(a[:-1], axis=0, dtype=a.dtype, out=c[1:])
+    c *= params.absorption
+    np.subtract(-params.decay * depth, c, out=c)
+    return np.exp(c, out=c).astype(np.float32)

@@ -5,12 +5,14 @@ float32 numpy arrays of shape (height, width), row-major, top row first.
 The y axis points down (the axial / depth direction of the probe).
 
 `warp_array` resamples the last two axes (rows, columns); any leading axes
-are batch axes, so a (N, H, W) stack of maps of one view is warped with one
-shared set of source positions and equals plane by plane the 2-D results.
-It works through the output in the row blocks of `blocks.row_blocks`,
-gathering from the flattened planes and summing the bilinear products in
-one fixed order, so its working memory is bounded by a block and its
-result does not depend on the block size.
+are batch axes, so the maps of one view, as an (N, H, W) array or as a
+sequence of N (H, W) planes of any dtypes, are warped with one shared set of
+source positions and equal plane by plane the 2-D results.  It reads the
+planes as given, never copied into one array.  It works through the output
+in the row blocks of `blocks.row_blocks`, gathering from the flattened
+planes and summing the bilinear products in one fixed order, so its working
+memory is bounded by a block and its result does not depend on the block
+size.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import row_blocks
+from .blocks import as_planes, row_blocks
 from .errors import DimensionError, FormatError, RangeError, check_fields, checked
 
 __all__ = [
@@ -254,24 +256,27 @@ def load_mask(path) -> np.ndarray:
 # Warping
 # ---------------------------------------------------------------------------
 
-def warp_array(data: np.ndarray, transform: RigidTransform2D,
+def warp_array(data, transform: RigidTransform2D,
                out_width: int, out_height: int):
     """Inverse-map `data` (native frame) bilinearly into the common frame.
 
-    `data` is (..., H, W); leading axes are batch axes, and every (H, W)
-    plane shares one computation of source positions, validity, corner
-    indices and weights, so a stack equals plane by plane the 2-D results.
+    `data` is an array (..., H, W), whose leading axes are batch axes, or a
+    sequence of (H, W) planes, which may have different dtypes (a bool plane
+    counts as 0 and 1).  Every plane shares one computation of source
+    positions, validity, corner indices and weights, so a stack equals plane
+    by plane the 2-D results, and a sequence equals its stack.
 
     Returns (warped, validity): warped is float32 of shape
-    (..., out_height, out_width), and validity is 2-D.  A
-    common-frame pixel is valid iff its four bilinear source neighbors lie
-    inside the source grid; source coordinates exactly on the far edge use
-    the edge cell with fractional weight 1, so an identity transform is
-    fully valid.  Invalid pixels get value 0.
+    (..., out_height, out_width), (len(data), out_height, out_width) for a
+    sequence, and validity is 2-D.  A common-frame pixel is valid iff its
+    four bilinear source neighbors lie inside the source grid; source
+    coordinates exactly on the far edge use the edge cell with fractional
+    weight 1, so an identity transform is fully valid.  Invalid pixels get
+    value 0.
 
     The output is evaluated in the row blocks of `blocks.row_blocks`, so
     the working memory is bounded by one block, not by the frame.  Each
-    block gathers from the flattened planes at one flat index per pixel,
+    block gathers from each flattened plane at one flat index per pixel,
     plus scalar offsets for the other three bilinear taps, and sums the
     float64 products in the fixed order
     ((p00 (1-fx)) (1-fy) + (p01 fx) (1-fy)) + (p10 (1-fx)) fy + (p11 fx) fy.
@@ -280,11 +285,12 @@ def warp_array(data: np.ndarray, transform: RigidTransform2D,
     """
     if out_width <= 0 or out_height <= 0:
         raise DimensionError("output dimensions must be positive")
-    src = np.asarray(data)
-    h, w = src.shape[-2:]
-    out = np.zeros(src.shape[:-2] + (out_height, out_width), dtype=np.float32)
+    planes, shape = as_planes(data, "warp input")
+    h, w = shape[-2:]
+    out = np.zeros(shape[:-2] + (out_height, out_width), dtype=np.float32)
     valid = np.empty((out_height, out_width), dtype=bool)
-    planes = src.reshape((-1, h * w))
+    # views of contiguous planes; a strided plane is copied once, here
+    planes = [p.reshape(-1) for p in planes]
     outs = out.reshape((-1, out_height * out_width))
     xs = np.arange(out_width, dtype=np.float64)
     ys = np.arange(out_height, dtype=np.float64)[:, None]
@@ -302,11 +308,11 @@ def warp_array(data: np.ndarray, transform: RigidTransform2D,
 def _resample_block(planes, outs, valid, sx, sy, w, h):
     """Write one block of `warp_array`'s output.
 
-    `planes` are the source planes flattened to (P, h * w) and `outs` the
-    block's span of each flattened output plane.  `sx` and `sy` are the
-    block's flat source coordinates, overwritten here; `valid` receives the
-    block's validity.  The block's temporaries are freed on return, so they
-    do not outlive it into the next block.
+    `planes` are the source planes, each flattened to h * w values of its
+    own dtype, and `outs` the block's span of each flattened output plane.
+    `sx` and `sy` are the block's flat source coordinates, overwritten here;
+    `valid` receives the block's validity.  The block's temporaries are
+    freed on return, so they do not outlive it into the next block.
     """
     np.greater_equal(sx, 0.0, out=valid)
     valid &= sx <= w - 1.0
@@ -347,15 +353,15 @@ def _resample_block(planes, outs, valid, sx, sy, w, h):
 def warp_to_common(view: ViewInput, out_width: int, out_height: int) -> WarpedView:
     """Resample a view and all its attached maps into the common frame.
 
-    The image and the maps present are stacked and interpolated bilinearly
-    in one `warp_array` call.  The boundary mask enters the stack as its 0/1
-    plane (any nonzero value is 1), so it comes out as a weight in [0, 1].
+    The image and the maps present are interpolated bilinearly in one
+    `warp_array` call, which reads their planes as given.  The boundary mask
+    enters as its bool plane (any nonzero value is true, read as 1), so it
+    comes out as a weight in [0, 1].
     """
     names = [n for n in MAPS if getattr(view, n) is not None]
-    # np.stack promotes the mask's bools, so the other planes keep their dtype.
     planes = [np.asarray(view.boundary_mask) != 0 if n == "boundary_mask"
               else getattr(view, n) for n in names]
-    warped, valid = warp_array(np.stack([view.image.data, *planes]),
+    warped, valid = warp_array([view.image.data, *planes],
                                view.to_common, out_width, out_height)
     return WarpedView(np.clip(warped[0], 0.0, 1.0, out=warped[0]), valid,
                       **dict(zip(names, warped[1:])))

@@ -82,32 +82,51 @@ def extract_patch(image: np.ndarray, patch: PatchSpec) -> np.ndarray:
     return a[patch.y:patch.y + patch.height, patch.x:patch.x + patch.width]
 
 
-def mean_ratio(image: np.ndarray, patch: PatchSpec) -> float:
-    whole = float(np.mean(image))
+_ZERO_MEAN = "whole-image mean is zero; mean ratio undefined"
+_ZERO_VARIANCE = "whole-image variance is zero; ratio undefined"
+
+
+def _whole(stat, image, message: str) -> float:
+    """`stat` of the whole image, which must be positive."""
+    whole = float(stat(image))
     if whole <= 0.0:
-        raise DegenerateError("whole-image mean is zero; mean ratio undefined")
-    return float(np.mean(extract_patch(image, patch))) / whole
+        raise DegenerateError(message)
+    return whole
+
+
+def _mean_ratios(stat, image, patches, whole: float) -> float:
+    """The mean over `patches` of `stat` of the patch over `whole`."""
+    return float(np.mean([float(stat(extract_patch(image, p))) / whole
+                          for p in patches]))
+
+
+def mean_ratio(image: np.ndarray, patch: PatchSpec) -> float:
+    return _mean_ratios(np.mean, image, [patch],
+                        _whole(np.mean, image, _ZERO_MEAN))
 
 
 def variance_ratio(image: np.ndarray, patch: PatchSpec) -> float:
     # Population variance (divide by N) throughout.
-    whole = float(np.var(image))
-    if whole <= 0.0:
-        raise DegenerateError("whole-image variance is zero; ratio undefined")
-    return float(np.var(extract_patch(image, patch))) / whole
+    return _mean_ratios(np.var, image, [patch],
+                        _whole(np.var, image, _ZERO_VARIANCE))
 
 
 def amr_avr(image: np.ndarray, patches: list[PatchSpec]) -> MetricsReport:
-    """Average mean ratio and average variance ratio, grouped by label."""
+    """Average mean ratio and average variance ratio, grouped by label.  The
+    whole image's mean and variance are taken once, and only for a group
+    that has patches."""
     artifact = [p for p in patches if p.label == "artifact"]
     boundary = [p for p in patches if p.label == "boundary"]
-    rep = {}
-    rep["artifact_amr"] = (float(np.mean([mean_ratio(image, p) for p in artifact]))
-                           if artifact else None)
-    rep["artifact_avr"] = (float(np.mean([variance_ratio(image, p) for p in artifact]))
-                           if artifact else None)
-    rep["boundary_avr"] = (float(np.mean([variance_ratio(image, p) for p in boundary]))
-                           if boundary else None)
+    rep = dict.fromkeys(("artifact_amr", "artifact_avr", "boundary_avr"))
+    if artifact:
+        rep["artifact_amr"] = _mean_ratios(np.mean, image, artifact,
+                                           _whole(np.mean, image, _ZERO_MEAN))
+    if artifact or boundary:
+        var = _whole(np.var, image, _ZERO_VARIANCE)
+        if artifact:
+            rep["artifact_avr"] = _mean_ratios(np.var, image, artifact, var)
+        if boundary:
+            rep["boundary_avr"] = _mean_ratios(np.var, image, boundary, var)
     return MetricsReport(**rep)
 
 

@@ -1,24 +1,28 @@
 """Gaussian and Laplacian pyramids (Burt-Adelson style).
 
-Layers are plain arrays, finest first: layer 1 is the input as given when
-it is float32, float64 or bool.  Every layer, band and collapse computed
-from inputs takes one dtype, `float_dtype(inputs...)`, which is
-`np.result_type(inputs..., np.float32)`: float32 from bool and float32
-inputs, float64 from float64 ones (a layer 1 of any other dtype is
-converted by the same rule, so uint8 gives float32 and int64 float64).
-`gaussian_pyramid` can be asked for float64 coarser layers of a float32 or
-bool input.  The kernel taps are Python floats, exact in float32, which
-take the dtype of the layer they multiply, so float64 layers are the same
-bit for bit as with a float64 kernel.  Blur and decimation act on the last
-two axes (rows, columns); any leading axes are batch axes, so a (V, H, W)
-stack of views gives (V, h, w) layers equal plane by plane to the 2-D
-results.  Layer k+1 has ceil-halved dimensions of layer k.  The blur
-kernel is the 5-tap binomial (1, 4, 6, 4, 1)/16 applied separably with
-reflect-101 borders; decimation keeps even indices.  Upsampling
+Layers are finest first: layer 1 is the input as given where it is float32,
+float64 or bool, and every coarser layer is a plain array.  Every layer,
+band and collapse computed from inputs takes one dtype,
+`float_dtype(inputs...)`, which is `np.result_type(inputs..., np.float32)`:
+float32 from bool and float32 inputs, float64 from float64 ones (a layer 1
+of any other dtype is converted by the same rule, so uint8 gives float32
+and int64 float64). `gaussian_pyramid` can be asked for float64 coarser
+layers of a float32 or bool input.  The kernel taps are Python floats, exact
+in float32, which take the dtype of the layer they multiply, so float64
+layers are the same bit for bit as with a float64 kernel.  Blur and
+decimation act on the last two axes (rows, columns); any leading axes are
+batch axes.  A stack of views is an array (V, H, W) or a sequence of V
+(H, W) planes, read plane by plane as `blocks.as_planes` gives them and
+never copied into one array: layer 1 of a sequence is the list of its
+planes, and every coarser layer is one (V, h, w) array equal plane by plane
+to the 2-D results.  Layer k+1 has ceil-halved dimensions of layer k.  The
+blur kernel is the 5-tap binomial (1, 4, 6, 4, 1)/16 applied separably
+with reflect-101 borders; decimation keeps even indices.  Upsampling
 zero-inserts to the target dims and blurs with the same kernel scaled x4,
 which makes collapse an exact inverse of the analysis up to floating-point
-error.  A Laplacian pyramid is built from a Gaussian pyramid the caller
-holds: `laplacian_pyramid(gaussian_pyramid(image, levels))`.
+error.  A Laplacian
+pyramid is built from a Gaussian pyramid the caller holds:
+`laplacian_pyramid(gaussian_pyramid(image, levels))`.
 
 Both are evaluated only where they matter, as Burt and Adelson define
 REDUCE and EXPAND: the blur of a reduction only at the even rows and
@@ -30,17 +34,18 @@ zeros included.
 
 Both work in the row blocks of `blocks.row_blocks` over the rows of the
 coarser layer, each counted as the two rows of the finer layer it spans,
-reading its rows and the reflect-101 border by index and summing its taps
-in block-sized buffers; the Laplacian and the collapse subtract and add
-into the fresh EXPAND result.  So beyond its output each holds one block,
-and every result is the same bit for bit whatever the block size.
+reading its rows and the reflect-101 border of each plane by index and
+summing its taps in block-sized buffers; the Laplacian and the collapse
+subtract and add each plane into the fresh EXPAND result.  So beyond its
+output each holds one block, and every result is the same bit for bit
+whatever the block size.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .blocks import row_blocks
+from .blocks import as_planes, row_blocks
 from .errors import DimensionError
 
 __all__ = [
@@ -59,11 +64,15 @@ DEFAULT_LEVELS = 5
 _KERNEL = [1.0 / 16.0, 4.0 / 16.0, 6.0 / 16.0, 4.0 / 16.0, 1.0 / 16.0]
 
 
-def float_dtype(*arrays) -> np.dtype:
-    """The dtype of a layer computed from `arrays`: float32 from bool,
+def float_dtype(*layers) -> np.dtype:
+    """The dtype of a layer computed from `layers`: float32 from bool,
     float32, float16 and 8- or 16-bit integer inputs, float64 from float64
-    and wider integer ones."""
-    return np.result_type(*{np.asarray(a).dtype for a in arrays}, np.float32)
+    and wider integer ones.  A layer that is not an array counts as a
+    sequence of planes, as in `blocks.as_planes`, whose dtypes are read one
+    by one, not from a stack of them."""
+    return np.result_type(*{np.asarray(p).dtype for a in layers
+                            for p in ([a] if isinstance(a, np.ndarray) else a)},
+                          np.float32)
 
 
 def _tap_sum(terms) -> np.ndarray:
@@ -79,37 +88,41 @@ def _tap_sum(terms) -> np.ndarray:
     return out
 
 
-def _gather(a: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-            dtype) -> np.ndarray:
-    """`a[..., rows[:, None], cols]` as `dtype`, for `cols` that run 0, 1,
-    ..., w - 1 between as many edge indices before as after; the run is
-    copied whole, which is many times faster than indexing it column by
-    column."""
-    w, pad = a.shape[-1], (len(cols) - a.shape[-1]) // 2
-    p = np.empty(a.shape[:-2] + (len(rows), len(cols)), dtype)
-    p[..., pad:pad + w] = a[..., rows, :]
+def _gather(planes: list[np.ndarray], rows: np.ndarray, cols: np.ndarray,
+            pad: int, dtype) -> np.ndarray:
+    """`plane[rows[:, None], cols]` of each of the `planes`, as one
+    (len(planes), len(rows), len(cols)) array of `dtype`, for `cols` that
+    run 0, 1, ..., w - 1 between `pad` edge indices before and after; the
+    run is copied whole, which is many times faster than indexing it column
+    by column."""
+    w = len(cols) - 2 * pad
+    p = np.empty((len(planes), len(rows), len(cols)), dtype)
+    for plane, q in zip(planes, p):
+        q[:, pad:pad + w] = plane[rows]
     p[..., :pad] = p[..., pad + cols[:pad]]
     p[..., pad + w:] = p[..., pad + cols[pad + w:]]
     return p
 
 
-def _reduce(a: np.ndarray, dtype) -> np.ndarray:
-    """The 5-tap blur of `a` at its even rows and columns only, as `dtype`,
-    in blocks of output rows, each reading its rows and columns padded by
-    index."""
-    h, w = a.shape[-2:]
+def _reduce(a, dtype) -> np.ndarray:
+    """The 5-tap blur of the stack `a` at its even rows and columns only, as
+    `dtype`, in blocks of output rows, each reading its rows and columns of
+    every plane padded by index."""
+    planes, shape = as_planes(a, "pyramid layer")
+    h, w = shape[-2:]
     # np.pad 'reflect' is reflect-101 (edge sample not repeated).
     padded, cols = (np.pad(np.arange(n), 2, mode="reflect") for n in (h, w))
-    out = np.empty(a.shape[:-2] + ((h + 1) // 2, (w + 1) // 2), dtype)
+    out = np.empty((len(planes), (h + 1) // 2, (w + 1) // 2), dtype)
     for rows in row_blocks(out.shape[-2], 2 * w):
-        block = out[..., rows, :]
+        block = out[:, rows, :]
         n = block.shape[-2]
         # output row r reads padded rows 2r .. 2r + 4
-        p = _gather(a, padded[2 * rows.start:2 * rows.stop + 3], cols, out.dtype)
+        p = _gather(planes, padded[2 * rows.start:2 * rows.stop + 3], cols, 2,
+                    out.dtype)
         horiz = _tap_sum([(k, p[..., i:i + w:2]) for i, k in enumerate(_KERNEL)])
         block[...] = _tap_sum([(k, horiz[..., i:i + 2 * n:2, :])
                                for i, k in enumerate(_KERNEL)])
-    return out
+    return out.reshape(shape[:-2] + out.shape[-2:])
 
 
 def _along(axis: int, s: slice) -> tuple:
@@ -151,20 +164,22 @@ def _expand(xp: np.ndarray, n: int, axis: int, out: np.ndarray) -> np.ndarray:
 _KEPT_DTYPES = (np.float32, np.float64, np.bool_)
 
 
-def _check(image: np.ndarray, levels: int) -> np.ndarray:
-    a = np.asarray(image)
-    if a.dtype not in _KEPT_DTYPES:
-        a = a.astype(float_dtype(a))
-    if a.ndim < 2:
-        raise DimensionError("pyramid input must be at least 2-D")
+def _check(image, levels: int):
+    """Layer 1 of a pyramid of `image`: the array, or the list of its planes,
+    as given where its dtype is kept, and converted by `float_dtype`
+    elsewhere."""
+    planes, shape = as_planes(image, "pyramid input")
     if levels < 2:
         raise DimensionError("need at least 2 pyramid levels")
     # a shift, not 2 ** (levels - 1), whose size and cost grow with levels
-    if min(a.shape[-2:]) >> (levels - 1) == 0:
+    if min(shape[-2:]) >> (levels - 1) == 0:
         raise DimensionError(
-            f"image {a.shape[-2:]} too small for {levels} levels "
+            f"image {shape[-2:]} too small for {levels} levels "
             f"(needs >= 2**{levels - 1} in both axes)")
-    return a
+
+    def kept(a):
+        return a if a.dtype in _KEPT_DTYPES else a.astype(float_dtype(a))
+    return kept(image) if isinstance(image, np.ndarray) else [kept(p) for p in planes]
 
 
 def layer_shapes(height: int, width: int, levels: int) -> list[tuple[int, int]]:
@@ -176,10 +191,12 @@ def layer_shapes(height: int, width: int, levels: int) -> list[tuple[int, int]]:
     return shapes
 
 
-def gaussian_pyramid(image: np.ndarray, levels: int = DEFAULT_LEVELS,
-                     dtype=np.float32) -> list[np.ndarray]:
-    """Blur-and-decimate chain; layer 1 is the input itself, not copied when
-    it is a float32, float64 or bool array.  The coarser layers are
+def gaussian_pyramid(image, levels: int = DEFAULT_LEVELS,
+                     dtype=np.float32) -> list:
+    """Blur-and-decimate chain of `image`, an array (..., H, W) or a
+    sequence of (H, W) planes.  Layer 1 is the input itself, not copied
+    where it is float32, float64 or bool: the array, or the list of the
+    sequence's planes.  The coarser layers are arrays of
     `np.result_type(image, dtype)`: `float_dtype(image)` at the default
     float32, float64 when `dtype` is float64."""
     a = _check(image, levels)
@@ -190,62 +207,72 @@ def gaussian_pyramid(image: np.ndarray, levels: int = DEFAULT_LEVELS,
     return layers
 
 
-def upsample(a: np.ndarray, target_shape: tuple[int, int]) -> np.ndarray:
-    """Zero-insert `a` to the rows and columns that end `target_shape`, then
-    blur with the x4-scaled kernel, in blocks of output rows."""
-    a = np.asarray(a)
+def upsample(a, target_shape: tuple[int, int]) -> np.ndarray:
+    """Zero-insert the stack `a` to the rows and columns that end
+    `target_shape`, then blur with the x4-scaled kernel, in blocks of output
+    rows."""
+    planes, shape = as_planes(a, "upsample input")
     if len(target_shape) < 2:
         raise DimensionError(f"upsample target {target_shape} must be at least 2-D")
     th, tw = target_shape[-2:]
-    if ((th + 1) // 2, (tw + 1) // 2) != a.shape[-2:]:
-        raise DimensionError(f"cannot upsample {a.shape} to {target_shape}")
-    padded = _zero_insert_reflect(a.shape[-2], th)
-    cols = _zero_insert_reflect(a.shape[-1], tw)
-    out = np.empty(a.shape[:-2] + (th, tw), float_dtype(a))
-    for rows in row_blocks(a.shape[-2], 2 * tw):
-        block = out[..., 2 * rows.start:2 * rows.stop, :]
-        x = _gather(a, padded[rows.start:rows.stop + 2], cols, out.dtype)
+    if ((th + 1) // 2, (tw + 1) // 2) != shape[-2:]:
+        raise DimensionError(f"cannot upsample {shape} to {target_shape}")
+    padded = _zero_insert_reflect(shape[-2], th)
+    cols = _zero_insert_reflect(shape[-1], tw)
+    out = np.empty((len(planes), th, tw), float_dtype(a))
+    for rows in row_blocks(shape[-2], 2 * tw):
+        block = out[:, 2 * rows.start:2 * rows.stop, :]
+        x = _gather(planes, padded[rows.start:rows.stop + 2], cols, 1, out.dtype)
         wide = _expand(x, tw, -1, np.empty(x.shape[:-1] + (tw,), x.dtype))
         _expand(wide, th, -2, block)
         block *= 4.0
-    return out
+    return out.reshape(shape[:-2] + (th, tw))
 
 
-def laplacian_pyramid(g: list[np.ndarray]) -> list[np.ndarray]:
+def laplacian_pyramid(g: list) -> list[np.ndarray]:
     """The Laplacian pyramid of the Gaussian pyramid `g`, as the caller holds
     it from `gaussian_pyramid`: band-pass layers g[k] - EXPAND(g[k+1]) for
     layers 1..K-1, plus the coarsest Gaussian layer as layer K."""
-    _check_chain(g)
+    shapes = _check_chain(g)
     dtype = float_dtype(*g)
     layers = []
     for k in range(len(g) - 1):
-        up = upsample(np.asarray(g[k + 1], dtype), g[k].shape)
-        layers.append(np.subtract(g[k], up, out=up))
+        up = upsample(np.asarray(g[k + 1], dtype), shapes[k])
+        layers.append(_into(np.subtract, g[k], up))
     return layers + [g[-1]]
 
 
-def _check_chain(layers: list[np.ndarray]) -> None:
+def _into(ufunc, stack, out: np.ndarray) -> np.ndarray:
+    """`ufunc(plane, o, out=o)` for each plane of `stack` and the plane `o`
+    of the fresh array `out` at its place; returns `out`."""
+    for plane, o in zip(as_planes(stack, "pyramid layer")[0],
+                        out.reshape((-1,) + out.shape[-2:])):
+        ufunc(plane, o, out=o)
+    return out
+
+
+def _check_chain(layers: list) -> list[tuple[int, ...]]:
+    """The shapes of the stacks `layers`, checked to form a pyramid."""
     if len(layers) < 2:
         raise DimensionError("pyramid must have at least 2 layers")
-    if layers[0].ndim < 2:
-        raise DimensionError("pyramid layers must be at least 2-D")
-    batch = layers[0].shape[:-2]
-    expected = layer_shapes(*layers[0].shape[-2:], len(layers))
-    for k, layer in enumerate(layers):
-        if layer.shape != batch + expected[k]:
+    shapes = [as_planes(layer, "pyramid layers")[1] for layer in layers]
+    batch = shapes[0][:-2]
+    expected = layer_shapes(*shapes[0][-2:], len(layers))
+    for k, shape in enumerate(shapes):
+        if shape != batch + expected[k]:
             raise DimensionError(
-                f"layer {k + 1} shape {layer.shape} breaks the dimension chain")
+                f"layer {k + 1} shape {shape} breaks the dimension chain")
+    return shapes
 
 
 def partial_collapse(layers: list[np.ndarray], to_layer: int) -> np.ndarray:
     """Run the collapse recursion down to layer `to_layer` (1-indexed), unclamped."""
-    _check_chain(layers)
+    shapes = _check_chain(layers)
     if not 1 <= to_layer <= len(layers):
         raise DimensionError(f"to_layer {to_layer} out of range 1..{len(layers)}")
     image = np.asarray(layers[-1], dtype=float_dtype(*layers))
     for k in range(len(layers) - 2, to_layer - 2, -1):
-        image = upsample(image, layers[k].shape)
-        image += layers[k]
+        image = _into(np.add, layers[k], upsample(image, shapes[k]))
     return image
 
 

@@ -323,8 +323,9 @@ def _gates_and_selections(warped, params):
     selections = []
     out = compound_pyramid(warped, params, lambda name, a: selections.append(a)
                            if name.startswith("selection") else None)
-    gs, gv = (gaussian_pyramid([getattr(v, name) for v in warped],
-                               params.levels, np.float64)
+    # layer 1 is the views' planes as given, stacked here to be compared
+    gs, gv = ([np.asarray(layer) for layer in gaussian_pyramid(
+                  [getattr(v, name) for v in warped], params.levels, np.float64)]
               for name in ("structural_confidence", "validity"))
     gates = [np.where(v > 0.5, g, -np.inf).max(axis=0)
              - np.where(v > 0.5, g, np.inf).min(axis=0) < params.gamma

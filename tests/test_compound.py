@@ -765,12 +765,13 @@ def test_float64_views_keep_the_float64_pyramid_bytes(params, digest):
 # once, compound_pyramid peaked at 50.1 MiB on this call, and at 26.3 MiB
 # with float64 stacks of the maps; stacked in their own dtypes, 20.6 MiB;
 # with float32 layers of the blended maps, float64 layers of the gating maps
-# and a uint8 selection, 13.9 MiB.
+# and a uint8 selection, 13.9 MiB; with each pyramid's layer 1 the views'
+# planes themselves, not a stack of them, 8.8 MiB.
 def test_pyramid_fusion_memory_is_bounded():
     scene = generate(two_view_phantom(0, size=512))
     warped = prepare_views([ViewInput(v.image, v.to_common) for v in scene.views],
                            512, 512)
-    assert traced_peak_mib(lambda: compound_pyramid(warped)) <= 15
+    assert traced_peak_mib(lambda: compound_pyramid(warped)) <= 10
 
 
 def test_pyramid_builds_traced_by_name(monkeypatch):

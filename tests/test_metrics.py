@@ -72,6 +72,71 @@ def test_amr_avr_grouping(rng):
     assert rep2.artifact_avr == pytest.approx(rep.artifact_avr)
 
 
+def per_patch_amr_avr(image, patches):
+    """Oracle: each group's mean of the per-patch ratios, each ratio taking
+    the whole image's mean or variance again."""
+    def average(stat, label):
+        ratios = [float(stat(image[p.y:p.y + p.height, p.x:p.x + p.width]))
+                  / float(stat(image)) for p in patches if p.label == label]
+        return float(np.mean(ratios)) if ratios else None
+    return (average(np.mean, "artifact"), average(np.var, "artifact"),
+            average(np.var, "boundary"))
+
+
+@given(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11),
+                          st.integers(1, 4), st.integers(1, 4),
+                          st.sampled_from(["artifact", "boundary"])),
+                max_size=6),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_amr_avr_equals_the_per_patch_ratios(boxes, seed):
+    img = np.random.default_rng(seed).random((16, 16))
+    patches = [PatchSpec(*box) for box in boxes]
+    rep = amr_avr(img, patches)
+    assert (rep.artifact_amr, rep.artifact_avr,
+            rep.boundary_avr) == per_patch_amr_avr(img, patches)
+
+
+@pytest.mark.parametrize("labels,means,variances", [
+    ([], 0, 0), (["boundary"] * 3, 0, 1), (["artifact"] * 3, 1, 1),
+    (["artifact", "boundary"] * 3, 1, 1),
+])
+def test_amr_avr_takes_the_whole_image_statistics_once(monkeypatch, rng, labels,
+                                                       means, variances):
+    # the whole image's mean only for artifact patches, its variance for
+    # any, each once per call whatever the number of patches
+    img = rng.random((16, 16))
+    calls = {"mean": 0, "var": 0}
+
+    def counting(name):
+        fn = getattr(np, name)
+
+        def wrapper(a, *args, **kwargs):
+            calls[name] += np.shape(a) == img.shape
+            return fn(a, *args, **kwargs)
+        return wrapper
+    for name in calls:
+        monkeypatch.setattr(np, name, counting(name))
+    amr_avr(img, [PatchSpec(2 * i, 3, 2, 2, label) for i, label in enumerate(labels)])
+    assert calls == {"mean": means, "var": variances}
+
+
+@pytest.mark.parametrize("img,labels,message", [
+    (np.zeros((8, 8)), ["boundary"], "variance is zero"),
+    (np.zeros((8, 8)), ["artifact", "boundary"], "mean is zero"),
+    (np.full((8, 8), 0.5), ["artifact"], "variance is zero"),
+])
+def test_amr_avr_degenerate_images_raise(img, labels, message):
+    with pytest.raises(DegenerateError, match=message):
+        amr_avr(img, [PatchSpec(0, 0, 2, 2, label) for label in labels])
+
+
+def test_amr_avr_without_patches_reads_no_statistic():
+    # a zero image is degenerate only for a group that has patches
+    assert amr_avr(np.zeros((8, 8)), []).to_dict() == dict.fromkeys(
+        ("artifact_amr", "artifact_avr", "boundary_avr"))
+
+
 def test_ratio_scale_invariance(rng):
     img = rng.random((12, 12)) * 0.5
     patch = PatchSpec(1, 1, 5, 5, "boundary")

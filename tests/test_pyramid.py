@@ -306,6 +306,64 @@ def test_stacked_pyramid_equals_per_plane(rng):
         assert np.array_equal(up[v], upsample(coarse[v], (33, 47)))
 
 
+@given(batched_grids(axis=st.integers(2, 40)), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_pyramid_of_planes_is_the_pyramid_of_their_stack(a, seed):
+    # a sequence of planes is read as given: layer 1 is its planes, not a
+    # copy, and every coarser layer, band and collapse is, bit for bit, that
+    # of their stack; here the planes mix a's dtype with float32 and bool
+    rng = np.random.default_rng(seed)
+    planes = [rng.random(a.shape[-2:], dtype=np.float32),
+              rng.random(a.shape[-2:]) < 0.5, *a.reshape((-1,) + a.shape[-2:])]
+    stack = np.stack(planes)
+    levels = min(a.shape[-2:]).bit_length()
+    for dtype in (np.float32, np.float64):
+        g = gaussian_pyramid(planes, levels, dtype)
+        assert isinstance(g[0], list)
+        assert all(g[0][v] is planes[v] for v in range(len(planes)))
+        g_stack = gaussian_pyramid(stack, levels, dtype)
+        assert all(same_bits(x, y) for x, y in zip(g[1:], g_stack[1:]))
+        lap, lap_stack = laplacian_pyramid(g), laplacian_pyramid(g_stack)
+        assert all(same_bits(x, y) for x, y in zip(lap, lap_stack))
+        assert same_bits(collapse(lap), collapse(lap_stack))
+        # a chain whose layer 1 is planes collapses as its stack does
+        assert same_bits(partial_collapse(g, 1), partial_collapse(g_stack, 1))
+
+
+def test_planes_of_other_dtypes_are_converted_one_by_one(rng):
+    planes = [(rng.random((12, 10)) * 3).astype(np.uint8),
+              rng.random((12, 10), dtype=np.float32)]
+    g = gaussian_pyramid(planes, 3)
+    assert g[0][1] is planes[1]
+    assert same_bits(g[0][0], planes[0].astype(np.float32))
+    assert all(same_bits(x, y) for x, y in
+               zip(g[1:], gaussian_pyramid(np.stack(planes), 3)[1:]))
+
+
+@pytest.mark.parametrize("planes,message", [
+    ([np.zeros((8, 8)), np.zeros((8, 9))], "share one shape"),
+    ([np.zeros((8, 8)), np.zeros((1, 8, 8))], "must be 2-D"),
+    ([], "has no planes"),
+])
+def test_planes_of_unequal_shape_raise_dimension_error(planes, message):
+    # not numpy's "inhomogeneous shape" ValueError from stacking them
+    with pytest.raises(DimensionError, match=message):
+        gaussian_pyramid(planes, 2)
+    with pytest.raises(DimensionError, match=message):
+        upsample(planes, (16, 16))
+    layers = [planes, np.zeros((2, 4, 4))]
+    with pytest.raises(DimensionError, match=message):
+        laplacian_pyramid(layers)
+    with pytest.raises(DimensionError, match=message):
+        partial_collapse(layers, 1)
+
+
+def test_too_small_planes_raise_with_the_frame_size():
+    with pytest.raises(DimensionError,
+                       match=r"image \(8, 9\) too small for 5 levels"):
+        gaussian_pyramid([np.zeros((8, 9))] * 2, 5)
+
+
 def test_laplacian_takes_a_gaussian_pyramid(rng):
     img = rng.random((33, 47))
     g = gaussian_pyramid(img, 4)
