@@ -180,25 +180,28 @@ def filter_clusters(clusters: ClusterSet,
     ids = ids[ids < len(sizes)]          # an id beyond the labels has no pixel
     big = np.zeros(len(sizes), dtype=bool)
     big[ids] = sizes[ids] >= params.min_size
-    lab = np.where(big[labels], labels, 0)
+    live = big.copy()
+    live[:1] = False                     # the background is no cluster
 
     # Run tops: cluster pixels whose upper neighbour carries another label.
     # Below a run's top, the run's own label fills the rows in between, so
-    # whatever blocks a lower pixel of the run also blocks its top.
-    h, w = lab.shape[0], math.prod(lab.shape[1:])
-    lab = lab.reshape(h, w)
-    top = lab[1:] > 0
-    top &= lab[1:] != lab[:-1]
-    rows, cols = np.nonzero(top)
+    # whatever blocks a lower pixel of the run also blocks its top.  They are
+    # found on the labels themselves and narrowed to the surviving clusters;
+    # a dropped cluster's pixel above one reads as background through `live`.
+    h, w = labels.shape[0], math.prod(labels.shape[1:])
+    lab = labels.reshape(h, w)
+    rows, cols = np.nonzero(lab[1:] != lab[:-1])
     rows += 1
     at = rows * w + cols                 # flat index of each run top
     lab = lab.ravel()
     own = lab[at]
+    top = live[own]
+    rows, at, own = rows[top], at[top], own[top]
     blocked = np.zeros(len(sizes), dtype=bool)
     for d in range(1, min(params.beta, h - 1) + 1):
         first = np.searchsorted(rows, d)    # the tops at least d rows down
         above = lab[at[first:] - d * w]
-        clash = (above > 0) & (above != own[first:])
+        clash = live[above] & (above != own[first:])
         blocked[own[first:][clash]] = True
     keep = ids[big[ids] & ~blocked[ids]]
     return replace(clusters, ids=tuple(keep.tolist()))
@@ -218,9 +221,12 @@ def refine_boundaries(image: np.ndarray, clusters: ClusterSet,
 
     Growth never leaves the 8-connected bright components that hold a seed,
     so the work is confined to their bounding box.  There, one edge mask per
-    neighbour direction (E, S, SE, SW) is built.  A run is a maximal row
-    segment of region pixels each joined to the next by an E edge; one
-    cumulative sum numbers the runs.  The S, SE and SW edges become pairs of
+    neighbour direction (E, S, SE, SW) is built from the image's own plane,
+    its differences taken in float64 in the row blocks of
+    `blocks.row_blocks`, so every step test is the float64 one and no
+    float64 frame is made.  A run is a maximal row segment of region pixels
+    each joined to the next by an E edge; one cumulative sum numbers the
+    runs.  The S, SE and SW edges become pairs of
     run ids, less each edge whose two ends continue the runs of the edge one
     column to its left, which joins the same two runs.  A union-find
     on a parent array over run ids follows: each round hooks every root onto
@@ -249,30 +255,36 @@ def refine_boundaries(image: np.ndarray, clusters: ClusterSet,
     hit = np.zeros(comp.max() + 1, dtype=bool)
     hit[comp[seeds]] = True
     region = hit[comp]
+    del comp, bright
     rows, cols = (np.flatnonzero(region.any(axis=k)) for k in (1, 0))
     box = np.s_[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
-    a = a[box].astype(np.float64, copy=False)
-    region, seeds = region[box], seeds[box]
+    a, region, seeds = a[box], region[box], seeds[box]
     h, w = a.shape
 
     # one edge mask per step E, S, SE, SW: node src[i, j] joins node dst[i, j];
-    # the differences share one float64 scratch, which then holds the run ids
-    # (intp, of the same size), so the union-find touches no new frame
+    # each step is read from the image's own plane, its difference taken in
+    # float64 one row block at a time, so no float64 frame is made
     steps = ((np.s_[:, :-1], np.s_[:, 1:]), (np.s_[:-1, :], np.s_[1:, :]),
              (np.s_[:-1, :-1], np.s_[1:, 1:]), (np.s_[:-1, 1:], np.s_[1:, :-1]))
-    scratch = np.empty(h * w)
     edges = []
     for src, dst in steps:
-        d = scratch[:a[src].size].reshape(a[src].shape)
-        np.abs(np.subtract(a[src], a[dst], out=d), out=d)
-        edges.append(region[src] & region[dst] & (d < t2))
+        x, y = a[src], a[dst]
+        edge = np.empty(x.shape, dtype=bool)
+        for r in row_blocks(*x.shape):
+            d = np.subtract(x[r], y[r], dtype=np.float64)
+            np.less(np.abs(d, out=d), t2, out=edge[r])
+        edge &= region[src]
+        edge &= region[dst]
+        edges.append(edge)
 
     # run[i, j] numbers, from 1, the run of region pixels joined by E edges
     # that holds (i, j); a pixel outside the region carries the id of the
-    # run before it, and the region masks it out at the end
+    # run before it, and the region masks it out at the end.  Run ids and
+    # roots are int32 while they fit, that is below 2**31 pixels.
+    index = np.int32 if h * w < 2**31 else np.intp
     joined = np.zeros_like(region)       # (i, j) continues the run of (i, j-1)
     joined[:, 1:] = edges[0]
-    run = np.cumsum(region & ~joined, out=scratch.view(np.intp)).reshape(h, w)
+    run = np.cumsum(region & ~joined, dtype=index).reshape(h, w)
     # every S, SE and SW edge as a pair of run ids, less the edges that join
     # the same two runs as the edge one column to their left
     ends = []
@@ -283,7 +295,7 @@ def refine_boundaries(image: np.ndarray, clusters: ClusterSet,
     u, v = (np.concatenate(e) for e in zip(*ends))
 
     # root[r] is the root of run r's tree
-    root = np.arange(run[-1, -1] + 1)
+    root = np.arange(run[-1, -1] + 1, dtype=index)
     while True:
         ru, rv = root[u], root[v]
         apart = ru != rv                     # an edge inside a tree stays so

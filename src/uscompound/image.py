@@ -226,22 +226,27 @@ def quantize8(a: np.ndarray) -> np.ndarray:
 
 def save_image(image: Image, path) -> None:
     """Write an Image as FMAP (lossless) when `path` ends in ".fmap", and as
-    8-bit PGM (round-half-up) otherwise."""
+    8-bit PGM (round-half-up) otherwise.
+
+    The FMAP payload is the float32 data as held; the PGM payload is
+    quantized and written one row block at a time, so beyond the image
+    neither holds more than one block.
+    """
     a = image.data
-    if str(path).endswith(".fmap"):
-        header = f"FMAP {a.shape[1]} {a.shape[0]}\n".encode()
-        payload = a.astype("<f4").tobytes()
-    else:
-        header = f"P5\n{a.shape[1]} {a.shape[0]}\n255\n".encode()
-        payload = quantize8(a).tobytes()
     with open(path, "wb") as f:
-        f.write(header)
-        f.write(payload)
+        if str(path).endswith(".fmap"):
+            f.write(f"FMAP {a.shape[1]} {a.shape[0]}\n".encode())
+            f.write(np.ascontiguousarray(a, dtype="<f4"))
+        else:
+            f.write(f"P5\n{a.shape[1]} {a.shape[0]}\n255\n".encode())
+            for rows in row_blocks(*a.shape):
+                f.write(quantize8(a[rows]).tobytes())
 
 
-def save_mask(mask: np.ndarray, path) -> None:
-    """Write a boolean mask as 0/1 by `save_image` (a PGM holds 0 and 255)."""
-    save_image(Image(mask.astype(np.float32)), path)
+def save_mask(mask, path) -> None:
+    """Write a mask as 0/1 by `save_image` (a PGM holds 0 and 255); any
+    nonzero value marks a pixel, as in `ViewInput`."""
+    save_image(Image((np.asarray(mask) != 0).astype(np.float32)), path)
 
 
 def load_mask(path) -> np.ndarray:

@@ -321,9 +321,15 @@ def test_phantom_reflector_kept_echoes_rejected_defaults():
 
 
 def _assert_refine_matches(image, clusters, t1=30.0, t2=2.0):
-    got = refine_boundaries(image, clusters, BoundaryParams(t1=t1, t2=t2))
-    assert got.dtype == bool and got.shape == np.shape(image)
-    assert np.array_equal(got, brute_force_refine(image, clusters, t1, t2))
+    # the edge steps are taken in row blocks: of the default size, and of
+    # one row each
+    want = brute_force_refine(image, clusters, t1, t2)
+    for block_pixels in (blocks.BLOCK_PIXELS, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(blocks, "BLOCK_PIXELS", block_pixels)
+            got = refine_boundaries(image, clusters, BoundaryParams(t1=t1, t2=t2))
+        assert got.dtype == bool and got.shape == np.shape(image)
+        assert np.array_equal(got, want), block_pixels
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -437,6 +443,16 @@ def test_refine_matches_brute_force_one_row_or_column(rng, shape):
         image[rng.random(shape) < 0.03] = 0.0
         labels = (rng.random(shape) < 0.02).astype(int)
         _assert_refine_matches(image, ClusterSet(labels, (1,)))
+
+
+def test_refine_takes_float32_steps_in_float64():
+    # the step between these two float32 values lies just below t2 = 100 in
+    # float64 and rounds up to it in float32: it is an edge, as in the oracle
+    image = np.array([[0.009153731, 0.4013106]], dtype=np.float32)
+    clusters = ClusterSet(np.array([[1, 0]]), (1,))
+    _assert_refine_matches(image, clusters, 0.0, 100.0)
+    assert refine_boundaries(image, clusters,
+                             BoundaryParams(t1=0.0, t2=100.0)).all()
 
 
 @pytest.mark.parametrize("label_shape", [(4, 4), (12, 12), (8, 9), (64,)])
@@ -566,26 +582,33 @@ def test_cluster_set_rejects_negative_ids():
 
 # The gradient holds its float64 output, one look-ahead buffer in the
 # image's float32 and one row block (3.25 MiB at 512²), and detection peaks
-# at 4.15 and 4.65 MiB on these views, in clustering and refinement.  With the
-# image as float64 and one scratch frame for the current lag, the gradient
-# held 6 MiB; with two frame-sized temporaries per lag, a float64 copy of the
-# frame for refinement and the gradient held through it, detection peaked
-# at 7.99 and 8.94 MiB.
+# at 4.15 and 4.16 MiB on these views, in clustering and refinement.  It
+# peaked at 4.15 and 4.65 MiB while refinement copied the seed box to
+# float64 and kept a float64 scratch of its size; with the image as float64
+# and one scratch frame for the current lag, the gradient held 6 MiB; with
+# two frame-sized temporaries per lag, a float64 copy of the frame for
+# refinement and the gradient held through it, detection peaked at 7.99 and
+# 8.94 MiB.
 def test_detection_memory_is_bounded():
     for view in generate(two_view_phantom(seed=0, size=512)).views:
         image = view.image.data
-        assert traced_peak_mib(lambda: detect_boundaries(image)) <= 6.5
+        assert traced_peak_mib(lambda: detect_boundaries(image)) <= 4.4
 
 
 # The ramp of test_refine_matches_brute_force_smooth_frame at 512² floods the
-# whole frame from one corner seed, one run per row.  Refinement peaked at
-# 16.99 MiB with the union-find over pixels, 9.51 MiB over runs, and 7.51 MiB
-# once this float64 frame's box is no longer copied.
+# whole frame from one corner seed, one run per row.  Refinement peaks at
+# 4.38 MiB on the float64 ramp and on its float32 copy: each edge step is
+# read from the image's own plane in row blocks and the runs are numbered in
+# int32.  It peaked at 16.99 MiB on the float64 ramp with the union-find over
+# pixels, at 9.51 MiB over runs, and at 7.51 MiB (float64) and 9.51 MiB
+# (float32) while the seed box went through one float64 scratch of its size
+# and, from float32, a float64 copy.
 def test_refine_flood_memory_is_bounded():
     y, x = np.mgrid[0:512, 0:512]
     image = (40 + 0.01 * x + 0.005 * y + 0.5 * np.sin(x / 7.0)) / 255
     labels = np.zeros(image.shape, dtype=int)
     labels[-1, -1] = 1
     clusters = ClusterSet(labels, (1,))
-    assert refine_boundaries(image, clusters).all()
-    assert traced_peak_mib(lambda: refine_boundaries(image, clusters)) <= 17.0
+    for frame in (image, image.astype(np.float32)):
+        assert refine_boundaries(frame, clusters).all()
+        assert traced_peak_mib(lambda: refine_boundaries(frame, clusters)) <= 5.0

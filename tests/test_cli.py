@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +128,24 @@ def test_compound_pyramid_subcommand_memory_is_bounded(tmp_path):
         ["compound", "--method", "pyramid", *args, "--out", str(out)])))
     assert rc == [0] and load_image(out).width == 512
     assert peak <= 18.5
+
+
+# The boundaries op on a 512² frame whose bright smooth tissue region
+# growing floods: the traced peak is 6.43 MiB, and was 11.55 MiB while
+# refinement copied the seed box to float64 beside a float64 scratch of its
+# size and the PGM encoder quantized a float64 copy of the whole mask.
+def test_boundaries_subcommand_memory_is_bounded(tmp_path):
+    view = generate(replace(two_view_phantom(0, size=512), speckle=None)).views[0]
+    y, x = np.mgrid[0:512, 0:512]
+    tissue = (0.3 + 0.004 * np.sin(2 * np.pi * x / 160)
+              + 0.004 * np.sin(2 * np.pi * y / 208))
+    image, out = tmp_path / "flood.pgm", tmp_path / "mask.pgm"
+    save_image(Image(np.maximum(view.image.data, tissue)), image)
+    rc = []
+    peak = traced_peak_mib(lambda: rc.append(run(
+        ["boundaries", "--image", str(image), "--out", str(out)])))
+    assert rc == [0] and load_mask(out).mean() > 0.99
+    assert peak <= 7.0
 
 
 @pytest.mark.parametrize("method", ["average", "maximum", "ubf", "pyramid"])
@@ -740,9 +759,41 @@ def test_confidence_fmap_bytes_pinned(tmp_path, phantom_dir, kind, digest):
 
 
 # Row blocks of the default size, and of one row each: every blocked loop
-# (the warp, the detection, the pyramid and the fusion) must give the same
-# bytes at any block size, so the pinned runs are made at both.
+# (the warp, the detection, the pyramid, the fusion and the PGM encoder)
+# must give the same bytes at any block size, so the pinned runs are made
+# at both.
 _BLOCK_SIZES = (blocks.BLOCK_PIXELS, 1)
+
+
+# sha256 of the masks `synth` writes for the phantom_dir scene, pinned so
+# that `save_mask` stays byte-identical across refactors.
+@pytest.mark.parametrize("name,digest", [
+    ("view0_boundary.pgm", "95b2c96f81c53f356c111b02c65662df2cc7c07a08c3abf982076703c7306e79"),
+    ("view0_artifact.pgm", "5c8edd6ac91f320c45f714db556566819d6301b3de46cb170401541df08b4b31"),
+    ("view1_boundary.pgm", "476941c335d5bbd91fa091d43f6790dcd99412adadf9e30ebdf41cd513768bae"),
+    ("view1_artifact.pgm", "80811274ae32f835c400db785f7cd0a272e3c030bac7a4047c43f53e55236416"),
+])
+def test_synth_mask_bytes_pinned(phantom_dir, name, digest):
+    assert hashlib.sha256((phantom_dir / name).read_bytes()).hexdigest() == digest
+
+
+# sha256 of the masks `boundaries` writes for the views of the phantom_dir
+# scene, as PGM and as FMAP, pinned so that detection and `save_mask` stay
+# byte-identical across refactors.
+@pytest.mark.parametrize("view,suffix,digest", [
+    (0, "pgm", "b832ed56cc013f3644d687a63713ea9cca783e0a72273b7a426013702bc6f277"),
+    (0, "fmap", "737bea9f9e477c16d7777b4545a7ad9de59880df9cf7d431ffb01c25c10c4ed8"),
+    (1, "pgm", "233171b2037e3a2a32ea396b7e6960dc51b8ed114fb8187c498f28ac8ed4ca5e"),
+    (1, "fmap", "bf642396d34bef43d36016452405750dac4c3705beff90395221b3fb1f4e2583"),
+])
+def test_boundaries_output_bytes_pinned(tmp_path, monkeypatch, phantom_dir,
+                                        view, suffix, digest):
+    for block_pixels in _BLOCK_SIZES:
+        monkeypatch.setattr(blocks, "BLOCK_PIXELS", block_pixels)
+        out = tmp_path / f"m{block_pixels}.{suffix}"
+        assert run(["boundaries", "--image", f"{phantom_dir}/view{view}.pgm",
+                    "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, block_pixels
 
 
 # sha256 of the `compound` outputs for the phantom_dir scene, pinned so that

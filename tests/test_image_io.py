@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import traced_peak_mib
 from uscompound.errors import DimensionError, FormatError, RangeError
 from uscompound.image import Image, load_image, load_mask, save_image, save_mask
 
@@ -104,3 +105,28 @@ def test_mask_rejects_gray(tmp_path):
         path.write_bytes(data)
         with pytest.raises(FormatError, match=r"only 0 and 1 \(255 in a PGM\)"):
             load_mask(path)
+
+
+# Any nonzero value marks a mask pixel, as in `ViewInput`; a mask holding
+# 255 or 2 raised RangeError, and a nested list AttributeError.
+@pytest.mark.parametrize("mask", [
+    np.array([[0, 255, 255], [255, 0, 0]], dtype=np.uint8),
+    np.array([[0, 2, 1], [-1, 0, 0]]),
+    [[0, 1, 1], [1, 0, False]],
+])
+@pytest.mark.parametrize("suffix", ["pgm", "fmap"])
+def test_mask_roundtrip_reads_nonzero_as_marked(tmp_path, mask, suffix):
+    path = tmp_path / f"m.{suffix}"
+    save_mask(mask, path)
+    assert np.array_equal(load_mask(path), np.asarray(mask) != 0)
+
+
+# A 512² mask is written as one float32 frame (1 MiB) and the bool frames
+# the nonzero test and the Image check make, with each row block of the PGM
+# quantized apart: the traced peak is 1.26 MiB, and was 5.00 MiB while the
+# whole frame was quantized through float64 copies.
+def test_save_mask_memory_is_bounded(tmp_path, rng):
+    mask = rng.random((512, 512)) < 0.3
+    path = tmp_path / "m.pgm"
+    assert traced_peak_mib(lambda: save_mask(mask, path)) <= 2.0
+    assert np.array_equal(load_mask(path), mask)
