@@ -175,7 +175,19 @@ def filter_clusters(clusters: ClusterSet,
     pixels (reverberation echoes sit close beneath the true reflector).
     """
     labels = clusters.labels
-    sizes = np.bincount(labels.ravel())
+    h, w = labels.shape[0], math.prod(labels.shape[1:])
+    lab = labels.reshape(h, w)
+    # Cluster sizes, counted in row blocks so that the labels are never
+    # copied whole to intp.  Each count fills an array of every label, so
+    # blocks are joined until one holds that many pixels: the counting stays
+    # linear however many clusters there are.
+    sizes = np.zeros(int(labels.max(initial=0)) + 1, dtype=np.intp)
+    first = 0
+    for rows in row_blocks(h, w):
+        if (rows.stop - first) * w >= len(sizes) or rows.stop == h:
+            sizes += np.bincount(lab[first:rows.stop].ravel(),
+                                 minlength=len(sizes))
+            first = rows.stop
     ids = np.asarray(clusters.ids, dtype=np.intp)
     ids = ids[ids < len(sizes)]          # an id beyond the labels has no pixel
     big = np.zeros(len(sizes), dtype=bool)
@@ -188,8 +200,6 @@ def filter_clusters(clusters: ClusterSet,
     # whatever blocks a lower pixel of the run also blocks its top.  They are
     # found on the labels themselves and narrowed to the surviving clusters;
     # a dropped cluster's pixel above one reads as background through `live`.
-    h, w = labels.shape[0], math.prod(labels.shape[1:])
-    lab = labels.reshape(h, w)
     rows, cols = np.nonzero(lab[1:] != lab[:-1])
     rows += 1
     at = rows * w + cols                 # flat index of each run top
@@ -284,7 +294,15 @@ def refine_boundaries(image: np.ndarray, clusters: ClusterSet,
     index = np.int32 if h * w < 2**31 else np.intp
     joined = np.zeros_like(region)       # (i, j) continues the run of (i, j-1)
     joined[:, 1:] = edges[0]
-    run = np.cumsum(region & ~joined, dtype=index).reshape(h, w)
+    # one cumulative sum over the box in row-major order, taken per row block
+    # with the last id carried over, so no int32 copy of the box is made
+    run = np.empty((h, w), dtype=index)
+    last = 0
+    for rows in row_blocks(h, w):
+        block = run[rows].reshape(-1)
+        np.cumsum(region[rows] & ~joined[rows], dtype=index, out=block)
+        block += last
+        last = block[-1]
     # every S, SE and SW edge as a pair of run ids, less the edges that join
     # the same two runs as the edge one column to their left
     ends = []

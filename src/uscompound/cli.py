@@ -9,6 +9,7 @@ deterministic; phantom generation randomness is controlled by --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -220,10 +221,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """`build_parser()`, built on first use and reused by every `run`:
+    argparse keeps no state between `parse_args` calls, and each subcommand
+    looks up the module's functions when it runs."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:

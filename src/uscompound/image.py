@@ -9,10 +9,12 @@ are batch axes, so the maps of one view, as an (N, H, W) array or as a
 sequence of N (H, W) planes of any dtypes, are warped with one shared set of
 source positions and equal plane by plane the 2-D results.  It reads the
 planes as given, never copied into one array.  It works through the output
-in the row blocks of `blocks.row_blocks`, gathering from the flattened
-planes and summing the bilinear products in one fixed order, so its working
-memory is bounded by a block and its result does not depend on the block
-size.
+in the row blocks of `blocks.row_blocks`, summing the bilinear products in
+one fixed order, so its working memory is bounded by a block and its result
+does not depend on the block size.  A shift by whole pixels, such as the
+identity of the view whose frame is the common one, reads its taps as
+slices of the planes; any other transform gathers them from the flattened
+planes.  Both paths give the same bytes.
 """
 
 from __future__ import annotations
@@ -281,19 +283,30 @@ def warp_array(data, transform: RigidTransform2D,
 
     The output is evaluated in the row blocks of `blocks.row_blocks`, so
     the working memory is bounded by one block, not by the frame.  Each
-    block gathers from each flattened plane at one flat index per pixel,
-    plus scalar offsets for the other three bilinear taps, and sums the
-    float64 products in the fixed order
-    ((p00 (1-fx)) (1-fy) + (p01 fx) (1-fy)) + (p10 (1-fx)) fy + (p11 fx) fy.
-    Every step is elementwise, so the result is the same bit for bit
-    whatever the block size.
+    block sums the four float64 products of `_bilinear_sum` in its one
+    fixed order.  A transform with rotation 0 and integral shifts, the
+    identity among them, puts every source coordinate on a pixel; its
+    valid pixels form a rectangle whose taps are slices of the planes
+    with weights 0 and 1, which `_warp_shifted` reads without gathering.
+    Any other transform gathers from each flattened plane at one flat
+    index per pixel, shifted by a scalar offset for the other three taps.
+    Either way every step is elementwise and takes the same products, so
+    the result is the same bit for bit whatever the path and the block
+    size, signed zeros and infinities included.  (A NaN stays NaN, but
+    where a NaN tap meets the NaN of inf * 0, numpy's loops may give
+    either sign, at any block size.)
     """
     if out_width <= 0 or out_height <= 0:
         raise DimensionError("output dimensions must be positive")
     planes, shape = as_planes(data, "warp input")
     h, w = shape[-2:]
     out = np.zeros(shape[:-2] + (out_height, out_width), dtype=np.float32)
-    valid = np.empty((out_height, out_width), dtype=bool)
+    valid = np.zeros((out_height, out_width), dtype=bool)
+    shift = _integer_shift(transform)
+    if shift is not None:
+        _warp_shifted(planes, out.reshape((-1, out_height, out_width)), valid,
+                      shift, w, h)
+        return out, valid
     # views of contiguous planes; a strided plane is copied once, here
     planes = [p.reshape(-1) for p in planes]
     outs = out.reshape((-1, out_height * out_width))
@@ -310,8 +323,28 @@ def warp_array(data, transform: RigidTransform2D,
     return out, valid
 
 
+def _bilinear_sum(taps, gx, fx, gy, fy, acc, tmp):
+    """Sum the four bilinear products into `acc` and return it.
+
+    `taps` yields the planes' values at the four corners p00, p01, p10 and
+    p11, in that order, and the weights are arrays shaped like `acc` or
+    scalars, with gx = 1 - fx and gy = 1 - fy.  Each tap is cast to float64
+    in `acc` or `tmp` and weighted there, so the sum is the one fixed order
+    ((p00 gx) gy + (p01 fx) gy) + (p10 gx) fy + (p11 fx) fy.
+    """
+    for k, (tap, wx, wy) in enumerate(zip(taps, (gx, fx, gx, fx),
+                                          (gy, gy, fy, fy))):
+        product = tmp if k else acc
+        np.copyto(product, tap)
+        product *= wx
+        product *= wy
+        if k:
+            acc += tmp
+    return acc
+
+
 def _resample_block(planes, outs, valid, sx, sy, w, h):
-    """Write one block of `warp_array`'s output.
+    """Write one block of `warp_array`'s output by gathering.
 
     `planes` are the source planes, each flattened to h * w values of its
     own dtype, and `outs` the block's span of each flattened output plane.
@@ -323,36 +356,104 @@ def _resample_block(planes, outs, valid, sx, sy, w, h):
     valid &= sx <= w - 1.0
     valid &= sy >= 0.0
     valid &= sy <= h - 1.0
-    # Clamped in float, so every cast below is defined; valid pixels keep
-    # their coordinates.
+    # Clamped in float, so the index cast below is defined; valid pixels
+    # keep their coordinates.
     np.clip(sx, 0.0, w - 1.0, out=sx)
     np.clip(sy, 0.0, h - 1.0, out=sy)
 
-    x0 = np.floor(sx).astype(np.intp)
-    y0 = np.floor(sy).astype(np.intp)
+    # The upper-left corner, floored and clamped in float.  Adding 0.0 turns
+    # the floor of a -0.0 coordinate into +0.0, so its weight keeps the sign
+    # the coordinate has.
+    x0 = np.floor(sx)
     np.minimum(x0, max(w - 2, 0), out=x0)
+    x0 += 0.0
+    y0 = np.floor(sy)
     np.minimum(y0, max(h - 2, 0), out=y0)
+    y0 += 0.0
     # The weights overwrite the source coordinates, which are not needed again.
     fx = np.subtract(sx, x0, out=sx)
     fy = np.subtract(sy, y0, out=sy)
     gx, gy = 1 - fx, 1 - fy
-    base = y0  # the flat index y0 * w + x0, formed in y0's buffer
-    base *= w
-    base += x0
+    y0 *= w  # the flat index y0 * w + x0, exact in float64
+    y0 += x0
+    base = y0.astype(np.intp)
+    del x0, y0
     # Flat offsets of the right and lower taps; 0 on a one-pixel axis,
     # where the bilinear neighbor is the edge pixel itself.
     right, down = int(w > 1), w if h > 1 else 0
-    taps = [(base + right, fx, gy), (base + down, gx, fy),
-            (base + (right + down), fx, fy)]
     acc, tmp = np.empty_like(fx), np.empty_like(fx)
     for p, o in zip(planes, outs):
-        np.multiply(p.take(base), gx, out=acc)
-        acc *= gy
-        for tap, wx, wy in taps:
-            np.multiply(p.take(tap), wx, out=tmp)
-            tmp *= wy
-            acc += tmp
-        np.copyto(o, acc, where=valid)
+        taps = (p[off:].take(base) for off in (0, right, down, right + down))
+        np.copyto(o, _bilinear_sum(taps, gx, fx, gy, fy, acc, tmp),
+                  where=valid)
+
+
+def _integer_shift(transform: RigidTransform2D):
+    """(ox, oy) when `transform` is a shift by whole pixels, so that output
+    pixel (x, y) samples source pixel (x + ox, y + oy) exactly; else None.
+
+    With rotation 0, `inverse_apply` subtracts the shift and adds a zero,
+    so its value at the origin is the offset, and wherever the source
+    position lies on the source grid it is exact.
+    """
+    if transform.rotation != 0:
+        return None
+    ox, oy = (float(v) for v in transform.inverse_apply(0.0, 0.0))
+    if not (ox.is_integer() and oy.is_integer()):
+        return None
+    return int(ox), int(oy)
+
+
+def _shift_runs(size: int, n: int, offset: int):
+    """The runs of one output axis of `size` pixels that sample a source axis
+    of `n` pixels at index + `offset`, as (output slice, first upper-left
+    tap, g, f) with weights g = 1 - f.
+
+    Inside the source the upper-left tap is the sampled pixel (g 1, f 0).
+    On the far edge, of an axis longer than one pixel, it is pixel n - 2
+    (g 0, f 1), as the floored and clamped corner gives.
+    """
+    lo, hi = max(0, -offset), min(size, n - offset)
+    edge = n - 1 - offset if n > 1 else hi
+    runs = []
+    if lo < min(hi, edge):
+        runs.append((slice(lo, min(hi, edge)), lo + offset, 1.0, 0.0))
+    if lo <= edge < hi:
+        runs.append((slice(edge, edge + 1), n - 2, 0.0, 1.0))
+    return runs
+
+
+def _warp_shifted(planes, outs, valid, shift, w, h):
+    """Write `warp_array`'s output for the integer shift `shift` from slices.
+
+    `planes` are the (h, w) source planes and `outs` the 2-D output planes,
+    zero on entry.  The valid pixels form one rectangle, cut into runs of
+    rows and of columns with one pair of scalar weights each; every row run
+    is taken in row blocks, and each tap of a block is a slice of a plane.
+    """
+    cols = _shift_runs(outs.shape[2], w, shift[0])
+    rows = _shift_runs(outs.shape[1], h, shift[1])
+    if not (cols and rows):
+        return
+    valid[rows[0][0].start:rows[-1][0].stop,
+          cols[0][0].start:cols[-1][0].stop] = True
+    width = cols[-1][0].stop - cols[0][0].start
+    right, down = int(w > 1), int(h > 1)
+    for row_run, top, gy, fy in rows:
+        for block in row_blocks(row_run.stop - row_run.start, width):
+            n = block.stop - block.start
+            out_rows = slice(row_run.start + block.start,
+                             row_run.start + block.stop)
+            y = top + block.start
+            scratch = np.empty((2, n * width))
+            for col_run, x, gx, fx in cols:
+                m = col_run.stop - col_run.start
+                acc, tmp = scratch[:, :n * m].reshape(2, n, m)
+                for p, o in zip(planes, outs):
+                    taps = (p[y + dy:y + dy + n, x + dx:x + dx + m]
+                            for dy in (0, down) for dx in (0, right))
+                    o[out_rows, col_run] = _bilinear_sum(taps, gx, fx, gy, fy,
+                                                         acc, tmp)
 
 
 def warp_to_common(view: ViewInput, out_width: int, out_height: int) -> WarpedView:

@@ -515,14 +515,40 @@ def cluster_sets(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(clusters=cluster_sets(), beta=st.integers(0, 30),
-       min_size=st.integers(1, 8))
-def test_filter_matches_dense_oracle(clusters, beta, min_size):
-    # beta runs from 0 to beyond the height of every map
+       min_size=st.integers(1, 8),
+       block=st.sampled_from([1, 7, blocks.BLOCK_PIXELS]))
+def test_filter_matches_dense_oracle(clusters, beta, min_size, block):
+    # beta runs from 0 to beyond the height of every map; block sets the
+    # pixels per row block of the size count, fewer than the labels or not
     params = BoundaryParams(beta=beta, min_size=min_size)
-    got = filter_clusters(clusters, params)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(blocks, "BLOCK_PIXELS", block)
+        got = filter_clusters(clusters, params)
     assert got.ids == dense_filter_clusters(clusters, params).ids
     assert got.labels is clusters.labels
     assert np.array_equal(got.mask(), isin_mask(got))
+
+
+def test_filter_size_count_stays_linear_with_many_clusters(monkeypatch):
+    # 1,024 one-pixel clusters on a 64 x 64 frame cut into one-row blocks of
+    # 64 pixels: counting each block into an array of every label would fill
+    # 64 arrays of 1,025; joined blocks fill about 4.
+    labels = np.zeros((64, 64), dtype=np.int32)
+    labels[::2, ::2] = np.arange(1, 1025).reshape(32, 32)
+    filled = []
+    bincount = np.bincount
+
+    def counting(x, *args, **kwargs):
+        counts = bincount(x, *args, **kwargs)
+        filled.append(len(counts))
+        return counts
+
+    monkeypatch.setattr(blocks, "BLOCK_PIXELS", 64)
+    monkeypatch.setattr(np, "bincount", counting)
+    got = filter_clusters(ClusterSet(labels, tuple(range(1, 1025))),
+                          BoundaryParams(min_size=1, beta=1))
+    assert got.ids == tuple(range(1, 1025))
+    assert sum(filled) <= 64 * 64 + 1025
 
 
 @pytest.mark.parametrize("beta,kept", [(0, (1, 2)), (1, (1, 2)), (2, (2,)),
@@ -597,9 +623,10 @@ def test_detection_memory_is_bounded():
 
 # The ramp of test_refine_matches_brute_force_smooth_frame at 512² floods the
 # whole frame from one corner seed, one run per row.  Refinement peaks at
-# 4.38 MiB on the float64 ramp and on its float32 copy: each edge step is
+# 3.89 MiB on the float64 ramp and on its float32 copy: each edge step is
 # read from the image's own plane in row blocks and the runs are numbered in
-# int32.  It peaked at 16.99 MiB on the float64 ramp with the union-find over
+# int32, one row block at a time.  It peaked at 4.38 MiB while one cumulative
+# sum over the box cast the bool box to int32 first, at 16.99 MiB on the float64 ramp with the union-find over
 # pixels, at 9.51 MiB over runs, and at 7.51 MiB (float64) and 9.51 MiB
 # (float32) while the seed box went through one float64 scratch of its size
 # and, from float32, a float64 copy.
@@ -611,4 +638,14 @@ def test_refine_flood_memory_is_bounded():
     clusters = ClusterSet(labels, (1,))
     for frame in (image, image.astype(np.float32)):
         assert refine_boundaries(frame, clusters).all()
-        assert traced_peak_mib(lambda: refine_boundaries(frame, clusters)) <= 5.0
+        assert traced_peak_mib(lambda: refine_boundaries(frame, clusters)) <= 4.0
+
+
+# The size count takes the labels per row block: filtering the clusters of
+# the seed-0 512² head-on view peaks at 0.70 MiB, and peaked at 2.03 MiB
+# while one bincount over the whole frame copied the int32 labels to intp.
+def test_filter_memory_is_bounded():
+    image = generate(two_view_phantom(seed=0, size=512)).views[0].image.data
+    clusters = extract_clusters(vertical_gradient(image))
+    assert len(clusters) > 1000
+    assert traced_peak_mib(lambda: filter_clusters(clusters)) <= 1.0

@@ -131,9 +131,11 @@ def test_compound_pyramid_subcommand_memory_is_bounded(tmp_path):
 
 
 # The boundaries op on a 512² frame whose bright smooth tissue region
-# growing floods: the traced peak is 6.43 MiB, and was 11.55 MiB while
-# refinement copied the seed box to float64 beside a float64 scratch of its
-# size and the PGM encoder quantized a float64 copy of the whole mask.
+# growing floods: the traced peak is 5.90 MiB.  It was 6.42 MiB while
+# refinement numbered its runs by one cumulative sum over an int32 copy of
+# the box, and 11.55 MiB while refinement copied the seed box to float64
+# beside a float64 scratch of its size and the PGM encoder quantized a
+# float64 copy of the whole mask.
 def test_boundaries_subcommand_memory_is_bounded(tmp_path):
     view = generate(replace(two_view_phantom(0, size=512), speckle=None)).views[0]
     y, x = np.mgrid[0:512, 0:512]
@@ -145,7 +147,7 @@ def test_boundaries_subcommand_memory_is_bounded(tmp_path):
     peak = traced_peak_mib(lambda: rc.append(run(
         ["boundaries", "--image", str(image), "--out", str(out)])))
     assert rc == [0] and load_mask(out).mean() > 0.99
-    assert peak <= 7.0
+    assert peak <= 6.0
 
 
 @pytest.mark.parametrize("method", ["average", "maximum", "ubf", "pyramid"])
@@ -267,6 +269,43 @@ def test_segment_patch_outside_image_exit2(tmp_path, patch):
 def test_usage_error_exit1():
     assert run(["compound", "--method", "bogus"]) == 1
     assert run([]) == 1
+
+
+def test_run_builds_one_parser_and_keeps_each_result(tmp_path, phantom_dir,
+                                                     capsys, monkeypatch):
+    # The parser is built on the first `run` of a process and reused; a
+    # usage error in between leaves nothing behind, so every call gives the
+    # exit code, the printed text and the file of a parser of its own.
+    cli = importlib.import_module("uscompound.cli")
+    argvs = [["compound", "--method", "average", *_view_args(phantom_dir)],
+             ["compound", "--method", "bogus"],
+             ["boundaries", "--image", f"{phantom_dir}/view0.pgm"],
+             ["compound", "--method", "average", *_view_args(phantom_dir)]]
+
+    def results(runner, tag):
+        got = []
+        for i, argv in enumerate(argvs):
+            out = tmp_path / f"{tag}{i}.pgm"
+            code = runner(argv + ["--out", str(out)])
+            printed = capsys.readouterr()
+            got.append((code, printed.out, printed.err,
+                        out.read_bytes() if out.exists() else None))
+        return got
+
+    def fresh(argv):
+        cli._parser.cache_clear()
+        return run(argv)
+
+    expected = results(fresh, "fresh")
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    got = results(run, "shared")
+    assert len(built) == 1
+    assert [g[0] for g in got] == [0, 1, 0, 0]
+    assert got == expected
+    assert got[0][3] == got[3][3] and got[2][3] is not None
 
 
 def test_data_error_exit2(tmp_path):

@@ -411,8 +411,8 @@ def _warp_source(seed, shape, dtype):
     rng = np.random.default_rng(seed)
     if dtype == np.bool_:
         return rng.random(shape) < 0.5
-    if dtype == np.uint8:
-        return rng.integers(0, 256, shape, dtype=np.uint8)
+    if np.issubdtype(dtype, np.integer):
+        return rng.integers(0, np.iinfo(dtype).max + 1, shape, dtype=dtype)
     a = (rng.random(shape) * 2 - 1).astype(dtype)
     a[rng.random(shape) < 0.2] = 0.0
     a[rng.random(shape) < 0.1] = -0.0
@@ -507,6 +507,24 @@ def test_clamping_keeps_the_sign_of_a_zero_source_coordinate():
     assert np.signbit(out[0, 0])
 
 
+@pytest.mark.parametrize("rotation,axis", [(-math.pi, 1), (math.pi, 0)])
+@pytest.mark.parametrize("shape", [(2, 3), (5, 6)])
+def test_a_floored_signed_zero_coordinate_keeps_its_weight_sign(rotation, axis,
+                                                                shape):
+    # At rotation -pi, output pixel (0, 0) samples source x = -0.0, and at
+    # rotation pi source y = -0.0, so that axis's weight is -0.0; with the
+    # taps beyond the corner on that axis +1 and the others -0.0, the four
+    # products sum to -0.0.  A corner floored to -0.0 would make it +0.0.
+    src = np.full(shape, -0.0, dtype=np.float32)
+    src[(slice(None), 1) if axis else 1] = 1.0
+    t = RigidTransform2D(rotation)
+    out, valid = warp_array(src, t, shape[1], shape[0])
+    expected, _ = fancy_index_warp(src, t, shape[1], shape[0])
+    assert valid[0, 0] and expected[0, 0] == 0 and np.signbit(expected[0, 0])
+    assert np.array_equal(np.signbit(out), np.signbit(expected))
+    assert np.array_equal(out, expected)
+
+
 @pytest.mark.parametrize("name", ["rotation", "dx", "dy"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
                                  pytest.param(10**400, id="401-digit")])
@@ -566,24 +584,151 @@ def test_view_far_off_the_frame_warps_to_empty_maps_without_warning(
 
 
 # The bound is the output and validity plus about one block's working set;
-# the whole-frame warp peaked at 22.25 MiB on this call.
+# the whole-frame warp peaked at 22.25 MiB on this call, and the blocked one
+# at 3.76 MiB while it built three tap-index arrays per block (3.33 without).
 def test_bilinear_warp_memory_is_bounded_by_a_block(rng):
     stack = rng.random((2, 512, 512), dtype=np.float32)
     t = RigidTransform2D(math.pi / 2, dx=511.0)
-    # 2 MiB output and 0.25 MiB validity leave 2.25 MiB for working memory.
-    assert traced_peak_mib(lambda: warp_array(stack, t, 512, 512)) <= 4.5
+    # 2 MiB output and 0.25 MiB validity leave 1.25 MiB for working memory.
+    assert traced_peak_mib(lambda: warp_array(stack, t, 512, 512)) <= 3.5
+
+
+def _full_view(rng, transform, shape=(512, 512)):
+    return ViewInput(Image(rng.random(shape, dtype=np.float32)), transform,
+                     intensity_confidence=rng.random(shape, dtype=np.float32),
+                     structural_confidence=rng.random(shape, dtype=np.float32),
+                     boundary_mask=rng.random(shape) > 0.5)
 
 
 # One call per view, which reads the image and maps as given: the output is
 # whole frames, the rest is one block.  The peak was 10.02 MiB on this call
-# when the planes were stacked first, and is 6.01 MiB without the stack.
+# when the planes were stacked first, 6.01 MiB without the stack, and is
+# 5.58 MiB without the three tap-index arrays.
 def test_warp_to_common_memory_is_bounded_by_its_output_and_a_block(rng):
-    shape = (512, 512)
-    view = ViewInput(Image(rng.random(shape, dtype=np.float32)),
-                     RigidTransform2D(math.pi / 2, dx=511.0),
-                     intensity_confidence=rng.random(shape, dtype=np.float32),
-                     structural_confidence=rng.random(shape, dtype=np.float32),
-                     boundary_mask=rng.random(shape) > 0.5)
+    view = _full_view(rng, RigidTransform2D(math.pi / 2, dx=511.0))
     # The 4 MiB output and 0.25 MiB each for the mask's indicator and the
-    # validity leave 2.25 MiB for working memory.
-    assert traced_peak_mib(lambda: warp_to_common(view, 512, 512)) <= 6.75
+    # validity leave 1.25 MiB for working memory.
+    assert traced_peak_mib(lambda: warp_to_common(view, 512, 512)) <= 5.75
+
+
+# The identity takes the integer-shift path, which gathers nothing: beyond
+# the output, the indicator and the validity it holds one block's float64
+# sum and product (0.25 MiB).  It peaked at 6.02 MiB on the general path.
+def test_identity_warp_to_common_memory_is_bounded(rng):
+    view = _full_view(rng, RigidTransform2D())
+    assert traced_peak_mib(lambda: warp_to_common(view, 512, 512)) <= 5.25
+
+
+# ---------------------------------------------------------------------------
+# The integer-shift path: rotation 0 and whole-pixel shifts
+# ---------------------------------------------------------------------------
+
+# (source shape, output shape): one-pixel source axes, and outputs larger and
+# smaller than the source
+_SHIFT_SHAPES = [((1, 1), (3, 3)), ((1, 7), (4, 9)), ((7, 1), (9, 3)),
+                 ((9, 11), (14, 17)), ((9, 11), (5, 6))]
+
+
+_SHIFTS_INSIDE = [RigidTransform2D(), RigidTransform2D(-0.0, -0.0, -0.0),
+                  RigidTransform2D(dx=3.0, dy=-2.0), RigidTransform2D(dx=-5, dy=7)]
+
+
+def _shifts_outside(h, w, out_h, out_w):
+    """Shifts that put the whole output off the source: at its size, and
+    beyond it on both axes."""
+    return [RigidTransform2D(dx=-float(w)), RigidTransform2D(dy=-float(h)),
+            RigidTransform2D(dx=float(out_w), dy=0.0),
+            RigidTransform2D(dx=float(out_w + 4), dy=-float(h + 6)),
+            RigidTransform2D(dx=1e300, dy=-1e300)]
+
+
+@pytest.mark.parametrize("batch", [(), (2,)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint16, np.bool_])
+@pytest.mark.parametrize("block", [1, blocks.BLOCK_PIXELS])
+def test_integer_shift_equals_fancy_index_oracle(monkeypatch, dtype, batch,
+                                                 block):
+    monkeypatch.setattr(blocks, "BLOCK_PIXELS", block)
+    for seed, ((h, w), (out_h, out_w)) in enumerate(_SHIFT_SHAPES):
+        src = _warp_source(seed, batch + (h, w), dtype)
+        for t in _SHIFTS_INSIDE:
+            out, valid = warp_array(src, t, out_w, out_h)
+            expected, expected_valid = fancy_index_warp(src, t, out_w, out_h)
+            assert out.dtype == np.float32 and out.shape == expected.shape
+            assert np.array_equal(out, expected), t
+            assert np.array_equal(np.signbit(out), np.signbit(expected)), t
+            assert np.array_equal(valid, expected_valid), t
+        for t in _shifts_outside(h, w, out_h, out_w):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out, valid = warp_array(src, t, out_w, out_h)
+            assert not valid.any(), t
+            assert np.array_equal(out, np.zeros(batch + (out_h, out_w))), t
+            assert not np.signbit(out).any(), t
+
+
+def _general_warp(monkeypatch, data, transform, out_width, out_height):
+    """`warp_array` made to take the general (gathering) path."""
+    with monkeypatch.context() as mp:
+        mp.setattr(image_module, "_integer_shift", lambda transform: None)
+        return warp_array(data, transform, out_width, out_height)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_integer_shift_equals_the_general_path_on_signed_zeros_and_infinities(
+        monkeypatch, dtype):
+    # -0.0 regions (where all four taps are -0.0 the sum is -0.0), +-0.0
+    # next to each other, and +-inf taps, which give inf or the NaN of
+    # inf * 0 in every pixel whose four taps hold them, weighted or not
+    rng = np.random.default_rng(7)
+    src = rng.random((2, 13, 15)).astype(dtype)
+    src[:, 2:6, 3:9] = -0.0
+    src[0, 8:, :4] = 0.0
+    src[0, 8:, 2] = -0.0
+    src[0, 4, 10] = np.inf
+    src[1, 10, 14] = -np.inf
+    src[1, 12, 0] = np.inf
+    src[0, 0, 14] = -np.inf
+    for t in [RigidTransform2D(), RigidTransform2D(dx=2.0, dy=-1.0),
+              RigidTransform2D(-0.0, dx=-3.0, dy=4.0)]:
+        for out_w, out_h in [(15, 13), (19, 10)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # inf * 0
+                out, valid = warp_array(src, t, out_w, out_h)
+                expected, expected_valid = _general_warp(monkeypatch, src, t,
+                                                         out_w, out_h)
+            assert np.isnan(expected).any() and np.isinf(expected).any()
+            assert (np.signbit(expected) & (expected == 0)).any()
+            assert np.array_equal(out, expected, equal_nan=True), t
+            assert np.array_equal(np.signbit(out), np.signbit(expected)), t
+            assert np.array_equal(valid, expected_valid), t
+
+
+def test_integer_shift_never_resamples(monkeypatch, rng):
+    def resample(*args):
+        raise AssertionError("an integer shift took the gathering path")
+
+    monkeypatch.setattr(image_module, "_resample_block", resample)
+    src = rng.random((2, 9, 11))
+    for t in _SHIFTS_INSIDE + [RigidTransform2D(dx=1e300)]:
+        warp_array(src, t, 12, 10)
+    warp_to_common(ViewInput(Image(src[0]), boundary_mask=src[1] > 0.5), 11, 9)
+
+
+@pytest.mark.parametrize("transform", [RigidTransform2D(rotation=1e-300),
+                                       RigidTransform2D(dx=0.5),
+                                       RigidTransform2D(dy=-2.25),
+                                       RigidTransform2D(math.pi / 2)])
+def test_other_transforms_take_the_general_path(monkeypatch, rng, transform):
+    calls = []
+    resample = image_module._resample_block
+
+    def counting(*args):
+        calls.append(args)
+        return resample(*args)
+
+    monkeypatch.setattr(image_module, "_resample_block", counting)
+    src = rng.random((9, 11))
+    out, valid = warp_array(src, transform, 11, 9)
+    assert calls
+    expected, expected_valid = fancy_index_warp(src, transform, 11, 9)
+    assert np.array_equal(out, expected) and np.array_equal(valid, expected_valid)
