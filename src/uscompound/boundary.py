@@ -304,12 +304,17 @@ def refine_boundaries(image: np.ndarray, clusters: ClusterSet,
         block += last
         last = block[-1]
     # every S, SE and SW edge as a pair of run ids, less the edges that join
-    # the same two runs as the edge one column to their left
+    # the same two runs as the edge one column to their left; each mask is
+    # pruned in place, the pairs to drop formed in one scratch beforehand
     ends = []
+    scratch = np.empty((h - 1, w - 1), dtype=bool)
     for (src, dst), edge in zip(steps[1:], edges[1:]):
-        new = edge.copy()
-        new[:, 1:] &= ~(edge[:, :-1] & joined[src][:, 1:] & joined[dst][:, 1:])
-        ends.append((run[src][new], run[dst][new]))
+        same = np.logical_and(edge[:, :-1], joined[src][:, 1:],
+                              out=scratch[:, :edge.shape[1] - 1])
+        same &= joined[dst][:, 1:]
+        edge[:, 1:] &= np.logical_not(same, out=same)
+        ends.append((run[src][edge], run[dst][edge]))
+    del edges, edge, joined, scratch, same
     u, v = (np.concatenate(e) for e in zip(*ends))
 
     # root[r] is the root of run r's tree

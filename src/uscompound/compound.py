@@ -24,11 +24,14 @@ stage copies the views into one (V, H, W) array; on the views
 bands, blends and collapse are float32.  The two maps that gate, validity
 and structural confidence, keep float64 coarser layers, and the selection
 reads the structural confidence as float64, so the gates are those of
-float64 arithmetic.  It frees each layer's maps once the layer is blended,
-so beyond the maps, their pyramids and the outputs no frame-sized
-temporary is made.  Each reduction over the views is written once: the
-mean in `_masked_mean`, the weighted mean in `_weighted_mean`.  Every
-result is the same bit for bit whatever the block size.
+float64 arithmetic.  It builds no Laplacian pyramid: each layer's band,
+its selected value, its weighted average and their blend are formed in
+one pass over the row blocks of the layer's EXPAND (`pyramid.expand_blocks`),
+and each layer's maps are freed once the layer is blended, so beyond the
+maps, their Gaussian pyramids and each layer's blended output no
+frame-sized temporary is made.  Each reduction over the views is written
+once: the mean in `_masked_mean`, the weighted mean in `_weighted_mean`.
+Every result is the same bit for bit whatever the block size.
 """
 
 from __future__ import annotations
@@ -242,11 +245,14 @@ def _first_argmax(keys: np.ndarray, valid: np.ndarray) -> np.ndarray:
     comparison over the views, so ties keep the lowest index."""
     best = np.where(valid[0], keys[0], -np.inf)
     index = np.zeros(best.shape, dtype=_index_dtype(len(keys)))
+    better = np.empty(best.shape, dtype=bool)
     for v in range(1, len(keys)):
         # an invalid view's key counts as -inf, which is never greater
-        better = (keys[v] > best) & valid[v]
-        np.copyto(index, v, where=better)
-        np.copyto(best, keys[v], where=better)
+        np.greater(keys[v], best, out=better)
+        better &= valid[v]
+        index[better] = v
+        if v < len(keys) - 1:
+            np.copyto(best, keys[v], where=better)
     return index
 
 
@@ -288,7 +294,9 @@ def select_view_layer(image_layers: Sequence[np.ndarray],
 def weighted_average_layer(laplacian_layers: Sequence[np.ndarray],
                            intensity_layers: Sequence[np.ndarray],
                            validity_layers: Sequence[np.ndarray]) -> np.ndarray:
-    """Intensity-confidence weighted average of one Laplacian layer."""
+    """Intensity-confidence weighted average of one Laplacian layer.  The
+    pyramid fusion takes the same average block by block, through the same
+    `_masked_weighted_mean`, without calling it."""
     dtype = pyr.float_dtype(*laplacian_layers, *intensity_layers)
     return _fuse_rows(lambda rows, *blocks: _masked_weighted_mean(*blocks),
                       dtype, validity_layers[0].shape,
@@ -329,6 +337,43 @@ def enhance_boundaries(partial: np.ndarray,
                       (validity_layers, bool))
 
 
+def _bands(image, coarser, shape: tuple[int, int], dtype):
+    """The Laplacian band `image - EXPAND(coarser)` of one (h, w) = `shape`
+    pyramid layer, as (rows, band) per row block, `band` a fresh (V, n, w)
+    array of `dtype`; with no `coarser` layer, the coarsest layer's rows
+    themselves.  Each plane is subtracted into its EXPAND block, as
+    `laplacian_pyramid` does into the whole EXPAND result, so the bands are
+    the same bit for bit."""
+    if coarser is None:
+        for rows in row_blocks(*shape):
+            yield rows, _read_rows(image, rows, dtype)
+        return
+    for rows, band in pyr.expand_blocks(np.asarray(coarser, dtype), shape):
+        for plane, b in zip(image, band):
+            np.subtract(plane[rows], b, out=b)
+        yield rows, band
+
+
+def _fuse_layer(k: int, image, coarser, observed, conf, selection: np.ndarray,
+                dtype, params: PyramidParams) -> np.ndarray:
+    """Layer `k` of the fused pyramid, in one pass over the row blocks of
+    its band (`_bands`): the band value of the view `selection` picks, 0
+    where no view `observed` the pixel, blended by `blend_layer` with the
+    band's average weighted by the intensity confidence `conf`."""
+    out = np.empty(selection.shape, np.result_type(dtype, pyr.float_dtype(conf)))
+    for rows, band in _bands(image, coarser, selection.shape, dtype):
+        valid = _read_rows(observed, rows, bool)
+        averaged = _masked_weighted_mean(band.astype(out.dtype, copy=False),
+                                         _read_rows(conf, rows, out.dtype), valid)
+        # the selected view's value, gathered into view 0's plane of the band
+        selected, index = band[0], selection[rows]
+        for v in range(1, len(band)):
+            np.copyto(selected, band[v], where=index == v)
+        selected[~valid.any(axis=0)] = 0.0
+        out[rows] = blend_layer(selected, averaged, k, params)
+    return out
+
+
 def compound_pyramid(views: Sequence[WarpedView],
                      params: PyramidParams = PyramidParams(),
                      debug_sink: DebugSink | None = None) -> np.ndarray:
@@ -336,14 +381,15 @@ def compound_pyramid(views: Sequence[WarpedView],
 
     Each map (image, intensity and structural confidence, boundary mask,
     validity) gets one Gaussian pyramid over its views, whose layer 1 is the
-    views' planes themselves, and the image's Laplacian is taken
-    from its Gaussian pyramid; the boundary mask's is built only as deep as the
-    enhancement reads it.  The coarser layers take the dtype of
+    views' planes themselves; the boundary mask's is built only as deep as
+    the enhancement reads it.  The coarser layers take the dtype of
     `pyramid.float_dtype`, float32 on float32 and bool planes, except those
-    of the validity and structural confidence, which gate and are float64.  Per layer: per-pixel view selection blended with
-    the confidence-weighted Laplacian average by the layer weight; boundary
-    enhancement is applied to the partial reconstruction at `enhance_layer`
-    on the way back down.
+    of the validity and structural confidence, which gate and are float64.
+    Per layer: per-pixel view selection blended with the
+    confidence-weighted Laplacian average by the layer weight, the band
+    formed from the image's Gaussian layers one row block at a time
+    (`_fuse_layer`); boundary enhancement is applied to the partial
+    reconstruction at `enhance_layer` on the way back down.
     `debug_sink` gets each intermediate as computed; it must not modify it.
     """
     imgs, valid, gc, gs, gb = _planes(views, *MAPS)
@@ -357,29 +403,26 @@ def compound_pyramid(views: Sequence[WarpedView],
     # Layer 1 is the bool validity planes themselves.
     gv = pyr.gaussian_pyramid(valid, k_levels, np.float64)
     gv[1:] = [layer > 0.5 for layer in gv[1:]]
-    any_valid = _any(valid)
     gs = pyr.gaussian_pyramid(gs, k_levels, np.float64)
     gi, gc = [pyr.gaussian_pyramid(a, k_levels) for a in (imgs, gc)]
     gb = pyr.gaussian_pyramid(gb, max(e, 2))[e - 1]
-    lap = pyr.laplacian_pyramid(gi)
     enhance_inputs = gb, gi[e - 1], gv[e - 1]
+    dtype = pyr.float_dtype(*gi)
 
     # Each layer's maps are popped as it is fused, so they are freed once
-    # used; the enhancement holds its own layer.
+    # used; the enhancement holds its own layer.  No Laplacian pyramid is
+    # built: each layer's band lives one row block at a time.
     blended: list[np.ndarray] = []
     for k in range(1, k_levels + 1):
-        observed = gv.pop(0)
-        selection = select_view_layer(gi.pop(0), gs.pop(0), observed, params)
-        band = lap.pop(0)
-        selected = np.take_along_axis(band, selection[None], axis=0)[0]
-        selected[~_any(observed)] = 0.0
-        averaged = weighted_average_layer(band, gc.pop(0), observed)
-        del band
-        blended.append(blend_layer(selected, averaged, k, params))
+        image, observed, conf = gi.pop(0), gv.pop(0), gc.pop(0)
+        selection = select_view_layer(image, gs.pop(0), observed, params)
+        out = _fuse_layer(k, image, gi[0] if gi else None, observed, conf,
+                          selection, dtype, params)
+        blended.append(out)
         if debug_sink is not None:
             debug_sink(f"selection_layer{k}", selection)
-            debug_sink(f"blended_layer{k}", blended[-1])
-        del selection, selected, averaged
+            debug_sink(f"blended_layer{k}", out)
+        del selection
 
     recon = pyr.partial_collapse(blended, e)
     if params.enhancement_enabled:
@@ -391,7 +434,7 @@ def compound_pyramid(views: Sequence[WarpedView],
     if e > 1:
         recon = pyr.partial_collapse(blended[:e - 1] + [recon], 1)
 
-    recon = np.where(any_valid, np.clip(recon, 0.0, 1.0), 0.0)
+    recon = np.where(_any(valid), np.clip(recon, 0.0, 1.0), 0.0)
     return recon.astype(np.float32, copy=False)
 
 
@@ -404,7 +447,9 @@ def prepare_views(views: Sequence[ViewInput], out_width: int, out_height: int,
     The one map filler.  Intensity confidence and boundary masks are computed
     in the native frame (where the beam direction is straight down) and then
     warped along with the image; structural confidence defaults to ones in
-    the common frame.  The caller's views are left unchanged.
+    the common frame, as one read-only float32 1 broadcast over the frame
+    (`np.broadcast_to`), so no frame is allocated for it.  The caller's
+    views are left unchanged.
     """
     warped = []
     for v in views:
@@ -416,7 +461,8 @@ def prepare_views(views: Sequence[ViewInput], out_width: int, out_height: int,
             fill["boundary_mask"] = detect_boundaries(v.image.data, boundary_params)
         w = warp_to_common(replace(v, **fill) if fill else v, out_width, out_height)
         if w.structural_confidence is None:
-            w.structural_confidence = np.ones_like(w.image, dtype=np.float32)
+            w.structural_confidence = np.broadcast_to(np.float32(1.0),
+                                                      w.image.shape)
         warped.append(w)
     return warped
 

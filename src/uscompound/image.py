@@ -144,7 +144,9 @@ class ViewInput:
 class WarpedView:
     """A viewpoint resampled into the common frame with a validity mask; as
     `warp_to_common` returns it, its maps are float32 and the boundary mask
-    is a weight in [0, 1], fractional on edges and 0 where invalid."""
+    is a weight in [0, 1], fractional on edges and 0 where invalid.  The
+    uniform structural confidence that `compound.prepare_views` fills in is
+    a read-only broadcast view: copy it before writing to it."""
 
     image: np.ndarray
     validity: np.ndarray

@@ -623,9 +623,11 @@ def test_detection_memory_is_bounded():
 
 # The ramp of test_refine_matches_brute_force_smooth_frame at 512² floods the
 # whole frame from one corner seed, one run per row.  Refinement peaks at
-# 3.89 MiB on the float64 ramp and on its float32 copy: each edge step is
-# read from the image's own plane in row blocks and the runs are numbered in
-# int32, one row block at a time.  It peaked at 4.38 MiB while one cumulative
+# 3.41 MiB on the float64 ramp and on its float32 copy: each edge step is
+# read from the image's own plane in row blocks, the runs are numbered in
+# int32, one row block at a time, and the edge masks are pruned in place.
+# It peaked at 3.89 MiB while each pruned mask was a copy formed through
+# three bool temporaries of the box, at 4.38 MiB while one cumulative
 # sum over the box cast the bool box to int32 first, at 16.99 MiB on the float64 ramp with the union-find over
 # pixels, at 9.51 MiB over runs, and at 7.51 MiB (float64) and 9.51 MiB
 # (float32) while the seed box went through one float64 scratch of its size
@@ -638,7 +640,7 @@ def test_refine_flood_memory_is_bounded():
     clusters = ClusterSet(labels, (1,))
     for frame in (image, image.astype(np.float32)):
         assert refine_boundaries(frame, clusters).all()
-        assert traced_peak_mib(lambda: refine_boundaries(frame, clusters)) <= 4.0
+        assert traced_peak_mib(lambda: refine_boundaries(frame, clusters)) <= 3.5
 
 
 # The size count takes the labels per row block: filtering the clusters of

@@ -19,7 +19,7 @@ from uscompound.compound import (METHODS, PyramidParams, blend_layer, compound,
                                  compound_pyramid, compound_ubf,
                                  enhance_boundaries, phi, prepare_views,
                                  select_view_layer, weighted_average_layer,
-                                 _local_contrast, _planes)
+                                 _first_argmax, _local_contrast, _planes)
 from uscompound.confidence import AttenuationParams
 from uscompound.errors import DimensionError
 from uscompound.image import Image, ViewInput, WarpedView
@@ -384,6 +384,23 @@ def scatter_first_argmax(keys, valid):
     return index
 
 
+@pytest.mark.parametrize("n_views", [1, 2, 3, 4])
+def test_first_argmax_matches_scatter_oracle(rng, n_views):
+    # keys from three values, so most pixels tie between several views, one
+    # view invalid everywhere, and pixels no view observes
+    shape = (n_views, 23, 17)
+    keys = rng.choice([-1.0, 0.5, 2.0], size=shape)
+    valid = rng.random(shape) > 0.3
+    valid[rng.integers(n_views)] = False
+    valid[:, :3] = False
+    got = _first_argmax(keys, valid)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, scatter_first_argmax(keys, valid))
+    assert np.array_equal(
+        got, np.where(valid, keys, -np.inf).argmax(axis=0))
+    assert np.all(got[:3] == 0)
+
+
 def whole_frame_select(image_layers, structural_layers, validity_layers, gamma):
     """`select_view_layer` over the whole frame at once."""
     gs = np.asarray(structural_layers, dtype=np.float64)
@@ -688,10 +705,14 @@ def float64_views(views):
 
 def assert_matches_per_view_reference(views, params=PyramidParams()):
     """`compound_pyramid` equals the per-view reference bit for bit on the
-    views as given (float32 maps, bool masks) and cast to float64."""
+    views as given (float32 maps, bool masks) and cast to float64, at the
+    default block size and one row per block."""
     for vs in (views, float64_views(views)):
-        assert np.array_equal(compound_pyramid(vs, params),
-                              per_view_pyramid_reference(vs, params))
+        want = per_view_pyramid_reference(vs, params)
+        assert np.array_equal(compound_pyramid(vs, params), want)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(blocks, "BLOCK_PIXELS", 1)
+            assert np.array_equal(compound_pyramid(vs, params), want)
 
 
 def partially_seen_views(rng, first_view_covers=True):
@@ -766,12 +787,14 @@ def test_float64_views_keep_the_float64_pyramid_bytes(params, digest):
 # with float64 stacks of the maps; stacked in their own dtypes, 20.6 MiB;
 # with float32 layers of the blended maps, float64 layers of the gating maps
 # and a uint8 selection, 13.9 MiB; with each pyramid's layer 1 the views'
-# planes themselves, not a stack of them, 8.8 MiB.
+# planes themselves, not a stack of them, 8.8 MiB (8.80); with each layer's
+# band, selected value, average and blend formed one row block at a time
+# and no Laplacian pyramid built, 5.33 MiB.
 def test_pyramid_fusion_memory_is_bounded():
     scene = generate(two_view_phantom(0, size=512))
     warped = prepare_views([ViewInput(v.image, v.to_common) for v in scene.views],
                            512, 512)
-    assert traced_peak_mib(lambda: compound_pyramid(warped)) <= 10
+    assert traced_peak_mib(lambda: compound_pyramid(warped)) <= 5.75
 
 
 def test_pyramid_builds_traced_by_name(monkeypatch):
@@ -793,8 +816,10 @@ def test_pyramid_builds_traced_by_name(monkeypatch):
     for name in calls:
         monkeypatch.setattr(pyr, name, counting(name))
     compound_pyramid(warped)
-    assert calls == {"gaussian_pyramid": 5, "laplacian_pyramid": 1,
-                     "upsample": 8}
+    # the bands are formed from EXPAND blocks while each layer is fused, so
+    # only the collapse upsamples and no Laplacian pyramid is built
+    assert calls == {"gaussian_pyramid": 5, "laplacian_pyramid": 0,
+                     "upsample": 4}
 
 
 def test_selection_traced_by_name_with_the_pyramid_params(monkeypatch):

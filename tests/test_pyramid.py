@@ -9,9 +9,9 @@ from hypothesis.extra.numpy import arrays
 from conftest import traced_peak_mib
 from uscompound import blocks
 from uscompound.errors import DimensionError
-from uscompound.pyramid import (_reduce, collapse, gaussian_pyramid,
-                                laplacian_pyramid, layer_shapes,
-                                partial_collapse, upsample)
+from uscompound.pyramid import (_reduce, collapse, expand_blocks,
+                                gaussian_pyramid, laplacian_pyramid,
+                                layer_shapes, partial_collapse, upsample)
 
 # Python floats, as the library's taps, so each product keeps the dtype of
 # the array it multiplies.
@@ -149,6 +149,42 @@ def test_upsample_to_a_single_row_or_column(rng, coarse, target):
     # an axis of length 1 reflects onto itself, so every tap meets the sample
     a = rng.random(coarse)
     assert same_bits(upsample(a, target), upsample_oracle(a, target))
+
+
+@pytest.mark.parametrize("block_pixels", [1, None])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("planes", [1, 2, 3])
+@pytest.mark.parametrize("coarse,target", [
+    ((1, 1), (1, 1)), ((1, 3), (1, 5)), ((3, 1), (6, 1)), ((1, 4), (2, 7)),
+    ((5, 4), (9, 8)), ((5, 4), (10, 7)), ((6, 6), (12, 12)), ((9, 5), (17, 9)),
+])
+def test_expand_blocks_concatenate_to_upsample(rng, block_pixels, dtype, planes,
+                                               coarse, target):
+    # the row blocks, in order and without gaps, hold the EXPAND bit for
+    # bit, as an array and as a sequence of planes, one row per block too
+    a = np.where(rng.random((planes, *coarse)) < 0.3, -0.0,
+                 rng.random((planes, *coarse)) - 0.5).astype(dtype)
+    with pytest.MonkeyPatch.context() as mp:
+        if block_pixels is not None:
+            mp.setattr(blocks, "BLOCK_PIXELS", block_pixels)
+        for stack in (a, list(a)):
+            got = list(expand_blocks(stack, target))
+            if block_pixels == 1:
+                assert len(got) == coarse[0]
+            assert [r.start for r, _ in got] == [0] + [r.stop for r, _ in got[:-1]]
+            assert got[-1][0].stop == target[0]
+            for rows, block in got:
+                assert block.shape == (planes, rows.stop - rows.start, target[1])
+            whole = np.concatenate([block for _, block in got], axis=1)
+            assert same_bits(whole, upsample(a, target))
+            assert same_bits(whole, upsample_oracle(a, target))
+
+
+def test_expand_blocks_checks_shapes_when_called():
+    with pytest.raises(DimensionError, match="cannot upsample"):
+        expand_blocks(np.zeros((4, 4)), (9, 8))
+    with pytest.raises(DimensionError, match="at least 2-D"):
+        expand_blocks(np.zeros((4, 4)), (8,))
 
 
 def whole_frame_reduce(a):
