@@ -8,13 +8,13 @@ The y axis points down (the axial / depth direction of the probe).
 are batch axes, so the maps of one view, as an (N, H, W) array or as a
 sequence of N (H, W) planes of any dtypes, are warped with one shared set of
 source positions and equal plane by plane the 2-D results.  It reads the
-planes as given, never copied into one array.  It works through the output
-in the row blocks of `blocks.row_blocks`, summing the bilinear products in
+planes as given, never copied into one array.  A grid-aligned transform (a
+quarter turn plus a whole-pixel shift, to within 1e-9 px), such as the
+identity of the view whose frame is the common one, is a pixel copy: each
+valid pixel is its source sample exactly.  Any other transform is sampled
+bilinearly in the row blocks of `blocks.row_blocks`, summing the products in
 one fixed order, so its working memory is bounded by a block and its result
-does not depend on the block size.  A shift by whole pixels, such as the
-identity of the view whose frame is the common one, reads its taps as
-slices of the planes; any other transform gathers them from the flattened
-planes.  Both paths give the same bytes.
+does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -267,7 +267,7 @@ def load_mask(path) -> np.ndarray:
 
 def warp_array(data, transform: RigidTransform2D,
                out_width: int, out_height: int):
-    """Inverse-map `data` (native frame) bilinearly into the common frame.
+    """Inverse-map `data` (native frame) into the common frame.
 
     `data` is an array (..., H, W), whose leading axes are batch axes, or a
     sequence of (H, W) planes, which may have different dtypes (a bool plane
@@ -277,26 +277,31 @@ def warp_array(data, transform: RigidTransform2D,
 
     Returns (warped, validity): warped is float32 of shape
     (..., out_height, out_width), (len(data), out_height, out_width) for a
-    sequence, and validity is 2-D.  A common-frame pixel is valid iff its
-    four bilinear source neighbors lie inside the source grid; source
-    coordinates exactly on the far edge use the edge cell with fractional
-    weight 1, so an identity transform is fully valid.  Invalid pixels get
-    value 0.
+    sequence, and validity is 2-D.  Invalid pixels get value 0.
 
-    The output is evaluated in the row blocks of `blocks.row_blocks`, so
-    the working memory is bounded by one block, not by the frame.  Each
-    block sums the four float64 products of `_bilinear_sum` in its one
-    fixed order.  A transform with rotation 0 and integral shifts, the
-    identity among them, puts every source coordinate on a pixel; its
-    valid pixels form a rectangle whose taps are slices of the planes
-    with weights 0 and 1, which `_warp_shifted` reads without gathering.
-    Any other transform gathers from each flattened plane at one flat
-    index per pixel, shifted by a scalar offset for the other three taps.
-    Either way every step is elementwise and takes the same products, so
-    the result is the same bit for bit whatever the path and the block
-    size, signed zeros and infinities included.  (A NaN stays NaN, but
-    where a NaN tap meets the NaN of inf * 0, numpy's loops may give
-    either sign, at any block size.)
+    A grid-aligned transform maps the output grid, at its four corners, to
+    within 1e-9 px of a quarter turn (k 90 degrees) plus a whole-pixel shift;
+    the identity, whole-pixel shifts and a 90-degree turn by whole pixels
+    are.  It is written as a pixel copy: a pixel is valid iff the source
+    pixel it lands on lies in the source grid, and the valid rectangle of
+    each plane is one slice of `np.rot90(plane, k)`, assigned into the
+    output.  So each valid pixel is its source sample exactly, cast to
+    float32: -0.0, an infinity and a NaN pass through unchanged.
+
+    Any other transform is sampled bilinearly.  A pixel is valid iff its
+    four bilinear source neighbors lie inside the source grid; a source
+    coordinate exactly on the far edge uses the edge cell with fractional
+    weight 1.  The output is evaluated in the row blocks of
+    `blocks.row_blocks`, so the working memory is bounded by one block, not
+    by the frame.  Each block gathers every tap from the flattened plane at
+    one flat index per pixel, shifted by a scalar offset for the other three
+    taps, and sums the four float64 products in one fixed order, so the
+    result is the same bit for bit at any block size, signed zeros and
+    infinities included.  (A NaN stays NaN, but where a NaN tap meets the
+    NaN of inf * 0, numpy's loops may give either sign, at any block size;
+    a zero weight on an infinite tap gives NaN.)  On finite inputs, which
+    `Image` and `unit_grid` enforce, the two paths give equal values at
+    equal source positions.
     """
     if out_width <= 0 or out_height <= 0:
         raise DimensionError("output dimensions must be positive")
@@ -304,10 +309,17 @@ def warp_array(data, transform: RigidTransform2D,
     h, w = shape[-2:]
     out = np.zeros(shape[:-2] + (out_height, out_width), dtype=np.float32)
     valid = np.zeros((out_height, out_width), dtype=bool)
-    shift = _integer_shift(transform)
-    if shift is not None:
-        _warp_shifted(planes, out.reshape((-1, out_height, out_width)), valid,
-                      shift, w, h)
+    aligned = _grid_aligned(transform, w, h, out_width, out_height)
+    if aligned is not None:
+        k, top, left = aligned
+        rh, rw = (h, w) if k % 2 == 0 else (w, h)
+        r0, r1 = max(0, -top), min(out_height, rh - top)
+        c0, c1 = max(0, -left), min(out_width, rw - left)
+        if r0 < r1 and c0 < c1:
+            valid[r0:r1, c0:c1] = True
+            for p, o in zip(planes, out.reshape((-1, out_height, out_width))):
+                o[r0:r1, c0:c1] = np.rot90(p, k)[r0 + top:r1 + top,
+                                                 c0 + left:c1 + left]
         return out, valid
     # views of contiguous planes; a strided plane is copied once, here
     planes = [p.reshape(-1) for p in planes]
@@ -325,24 +337,34 @@ def warp_array(data, transform: RigidTransform2D,
     return out, valid
 
 
-def _bilinear_sum(taps, gx, fx, gy, fy, acc, tmp):
-    """Sum the four bilinear products into `acc` and return it.
+def _grid_aligned(transform: RigidTransform2D, w: int, h: int,
+                  out_w: int, out_h: int):
+    """(k, top, left) when `transform` is grid-aligned on an (out_h, out_w)
+    output of an (h, w) source, so that output pixel (x, y) samples
+    np.rot90(plane, k)[y + top, x + left]; else None.
 
-    `taps` yields the planes' values at the four corners p00, p01, p10 and
-    p11, in that order, and the weights are arrays shaped like `acc` or
-    scalars, with gx = 1 - fx and gy = 1 - fy.  Each tap is cast to float64
-    in `acc` or `tmp` and weighted there, so the sum is the one fixed order
-    ((p00 gx) gy + (p01 fx) gy) + (p10 gx) fy + (p11 fx) fy.
+    It is grid-aligned when, at the four output corners, `inverse_apply`
+    lies within 1e-9 px of a quarter turn plus a whole-pixel shift; the map
+    being affine, it then does so at every output pixel.
     """
-    for k, (tap, wx, wy) in enumerate(zip(taps, (gx, fx, gx, fx),
-                                          (gy, gy, fy, fy))):
-        product = tmp if k else acc
-        np.copyto(product, tap)
-        product *= wx
-        product *= wy
-        if k:
-            acc += tmp
-    return acc
+    r = transform.rotation
+    q = round(math.atan2(math.sin(r), math.cos(r)) / (math.pi / 2)) % 4
+    c, s = ((1, 0), (0, 1), (-1, 0), (0, -1))[q]
+    xs, ys = np.array([0.0, out_w - 1.0]), np.array([[0.0], [out_h - 1.0]])
+    # NaN, from an overflow far off the frame, fails the comparisons.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sx, sy = transform.inverse_apply(xs, ys)
+        x0, y0 = np.rint(sx[0, 0]), np.rint(sy[0, 0])
+        if not (np.all(abs(sx - (c * xs + s * ys + x0)) <= 1e-9)
+                and np.all(abs(sy - (c * ys - s * xs + y0)) <= 1e-9)):
+            return None
+    # The quarter turn R takes source pixel (x0, y0) to (c x0 - s y0,
+    # s x0 + c y0), and np.rot90(plane, -q) is R's image of the plane,
+    # shifted to put its least corner at the origin.
+    x0, y0 = int(x0), int(y0)
+    left = c * x0 - s * y0 - min(0, c * (w - 1)) - min(0, -s * (h - 1))
+    top = s * x0 + c * y0 - min(0, s * (w - 1)) - min(0, c * (h - 1))
+    return -q % 4, top, left
 
 
 def _resample_block(planes, outs, valid, sx, sy, w, h):
@@ -383,79 +405,21 @@ def _resample_block(planes, outs, valid, sx, sy, w, h):
     # Flat offsets of the right and lower taps; 0 on a one-pixel axis,
     # where the bilinear neighbor is the edge pixel itself.
     right, down = int(w > 1), w if h > 1 else 0
+    # Each tap is cast to float64 in `acc` or `tmp` and weighted there, so
+    # the sum is the one fixed order
+    # ((p00 gx) gy + (p01 fx) gy) + (p10 gx) fy + (p11 fx) fy.
+    taps = list(zip((0, right, down, right + down), (gx, fx, gx, fx),
+                    (gy, gy, fy, fy)))
     acc, tmp = np.empty_like(fx), np.empty_like(fx)
     for p, o in zip(planes, outs):
-        taps = (p[off:].take(base) for off in (0, right, down, right + down))
-        np.copyto(o, _bilinear_sum(taps, gx, fx, gy, fy, acc, tmp),
-                  where=valid)
-
-
-def _integer_shift(transform: RigidTransform2D):
-    """(ox, oy) when `transform` is a shift by whole pixels, so that output
-    pixel (x, y) samples source pixel (x + ox, y + oy) exactly; else None.
-
-    With rotation 0, `inverse_apply` subtracts the shift and adds a zero,
-    so its value at the origin is the offset, and wherever the source
-    position lies on the source grid it is exact.
-    """
-    if transform.rotation != 0:
-        return None
-    ox, oy = (float(v) for v in transform.inverse_apply(0.0, 0.0))
-    if not (ox.is_integer() and oy.is_integer()):
-        return None
-    return int(ox), int(oy)
-
-
-def _shift_runs(size: int, n: int, offset: int):
-    """The runs of one output axis of `size` pixels that sample a source axis
-    of `n` pixels at index + `offset`, as (output slice, first upper-left
-    tap, g, f) with weights g = 1 - f.
-
-    Inside the source the upper-left tap is the sampled pixel (g 1, f 0).
-    On the far edge, of an axis longer than one pixel, it is pixel n - 2
-    (g 0, f 1), as the floored and clamped corner gives.
-    """
-    lo, hi = max(0, -offset), min(size, n - offset)
-    edge = n - 1 - offset if n > 1 else hi
-    runs = []
-    if lo < min(hi, edge):
-        runs.append((slice(lo, min(hi, edge)), lo + offset, 1.0, 0.0))
-    if lo <= edge < hi:
-        runs.append((slice(edge, edge + 1), n - 2, 0.0, 1.0))
-    return runs
-
-
-def _warp_shifted(planes, outs, valid, shift, w, h):
-    """Write `warp_array`'s output for the integer shift `shift` from slices.
-
-    `planes` are the (h, w) source planes and `outs` the 2-D output planes,
-    zero on entry.  The valid pixels form one rectangle, cut into runs of
-    rows and of columns with one pair of scalar weights each; every row run
-    is taken in row blocks, and each tap of a block is a slice of a plane.
-    """
-    cols = _shift_runs(outs.shape[2], w, shift[0])
-    rows = _shift_runs(outs.shape[1], h, shift[1])
-    if not (cols and rows):
-        return
-    valid[rows[0][0].start:rows[-1][0].stop,
-          cols[0][0].start:cols[-1][0].stop] = True
-    width = cols[-1][0].stop - cols[0][0].start
-    right, down = int(w > 1), int(h > 1)
-    for row_run, top, gy, fy in rows:
-        for block in row_blocks(row_run.stop - row_run.start, width):
-            n = block.stop - block.start
-            out_rows = slice(row_run.start + block.start,
-                             row_run.start + block.stop)
-            y = top + block.start
-            scratch = np.empty((2, n * width))
-            for col_run, x, gx, fx in cols:
-                m = col_run.stop - col_run.start
-                acc, tmp = scratch[:, :n * m].reshape(2, n, m)
-                for p, o in zip(planes, outs):
-                    taps = (p[y + dy:y + dy + n, x + dx:x + dx + m]
-                            for dy in (0, down) for dx in (0, right))
-                    o[out_rows, col_run] = _bilinear_sum(taps, gx, fx, gy, fy,
-                                                         acc, tmp)
+        for k, (off, wx, wy) in enumerate(taps):
+            product = tmp if k else acc
+            np.copyto(product, p[off:].take(base))
+            product *= wx
+            product *= wy
+            if k:
+                acc += tmp
+        np.copyto(o, acc, where=valid)
 
 
 def warp_to_common(view: ViewInput, out_width: int, out_height: int) -> WarpedView:

@@ -750,21 +750,24 @@ def test_pyramid_matches_per_view_reference_where_no_view_sees(rng):
 
 def test_pyramid_matches_per_view_reference_phantom():
     scene = generate(two_view_phantom(0))
+    # a common frame wider and taller than the views, so neither sees all
+    # of it
     warped = prepare_views([ViewInput(v.image, v.to_common) for v in scene.views],
-                           192, 192)
-    assert not all(v.validity.all() for v in warped)
+                           200, 196)
+    assert not any(v.validity.all() for v in warped)
     assert_matches_per_view_reference(warped)
 
 
 # sha256 of every array the debug sink gets (by name) and of the output, for
 # the two views prepare_views makes of a 192² phantom with every plane cast
 # to float64.  Recorded when every pyramid layer was float64 whatever the
-# views' dtype, so float64 views must keep giving those bytes.
+# views' dtype, so float64 views must keep giving those bytes; re-recorded
+# once when the 90-degree view became a pixel copy, which changed the views.
 @pytest.mark.parametrize("params,digest", [
     (PyramidParams(),
-     "1aadc704377b72ffc302b25acc5efe40181be56a802812554901e6d8d5154f48"),
+     "a860c5e1e1936f25ba8e9d046292f22d05ac0f597d4124d7267540ebab89de0e"),
     (PyramidParams(levels=4, enhance_layer=1, gamma=0.2),
-     "018982f53da4cf89933c3d42433b308686bf40718065bb47f52e2541911c480b"),
+     "44413e3a953583157b09d2f571e3603585902edfea25fe16921b8f9622887c64"),
 ])
 def test_float64_views_keep_the_float64_pyramid_bytes(params, digest):
     scene = generate(two_view_phantom(0))

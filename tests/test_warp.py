@@ -23,14 +23,22 @@ image_module = importlib.import_module("uscompound.image")
 
 
 def brute_force_warp(src, transform, out_w, out_h):
-    """Independent scalar inverse-map oracle over all output pixels."""
+    """Independent scalar inverse-map oracle over all output pixels; a
+    grid-aligned transform takes each source sample exactly."""
     h, w = src.shape
+    aligned = _source_coords(transform, out_w, out_h, w, h)[3]
     out = np.zeros((out_h, out_w))
     valid = np.zeros((out_h, out_w), dtype=bool)
     for y in range(out_h):
         for x in range(out_w):
             sx, sy = transform.inverse_apply(float(x), float(y))
+            if aligned:
+                sx, sy = round(sx), round(sy)
             if not (0 <= sx <= w - 1 and 0 <= sy <= h - 1):
+                continue
+            valid[y, x] = True
+            if aligned:
+                out[y, x] = src[sy, sx]
                 continue
             x0 = min(int(math.floor(sx)), w - 2) if w > 1 else 0
             y0 = min(int(math.floor(sy)), h - 2) if h > 1 else 0
@@ -39,32 +47,48 @@ def brute_force_warp(src, transform, out_w, out_h):
                          + src[y0, x0 + 1] * fx * (1 - fy)
                          + src[y0 + 1, x0] * (1 - fx) * fy
                          + src[y0 + 1, x0 + 1] * fx * fy)
-            valid[y, x] = True
     return out, valid
 
 
 def _source_coords(transform, out_width, out_height, w, h):
+    """(sx, sy, valid, aligned): every output pixel's source position and
+    validity, and whether the transform is grid-aligned.  It is when every
+    position lies within 1e-9 px of a source pixel (for a rigid map, of a
+    quarter turn plus a whole-pixel shift); the positions are then those
+    pixels, and a pixel is valid iff its pixel lies in the source grid."""
     sx, sy = transform.inverse_apply(np.arange(out_width, dtype=np.float64),
                                      np.arange(out_height, dtype=np.float64)[:, None])
+    rx, ry = np.rint(sx), np.rint(sy)
+    aligned = bool(np.all(abs(sx - rx) <= 1e-9) and np.all(abs(sy - ry) <= 1e-9))
+    if aligned:
+        sx, sy = rx, ry
     valid = (sx >= 0.0) & (sx <= w - 1.0) & (sy >= 0.0) & (sy <= h - 1.0)
-    return sx, sy, valid
+    return sx, sy, valid, aligned
 
 
 def fancy_index_warp(data, transform, out_width, out_height):
-    """Oracle: the whole-frame warp, gathering each tap of each plane with
-    2-D fancy indexing and summing the products in the library's order."""
+    """Oracle: the whole-frame warp.  A grid-aligned transform takes each
+    valid pixel's source sample exactly; any other gathers each tap of each
+    plane with 2-D fancy indexing and sums the products in the library's
+    order."""
     src = np.asarray(data)
     h, w = src.shape[-2:]
-    sx, sy, valid = _source_coords(transform, out_width, out_height, w, h)
+    sx, sy, valid, aligned = _source_coords(transform, out_width, out_height, w, h)
+    out = np.zeros(src.shape[:-2] + (out_height, out_width), dtype=np.float32)
+    planes = src.reshape((-1, h, w))
+    outs = out.reshape((-1, out_height, out_width))
+    if aligned:
+        iy, ix = sy[valid].astype(np.intp), sx[valid].astype(np.intp)
+        for p, o in zip(planes, outs):
+            o[valid] = p[iy, ix]
+        return out, valid
     x0 = np.clip(np.floor(sx).astype(np.intp), 0, max(w - 2, 0))
     y0 = np.clip(np.floor(sy).astype(np.intp), 0, max(h - 2, 0))
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
     fx = np.subtract(sx, x0, out=sx)
     fy = np.subtract(sy, y0, out=sy)
-    out = np.zeros(src.shape[:-2] + (out_height, out_width), dtype=np.float32)
-    planes = src.reshape((-1, h, w))
-    for p, o in zip(planes, out.reshape((-1, out_height, out_width))):
+    for p, o in zip(planes, outs):
         vals = (p[y0, x0] * (1 - fx) * (1 - fy) + p[y0, x1] * fx * (1 - fy)
                 + p[y1, x0] * (1 - fx) * fy + p[y1, x1] * fx * fy)
         np.copyto(o, vals, where=valid)
@@ -75,7 +99,7 @@ def nearest_mask_warp(mask, transform, out_width, out_height):
     """Oracle: the nearest-neighbour mask warp the library used before the
     mask joined the bilinear stack; any nonzero value is True."""
     h, w = mask.shape
-    sx, sy, valid = _source_coords(transform, out_width, out_height, w, h)
+    sx, sy, valid, _ = _source_coords(transform, out_width, out_height, w, h)
     ix = np.clip(np.rint(sx).astype(np.intp), 0, w - 1)
     iy = np.clip(np.rint(sy).astype(np.intp), 0, h - 1)
     return valid & (mask[iy, ix] != 0)
@@ -326,11 +350,14 @@ def test_prepare_views_matches_per_map_oracle(monkeypatch, oracle_maps):
     scene = generate(two_view_phantom(0))
     views = (scene_view_inputs(scene) if oracle_maps else
              [ViewInput(v.image, v.to_common) for v in scene.views])
-    warped = prepare_views(views, 192, 192)
+    # a common frame wider and taller than the views, so neither sees all of
+    # it (each view's warp is a pixel copy, whose valid pixels are exactly
+    # those its frame covers)
+    warped = prepare_views(views, 200, 196)
     monkeypatch.setattr(compound_module, "warp_to_common",
                         per_map_warp_to_common)
-    expected = prepare_views(views, 192, 192)
-    assert not all(v.validity.all() for v in warped)
+    expected = prepare_views(views, 200, 196)
+    assert not any(v.validity.all() for v in warped)
     for a, b in zip(warped, expected):
         assert_same_warped(a, b)
 
@@ -391,7 +418,7 @@ def test_warped_mask_is_the_bilinear_warp_of_its_indicator(
 
     # Where the four bilinear taps agree, the weight is the old nearest
     # label exactly.
-    sx, sy, _ = _source_coords(t, out_w, out_h, src_w, src_h)
+    sx, sy, _, _ = _source_coords(t, out_w, out_h, src_w, src_h)
     x0 = np.clip(np.floor(sx), 0, max(src_w - 2, 0)).astype(np.intp)
     y0 = np.clip(np.floor(sy), 0, max(src_h - 2, 0)).astype(np.intp)
     x1, y1 = np.minimum(x0 + 1, src_w - 1), np.minimum(y0 + 1, src_h - 1)
@@ -586,9 +613,11 @@ def test_view_far_off_the_frame_warps_to_empty_maps_without_warning(
 # The bound is the output and validity plus about one block's working set;
 # the whole-frame warp peaked at 22.25 MiB on this call, and the blocked one
 # at 3.76 MiB while it built three tap-index arrays per block (3.33 without).
+# The transform is half a pixel off the quarter turn those peaks were
+# measured on, so it is sampled bilinearly, as they were.
 def test_bilinear_warp_memory_is_bounded_by_a_block(rng):
     stack = rng.random((2, 512, 512), dtype=np.float32)
-    t = RigidTransform2D(math.pi / 2, dx=511.0)
+    t = RigidTransform2D(math.pi / 2, dx=511.5)
     # 2 MiB output and 0.25 MiB validity leave 1.25 MiB for working memory.
     assert traced_peak_mib(lambda: warp_array(stack, t, 512, 512)) <= 3.5
 
@@ -603,24 +632,36 @@ def _full_view(rng, transform, shape=(512, 512)):
 # One call per view, which reads the image and maps as given: the output is
 # whole frames, the rest is one block.  The peak was 10.02 MiB on this call
 # when the planes were stacked first, 6.01 MiB without the stack, and is
-# 5.58 MiB without the three tap-index arrays.
+# 5.58 MiB without the three tap-index arrays (on the quarter turn, which
+# the half-pixel shift keeps on the bilinear path).
 def test_warp_to_common_memory_is_bounded_by_its_output_and_a_block(rng):
-    view = _full_view(rng, RigidTransform2D(math.pi / 2, dx=511.0))
+    view = _full_view(rng, RigidTransform2D(math.pi / 2, dx=511.5))
     # The 4 MiB output and 0.25 MiB each for the mask's indicator and the
     # validity leave 1.25 MiB for working memory.
     assert traced_peak_mib(lambda: warp_to_common(view, 512, 512)) <= 5.75
 
 
-# The identity takes the integer-shift path, which gathers nothing: beyond
-# the output, the indicator and the validity it holds one block's float64
-# sum and product (0.25 MiB).  It peaked at 6.02 MiB on the general path.
+# A grid-aligned warp is a pixel copy, which holds nothing beyond the
+# output, the mask's indicator and the validity (4.50 MiB for the identity
+# and the quarter turn alike).  The identity peaked at 6.02 MiB when it was
+# gathered and at 5.02 MiB while whole-pixel shifts summed one block of
+# float64 products; the quarter turn, gathered, at 5.58 MiB.
 def test_identity_warp_to_common_memory_is_bounded(rng):
-    view = _full_view(rng, RigidTransform2D())
-    assert traced_peak_mib(lambda: warp_to_common(view, 512, 512)) <= 5.25
+    for transform in (RigidTransform2D(), RigidTransform2D(math.pi / 2, dx=511.0)):
+        view = _full_view(rng, transform)
+        assert traced_peak_mib(lambda: warp_to_common(view, 512, 512)) <= 4.6
+
+
+# The quarter turn of a stack copies it: the 2 MiB output and the 0.25 MiB
+# validity (2.25 MiB).
+def test_quarter_turn_warp_memory_is_its_output(rng):
+    stack = rng.random((2, 512, 512), dtype=np.float32)
+    t = RigidTransform2D(math.pi / 2, dx=511.0)
+    assert traced_peak_mib(lambda: warp_array(stack, t, 512, 512)) <= 2.3
 
 
 # ---------------------------------------------------------------------------
-# The integer-shift path: rotation 0 and whole-pixel shifts
+# The grid-aligned path: quarter turns plus whole-pixel shifts
 # ---------------------------------------------------------------------------
 
 # (source shape, output shape): one-pixel source axes, and outputs larger and
@@ -666,41 +707,77 @@ def test_integer_shift_equals_fancy_index_oracle(monkeypatch, dtype, batch,
             assert not np.signbit(out).any(), t
 
 
-def _general_warp(monkeypatch, data, transform, out_width, out_height):
-    """`warp_array` made to take the general (gathering) path."""
-    with monkeypatch.context() as mp:
-        mp.setattr(image_module, "_integer_shift", lambda transform: None)
-        return warp_array(data, transform, out_width, out_height)
+def _quarter_turn(k, h, w, top, left):
+    """The transform whose warp of an (h, w) source samples
+    np.rot90(src, k)[y + top, x + left] at output pixel (x, y).
+
+    np.rot90(src, k), of shape (H', W'), puts source pixel (sx, sy) at
+    (row, column) (sy, sx) for k = 0, (w-1-sx, sy) for k = 1,
+    (h-1-sy, w-1-sx) for k = 2 and (sx, h-1-sy) for k = 3; the transform
+    takes it to common pixel (column - left, row - top).
+    """
+    rotation, dx, dy = {0: (0.0, 0, 0), 1: (-math.pi / 2, 0, w - 1),
+                        2: (math.pi, w - 1, h - 1), 3: (math.pi / 2, h - 1, 0)}[k]
+    return rotation, float(dx - left), float(dy - top)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_integer_shift_equals_the_general_path_on_signed_zeros_and_infinities(
-        monkeypatch, dtype):
-    # -0.0 regions (where all four taps are -0.0 the sum is -0.0), +-0.0
-    # next to each other, and +-inf taps, which give inf or the NaN of
-    # inf * 0 in every pixel whose four taps hold them, weighted or not
-    rng = np.random.default_rng(7)
-    src = rng.random((2, 13, 15)).astype(dtype)
-    src[:, 2:6, 3:9] = -0.0
-    src[0, 8:, :4] = 0.0
-    src[0, 8:, 2] = -0.0
-    src[0, 4, 10] = np.inf
-    src[1, 10, 14] = -np.inf
-    src[1, 12, 0] = np.inf
-    src[0, 0, 14] = -np.inf
-    for t in [RigidTransform2D(), RigidTransform2D(dx=2.0, dy=-1.0),
-              RigidTransform2D(-0.0, dx=-3.0, dy=4.0)]:
-        for out_w, out_h in [(15, 13), (19, 10)]:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)  # inf * 0
-                out, valid = warp_array(src, t, out_w, out_h)
-                expected, expected_valid = _general_warp(monkeypatch, src, t,
-                                                         out_w, out_h)
-            assert np.isnan(expected).any() and np.isinf(expected).any()
-            assert (np.signbit(expected) & (expected == 0)).any()
-            assert np.array_equal(out, expected, equal_nan=True), t
-            assert np.array_equal(np.signbit(out), np.signbit(expected)), t
-            assert np.array_equal(valid, expected_valid), t
+def _rotated_and_shifted(planes, k, top, left, out_h, out_w):
+    """Each plane's np.rot90(plane, k), shifted by (top, left) into a float32
+    (out_h, out_w) frame, and the rectangle it covers."""
+    turned = [np.rot90(p, k) for p in planes]
+    rows, cols = np.arange(out_h) + top, np.arange(out_w) + left
+    rows_in = np.flatnonzero((rows >= 0) & (rows < turned[0].shape[0]))
+    cols_in = np.flatnonzero((cols >= 0) & (cols < turned[0].shape[1]))
+    rect = np.ix_(rows_in, cols_in)
+    out = np.zeros((len(planes), out_h, out_w), dtype=np.float32)
+    for r, o in zip(turned, out):
+        o[rect] = r[np.ix_(rows[rows_in], cols[cols_in])]
+    valid = np.zeros((out_h, out_w), dtype=bool)
+    valid[rect] = True
+    return out, valid
+
+
+def _special_source(seed, shape, dtype):
+    """`_warp_source` planes with NaNs, infinities and zeros of both signs."""
+    a = _warp_source(seed, shape, dtype)
+    if dtype != np.bool_:
+        rng = np.random.default_rng(seed + 1)
+        for value in (np.nan, -np.nan, np.inf, -np.inf, -0.0):
+            a[rng.random(shape) < 0.05] = value
+    return a
+
+
+_TURN_DTYPES = [np.float32, np.float64, np.bool_]
+
+
+@given(k=st.integers(0, 3), turns=st.integers(-1, 1),
+       src_h=st.integers(1, 12), src_w=st.integers(1, 12),
+       out_h=st.integers(1, 16), out_w=st.integers(1, 16),
+       top=st.integers(-20, 20), left=st.integers(-20, 20),
+       dtypes=st.lists(st.sampled_from(_TURN_DTYPES), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_grid_aligned_warp_is_the_rotated_source_shifted(
+        k, turns, src_h, src_w, out_h, out_w, top, left, dtypes, seed):
+    # Bit for bit, signs of zeros, NaNs and infinities included, for a plane
+    # sequence of mixed dtypes and for its stack; the offsets reach past the
+    # source on every side, and the rotation may carry a whole turn.
+    planes = [_special_source(seed + i, (src_h, src_w), dtype)
+              for i, dtype in enumerate(dtypes)]
+    rotation, dx, dy = _quarter_turn(k, src_h, src_w, top, left)
+    t = RigidTransform2D(rotation + 2 * math.pi * turns, dx, dy)
+    expected, expected_valid = _rotated_and_shifted(planes, k, top, left,
+                                                    out_h, out_w)
+    for data in (planes, np.stack(planes)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, valid = warp_array(data, t, out_w, out_h)
+        assert out.dtype == np.float32 and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+        assert np.array_equal(valid, expected_valid)
+    oracle, oracle_valid = fancy_index_warp(np.stack(planes), t, out_w, out_h)
+    assert oracle.tobytes() == expected.tobytes()
+    assert np.array_equal(oracle_valid, expected_valid)
 
 
 def test_integer_shift_never_resamples(monkeypatch, rng):
@@ -714,10 +791,32 @@ def test_integer_shift_never_resamples(monkeypatch, rng):
     warp_to_common(ViewInput(Image(src[0]), boundary_mask=src[1] > 0.5), 11, 9)
 
 
-@pytest.mark.parametrize("transform", [RigidTransform2D(rotation=1e-300),
+@pytest.mark.parametrize("rotation", [0.0, -0.0, math.pi / 2, -math.pi / 2,
+                                      math.pi, 2 * math.pi, 1e-300, 1e-12])
+def test_quarter_turns_never_resample(monkeypatch, rng, rotation):
+    def resample(*args):
+        raise AssertionError("a grid-aligned warp took the gathering path")
+
+    monkeypatch.setattr(image_module, "_resample_block", resample)
+    src = rng.random((2, 9, 11))
+    # within the 1e-9 px tolerance: 1e-12 rad moves a corner by 1.3e-11 px
+    for dx, dy in [(0.0, 0.0), (10.0, 0.0), (-3.0, 8.0), (1e300, 0.0),
+                   (5.0 + 1e-10, -1e-10)]:
+        t = RigidTransform2D(rotation, dx, dy)
+        out, valid = warp_array(src, t, 12, 10)
+        expected, expected_valid = fancy_index_warp(src, t, 12, 10)
+        assert np.array_equal(out, expected), t
+        assert np.array_equal(valid, expected_valid), t
+
+
+# Each is off the grid by well over 1e-9 px, the last two by 1e-6 px at
+# most.
+@pytest.mark.parametrize("transform", [RigidTransform2D(rotation=0.3),
                                        RigidTransform2D(dx=0.5),
                                        RigidTransform2D(dy=-2.25),
-                                       RigidTransform2D(math.pi / 2)])
+                                       RigidTransform2D(math.pi / 2, dx=0.5),
+                                       RigidTransform2D(dx=1e-6),
+                                       RigidTransform2D(rotation=1e-7)])
 def test_other_transforms_take_the_general_path(monkeypatch, rng, transform):
     calls = []
     resample = image_module._resample_block
