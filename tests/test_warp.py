@@ -780,6 +780,57 @@ def test_grid_aligned_warp_is_the_rotated_source_shifted(
     assert np.array_equal(oracle_valid, expected_valid)
 
 
+def _general_warp(monkeypatch, data, transform, out_width, out_height):
+    """`warp_array` made to take the general (gathering) path."""
+    with monkeypatch.context() as mp:
+        mp.setattr(image_module, "_grid_aligned", lambda *args: None)
+        return warp_array(data, transform, out_width, out_height)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_integer_shift_equals_the_general_path_on_signed_zeros_and_infinities(
+        monkeypatch, dtype):
+    # -0.0 regions, +-0.0 next to each other, and +-inf taps.  The general
+    # path sums four weighted taps: where the weight-1 tap is nonzero, inf
+    # included, and no zero-weight tap is infinite, that sum is the sample
+    # itself, and the copy must give the same bytes.  Elsewhere the sum
+    # carries artefacts of the zero-weight taps (the NaN of inf * 0, and
+    # +0.0 for a -0.0 sample next to a positive one), which the copy, by
+    # design, does not: it gives the source sample, sign of zero included.
+    rng = np.random.default_rng(7)
+    src = rng.random((2, 13, 15)).astype(dtype)
+    src[:, 2:6, 3:9] = -0.0
+    src[0, 8:, :4] = 0.0
+    src[0, 8:, 2] = -0.0
+    src[0, 4, 10] = np.inf
+    src[1, 10, 14] = -np.inf
+    src[1, 12, 0] = np.inf
+    src[0, 0, 14] = -np.inf
+    for t in [RigidTransform2D(), RigidTransform2D(dx=2.0, dy=-1.0),
+              RigidTransform2D(-0.0, dx=-3.0, dy=4.0)]:
+        for out_w, out_h in [(15, 13), (19, 10)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out, valid = warp_array(src, t, out_w, out_h)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # inf * 0
+                general, general_valid = _general_warp(monkeypatch, src, t,
+                                                       out_w, out_h)
+            sample, _ = fancy_index_warp(src, t, out_w, out_h)
+            assert np.isnan(general).any() and np.isinf(general).any()
+            assert (np.signbit(general) & (general == 0)).any()
+            assert np.array_equal(valid, general_valid), t
+            same = ~np.isnan(general) & (general != 0)
+            assert same.any() and np.isinf(out[same]).any(), t
+            assert out[same].tobytes() == general[same].tobytes(), t
+            # where the general path shows an artefact, the copy is the sample
+            assert not np.isnan(out).any(), t
+            assert np.array_equal(out[general == 0], general[general == 0]), t
+            assert out[~same].tobytes() == sample[~same].tobytes(), t
+            assert (np.signbit(out) & (out == 0)
+                    & ~np.signbit(general)).any(), t
+
+
 def test_integer_shift_never_resamples(monkeypatch, rng):
     def resample(*args):
         raise AssertionError("an integer shift took the gathering path")
