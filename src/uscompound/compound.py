@@ -26,12 +26,12 @@ and structural confidence, keep float64 coarser layers, and the selection
 reads the structural confidence as float64, so the gates are those of
 float64 arithmetic.  It builds no Laplacian pyramid: each layer's band,
 its selected value, its weighted average and their blend are formed in
-one pass over the row blocks of the layer's EXPAND (`pyramid.expand_blocks`),
-and each layer's maps are freed once the layer is blended, so beyond the
-maps, their Gaussian pyramids and each layer's blended output no
-frame-sized temporary is made.  Each reduction over the views is written
-once: the mean in `_masked_mean`, the weighted mean in `_weighted_mean`.
-Every result is the same bit for bit whatever the block size.
+one pass over the row blocks of the layer's EXPAND (`pyramid.expand_blocks`).
+The layers are fused coarsest first, each collapsed at once onto the
+reconstruction and its maps then freed, so beyond the maps' pyramids, the
+layer's blend and the reconstruction no frame-sized temporary is made.
+Each view reduction is written once (`_masked_mean`, `_weighted_mean`);
+every result is the same bit for bit whatever the block size.
 """
 
 from __future__ import annotations
@@ -68,7 +68,8 @@ __all__ = [
 METHODS = ("average", "maximum", "ubf", "pyramid")
 
 # Gets each intermediate's name and array as the fusion holds it: uint8 view
-# indices for `selection_layer<k>`, signed float layers for the others.
+# indices for `selection_layer<k>`, signed float layers for the others; the
+# layers come coarsest first, `partial_layer<e>_*` after `blended_layer<e>`.
 DebugSink = Callable[[str, np.ndarray], None]
 
 
@@ -385,11 +386,11 @@ def compound_pyramid(views: Sequence[WarpedView],
     the enhancement reads it.  The coarser layers take the dtype of
     `pyramid.float_dtype`, float32 on float32 and bool planes, except those
     of the validity and structural confidence, which gate and are float64.
-    Per layer: per-pixel view selection blended with the
-    confidence-weighted Laplacian average by the layer weight, the band
-    formed from the image's Gaussian layers one row block at a time
-    (`_fuse_layer`); boundary enhancement is applied to the partial
-    reconstruction at `enhance_layer` on the way back down.
+    In one pass from the coarsest layer down (Burt-Adelson collapse), per
+    layer: per-pixel view selection blended with the confidence-weighted
+    Laplacian average by the layer weight, the band formed from the image's
+    Gaussian layers one row block at a time (`_fuse_layer`), then one
+    collapse step onto the reconstruction, enhanced at `enhance_layer`.
     `debug_sink` gets each intermediate as computed; it must not modify it.
     """
     imgs, valid, gc, gs, gb = _planes(views, *MAPS)
@@ -406,33 +407,30 @@ def compound_pyramid(views: Sequence[WarpedView],
     gs = pyr.gaussian_pyramid(gs, k_levels, np.float64)
     gi, gc = [pyr.gaussian_pyramid(a, k_levels) for a in (imgs, gc)]
     gb = pyr.gaussian_pyramid(gb, max(e, 2))[e - 1]
-    enhance_inputs = gb, gi[e - 1], gv[e - 1]
     dtype = pyr.float_dtype(*gi)
 
-    # Each layer's maps are popped as it is fused, so they are freed once
-    # used; the enhancement holds its own layer.  No Laplacian pyramid is
-    # built: each layer's band lives one row block at a time.
-    blended: list[np.ndarray] = []
-    for k in range(1, k_levels + 1):
-        image, observed, conf = gi.pop(0), gv.pop(0), gc.pop(0)
-        selection = select_view_layer(image, gs.pop(0), observed, params)
-        out = _fuse_layer(k, image, gi[0] if gi else None, observed, conf,
-                          selection, dtype, params)
-        blended.append(out)
+    # Coarsest layer first, as the collapse runs: each layer's maps are popped
+    # as it is fused, so freed once used, and its blend collapsed at once onto
+    # the reconstruction.  Each band lives one row block at a time.
+    coarser = recon = None
+    for k in range(k_levels, 0, -1):
+        image, observed = gi.pop(), gv.pop()
+        selection = select_view_layer(image, gs.pop(), observed, params)
+        out = _fuse_layer(k, image, coarser, observed, gc.pop(), selection,
+                          dtype, params)
         if debug_sink is not None:
             debug_sink(f"selection_layer{k}", selection)
             debug_sink(f"blended_layer{k}", out)
         del selection
-
-    recon = pyr.partial_collapse(blended, e)
-    if params.enhancement_enabled:
-        if debug_sink is not None:
-            debug_sink(f"partial_layer{e}_pre_enhance", recon)
-        recon = enhance_boundaries(recon, *enhance_inputs)
-        if debug_sink is not None:
-            debug_sink(f"partial_layer{e}_post_enhance", recon)
-    if e > 1:
-        recon = pyr.partial_collapse(blended[:e - 1] + [recon], 1)
+        recon = out if recon is None else pyr.partial_collapse([out, recon], 1)
+        if k == e and params.enhancement_enabled:
+            if debug_sink is not None:
+                debug_sink(f"partial_layer{e}_pre_enhance", recon)
+            recon = enhance_boundaries(recon, gb, image, observed)
+            if debug_sink is not None:
+                debug_sink(f"partial_layer{e}_post_enhance", recon)
+        coarser = image
+    del out  # layer 1's blend, freed before the clip makes its frames
 
     recon = np.where(_any(valid), np.clip(recon, 0.0, 1.0), 0.0)
     return recon.astype(np.float32, copy=False)

@@ -282,9 +282,13 @@ def _render_view(spec: PhantomSpec, t: RigidTransform2D,
                 img[bottom + 1:, col] *= refl.shadow
         # Echo train straight down the beam at multiples of the spacing; as
         # spacing >= 1, echo n lies n rows down or more: at most h echoes.
+        # An offset of h rows or more lies below the frame; it is not added to
+        # the int64 rows, which a huge finite spacing would overflow.
         if refl.reverb is not None:
             rv = refl.reverb
             for n in range(1, rv.count + 1):
+                if n * rv.spacing >= h:
+                    break
                 erows = rows + int(round(n * rv.spacing))
                 keep = erows < h
                 if not keep.any():

@@ -33,6 +33,15 @@ def two_view_phantom(seed: int, size: int = 192, echo_decay: float = 0.6,
     )
 
 
+def rotated_about_centre(size, degrees):
+    """The rigid transform rotating a `size`² frame by `degrees` about its
+    centre c = (size - 1) / 2."""
+    c, t = (size - 1) / 2, math.radians(degrees)
+    return RigidTransform2D(rotation=t,
+                            dx=c - (math.cos(t) * c - math.sin(t) * c),
+                            dy=c - (math.sin(t) * c + math.cos(t) * c))
+
+
 def structural_confidences(scene, low: float = 0.2) -> list[np.ndarray]:
     """Ground-truth-derived structural confidence: `low` on artifact pixels,
     1 elsewhere (a stand-in for external confidence estimators)."""

@@ -25,7 +25,8 @@ from uscompound.phantom import (PhantomSpec, ReflectorSpec, ReverbSpec,
                                 SpeckleSpec, VesselSpec, generate)
 from uscompound.pyramid import collapse, gaussian_pyramid, laplacian_pyramid
 
-from conftest import record_verdict, scene_view_inputs, two_view_phantom
+from conftest import (record_verdict, rotated_about_centre, scene_view_inputs,
+                      two_view_phantom)
 from test_boundary import brute_force_gradient
 from test_compound import float64_views, make_view, weighted_laplacian_oracle
 from test_metrics import brute_force_otsu, sample_ellipse
@@ -275,15 +276,6 @@ def test_criterion_7_strict_twin_bare_inputs():
     _strict_segmentation_ordering(oracle=False)
 
 
-def _rotated_about_centre(size, degrees):
-    """The rigid transform rotating a `size`² frame by `degrees` about its
-    centre c = (size - 1) / 2."""
-    c, t = (size - 1) / 2, math.radians(degrees)
-    return RigidTransform2D(rotation=t,
-                            dx=c - (math.cos(t) * c - math.sin(t) * c),
-                            dy=c - (math.sin(t) * c + math.cos(t) * c))
-
-
 # View geometries rotated about the frame centre, in degrees.
 _ROTATED_GEOMETRIES = [(0, 90), (-15, 0, 15), (-20, -10, 0, 10, 20),
                        (0, 30, 60, 90)]
@@ -310,7 +302,7 @@ def test_flat_field_twin(method, angles, size):
     # every fusion must return the level wherever some view sees the pixel.
     for level in (0.5, 0.9):
         ones = np.ones((size, size), np.float32)
-        views = [ViewInput(Image(level * ones), _rotated_about_centre(size, a),
+        views = [ViewInput(Image(level * ones), rotated_about_centre(size, a),
                            intensity_confidence=ones, structural_confidence=ones,
                            boundary_mask=np.zeros((size, size), bool))
                  for a in angles]

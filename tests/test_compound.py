@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import traced_peak_mib, two_view_phantom
+from conftest import rotated_about_centre, traced_peak_mib, two_view_phantom
 from test_pyramid import layer_dtype
 from uscompound import blocks
 from uscompound import pyramid as pyr
@@ -762,12 +762,14 @@ def test_pyramid_matches_per_view_reference_phantom():
 # the two views prepare_views makes of a 192² phantom with every plane cast
 # to float64.  Recorded when every pyramid layer was float64 whatever the
 # views' dtype, so float64 views must keep giving those bytes; re-recorded
-# once when the 90-degree view became a pixel copy, which changed the views.
+# once when the 90-degree view became a pixel copy, which changed the views,
+# and once when the sink began to get the layers coarsest first (every
+# array's sha256 by name kept, only the order changed).
 @pytest.mark.parametrize("params,digest", [
     (PyramidParams(),
-     "a860c5e1e1936f25ba8e9d046292f22d05ac0f597d4124d7267540ebab89de0e"),
+     "fae1e4901dc36c110e35b993de93aa886ce653fa743027396e3998dc347f5d24"),
     (PyramidParams(levels=4, enhance_layer=1, gamma=0.2),
-     "44413e3a953583157b09d2f571e3603585902edfea25fe16921b8f9622887c64"),
+     "480f6466c5cb7ef81922fda615dcd4f1cd63a506c098d0db34771540cb1ef6b0"),
 ])
 def test_float64_views_keep_the_float64_pyramid_bytes(params, digest):
     scene = generate(two_view_phantom(0))
@@ -792,12 +794,25 @@ def test_float64_views_keep_the_float64_pyramid_bytes(params, digest):
 # and a uint8 selection, 13.9 MiB; with each pyramid's layer 1 the views'
 # planes themselves, not a stack of them, 8.8 MiB (8.80); with each layer's
 # band, selected value, average and blend formed one row block at a time
-# and no Laplacian pyramid built, 5.33 MiB.
+# and no Laplacian pyramid built, 5.33 MiB; with each layer collapsed as it
+# is fused, coarsest first, and no list of fused layers kept, 4.15 MiB.
 def test_pyramid_fusion_memory_is_bounded():
     scene = generate(two_view_phantom(0, size=512))
     warped = prepare_views([ViewInput(v.image, v.to_common) for v in scene.views],
                            512, 512)
-    assert traced_peak_mib(lambda: compound_pyramid(warped)) <= 5.75
+    assert traced_peak_mib(lambda: compound_pyramid(warped)) <= 4.75
+
+
+# Four 1024² views rotated 0, 30, 60 and 90 degrees about the centre: the
+# peak was 30.37 MiB while every fused layer was kept for a two-stage
+# collapse, and is 28.36 MiB with each layer collapsed as it is fused.
+def test_pyramid_fusion_memory_is_bounded_at_1024_with_four_views():
+    size = 1024
+    spec = replace(two_view_phantom(0, size=size), views=tuple(
+        rotated_about_centre(size, a) for a in (0, 30, 60, 90)))
+    warped = prepare_views([ViewInput(v.image, v.to_common)
+                            for v in generate(spec).views], size, size)
+    assert traced_peak_mib(lambda: compound_pyramid(warped)) <= 29.5
 
 
 def test_pyramid_builds_traced_by_name(monkeypatch):

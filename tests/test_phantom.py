@@ -179,6 +179,19 @@ def test_echo_train_stops_at_the_frame_bottom():
     assert np.array_equal(huge.image.data, enough.image.data)
 
 
+@pytest.mark.parametrize("spacing", [1e19, 1e300])
+def test_echo_train_below_the_frame_renders_no_echo(spacing):
+    # The first echo lies below the frame; its row offset, added to the int64
+    # rows before the frame check, raised OverflowError.
+    def scene(reverb):
+        return generate(PhantomSpec(64, 64, reflectors=(ReflectorSpec(
+            10, 5, 50, reverb=reverb),))).views[0]
+
+    far, none = scene(ReverbSpec(2, spacing)), scene(None)
+    assert not far.artifact_mask.any()
+    assert np.array_equal(far.image.data, none.image.data)
+
+
 def test_only_spec_types_raise_spec_errors():
     # Every range rule lives in the spec type whose fields it reads, so a
     # spec is checked when it is built and `generate` only renders.
