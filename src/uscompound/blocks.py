@@ -8,8 +8,9 @@ into one array.
 Every loop over a frame (the warp, REDUCE and EXPAND of the pyramids, the
 fusions, the gradient, the cluster-size count and the region-growing edge
 steps and run numbering of the boundary detector, and the PGM encoder)
-works in the blocks of whole rows that `row_blocks` cuts, about
-`BLOCK_PIXELS` pixels per plane each.  A float64
+works in the blocks of whole rows that `row_blocks` cuts over the rows it
+writes (the cluster-size count, which writes no frame, over those it
+reads), about `BLOCK_PIXELS` pixels per plane each.  A float64
 block temporary is then 128 KiB, so a block's working set stays in cache,
 and beyond its output a stage holds one block whatever the frame size.
 Every stage gives the same result bit for bit at any block size, one row

@@ -26,7 +26,8 @@ and structural confidence, keep float64 coarser layers, and the selection
 reads the structural confidence as float64, so the gates are those of
 float64 arithmetic.  It builds no Laplacian pyramid: each layer's band,
 its selected value, its weighted average and their blend are formed in
-one pass over the row blocks of the layer's EXPAND (`pyramid.expand_blocks`).
+one `_fuse_rows` pass over the layer's rows, each block's band from
+`pyramid.expand_rows` of the coarser layer's rows it spans.
 The layers are fused coarsest first, each collapsed at once onto the
 reconstruction and its maps then freed, so beyond the maps' pyramids, the
 layer's blend and the reconstruction no frame-sized temporary is made.
@@ -338,41 +339,35 @@ def enhance_boundaries(partial: np.ndarray,
                       (validity_layers, bool))
 
 
-def _bands(image, coarser, shape: tuple[int, int], dtype):
-    """The Laplacian band `image - EXPAND(coarser)` of one (h, w) = `shape`
-    pyramid layer, as (rows, band) per row block, `band` a fresh (V, n, w)
-    array of `dtype`; with no `coarser` layer, the coarsest layer's rows
-    themselves.  Each plane is subtracted into its EXPAND block, as
-    `laplacian_pyramid` does into the whole EXPAND result, so the bands are
-    the same bit for bit."""
-    if coarser is None:
-        for rows in row_blocks(*shape):
-            yield rows, _read_rows(image, rows, dtype)
-        return
-    for rows, band in pyr.expand_blocks(np.asarray(coarser, dtype), shape):
-        for plane, b in zip(image, band):
-            np.subtract(plane[rows], b, out=b)
-        yield rows, band
-
-
 def _fuse_layer(k: int, image, coarser, observed, conf, selection: np.ndarray,
                 dtype, params: PyramidParams) -> np.ndarray:
-    """Layer `k` of the fused pyramid, in one pass over the row blocks of
-    its band (`_bands`): the band value of the view `selection` picks, 0
-    where no view `observed` the pixel, blended by `blend_layer` with the
-    band's average weighted by the intensity confidence `conf`."""
-    out = np.empty(selection.shape, np.result_type(dtype, pyr.float_dtype(conf)))
-    for rows, band in _bands(image, coarser, selection.shape, dtype):
-        valid = _read_rows(observed, rows, bool)
-        averaged = _masked_weighted_mean(band.astype(out.dtype, copy=False),
-                                         _read_rows(conf, rows, out.dtype), valid)
+    """Layer `k` of the fused pyramid, in one `_fuse_rows` pass: per row
+    block, the band value of the view `selection` picks, 0 where no view
+    `observed` the pixel, blended by `blend_layer` with the band's average
+    weighted by the intensity confidence `conf`.  The block's band is
+    `image - EXPAND(coarser)`, each plane subtracted into its fresh
+    `pyramid.expand_rows` block as `laplacian_pyramid` subtracts into the
+    whole EXPAND result, so the bands are the same bit for bit; with no
+    `coarser` layer, it is the coarsest layer's rows themselves."""
+    out_dtype = np.result_type(dtype, pyr.float_dtype(conf))
+
+    def fuse(rows, valid, weights):
+        if coarser is None:
+            band = _read_rows(image, rows, dtype)
+        else:
+            band = pyr.expand_rows(coarser, selection.shape, rows)
+            for plane, b in zip(image, band):
+                np.subtract(plane[rows], b, out=b)
+        averaged = _masked_weighted_mean(band.astype(out_dtype, copy=False),
+                                         weights, valid)
         # the selected view's value, gathered into view 0's plane of the band
         selected, index = band[0], selection[rows]
         for v in range(1, len(band)):
             np.copyto(selected, band[v], where=index == v)
         selected[~valid.any(axis=0)] = 0.0
-        out[rows] = blend_layer(selected, averaged, k, params)
-    return out
+        return blend_layer(selected, averaged, k, params)
+    return _fuse_rows(fuse, out_dtype, selection.shape,
+                      (observed, bool), (conf, out_dtype))
 
 
 def compound_pyramid(views: Sequence[WarpedView],

@@ -32,16 +32,16 @@ taps meet inserted zeros).  The products are the same and are summed in
 the same order from 0, so both equal the full blur bit for bit, signed
 zeros included.
 
-Both work in the row blocks of `blocks.row_blocks` over the rows of the
-coarser layer, each counted as the two rows of the finer layer it spans,
-reading its rows and the reflect-101 border of each plane by index and
-summing its taps in block-sized buffers.  EXPAND is written once, as the
-row-block iterator `expand_blocks`; `upsample` fills its output from it,
-and a caller that needs one band at a time (the pyramid fusion) subtracts
-each plane into its fresh EXPAND block, as `laplacian_pyramid` subtracts,
-and the collapse adds, into the fresh EXPAND result.  So beyond its output
-each holds one block, and every result is the same bit for bit whatever
-the block size.
+Both work in the row blocks of `blocks.row_blocks` over the rows they
+write (REDUCE counts each as the two rows of the finer layer it reads),
+reading their rows and the reflect-101 border of each plane by index and
+summing their taps in block-sized buffers.  EXPAND is written once, as
+`expand_rows`, which expands any run of rows of the finer layer;
+`upsample` fills its output from it block by block, and a caller that
+needs one band at a time (the pyramid fusion) subtracts each plane into
+its fresh rows, as `laplacian_pyramid` subtracts, and the collapse adds,
+into the fresh EXPAND result.  So beyond its output each holds one block,
+and every result is the same bit for bit whatever the block size.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ __all__ = [
     "collapse",
     "partial_collapse",
     "upsample",
-    "expand_blocks",
+    "expand_rows",
     "float_dtype",
     "DEFAULT_LEVELS",
 ]
@@ -211,45 +211,49 @@ def gaussian_pyramid(image, levels: int = DEFAULT_LEVELS,
     return layers
 
 
-def expand_blocks(a, target_shape: tuple[int, int]):
-    """The EXPAND of the stack `a` to the rows and columns that end
-    `target_shape`, as an iterator of (fine_rows, block) in order: `block`
-    is a fresh (planes, n, width) array of `float_dtype(a)` holding the n
-    rows `fine_rows` of the x4 EXPAND, those that one block of
-    `row_blocks` over the rows of `a` spans.  The shapes are checked when
-    it is called, not when it is first read."""
+def _expand_check(a, target_shape: tuple[int, int]):
+    """The planes and shape of the stack `a`, checked to EXPAND to the rows
+    and columns that end `target_shape`."""
     planes, shape = as_planes(a, "upsample input")
     if len(target_shape) < 2:
         raise DimensionError(f"upsample target {target_shape} must be at least 2-D")
     th, tw = target_shape[-2:]
     if ((th + 1) // 2, (tw + 1) // 2) != shape[-2:]:
         raise DimensionError(f"cannot upsample {shape} to {target_shape}")
-    return _expand_rows(planes, shape[-2], th, tw, float_dtype(a))
+    return planes, shape
 
 
-def _expand_rows(planes: list[np.ndarray], h: int, th: int, tw: int, dtype):
-    """The blocks of `expand_blocks` of the (h, ceil(tw / 2)) `planes`."""
-    padded = _zero_insert_reflect(h, th)
-    cols = _zero_insert_reflect(planes[0].shape[-1], tw)
-    for rows in row_blocks(h, 2 * tw):
-        fine = slice(2 * rows.start, min(2 * rows.stop, th))
-        x = _gather(planes, padded[rows.start:rows.stop + 2], cols, 1, dtype)
-        wide = _expand(x, tw, -1, np.empty(x.shape[:-1] + (tw,), dtype))
-        block = _expand(wide, th, -2,
-                        np.empty((len(planes), fine.stop - fine.start, tw), dtype))
-        block *= 4.0
-        yield fine, block
+def expand_rows(a, target_shape: tuple[int, int], rows: slice) -> np.ndarray:
+    """Rows `rows` of `upsample(a, target_shape)`, as a fresh
+    (planes, n, width) array of `float_dtype(a)`.  A slice that starts on an
+    odd row is expanded from the even row before it, which is then
+    dropped."""
+    planes, shape = _expand_check(a, target_shape)
+    th, tw = target_shape[-2:]
+    if not 0 <= rows.start <= rows.stop <= th:
+        raise DimensionError(f"rows {rows} out of range 0..{th}")
+    dtype = float_dtype(a)
+    padded = _zero_insert_reflect(shape[-2], th)
+    start = rows.start - rows.start % 2
+    # output rows start .. rows.stop - 1 read coarse rows start / 2 - 1 to
+    # ceil(rows.stop / 2), the two ends reflected
+    x = _gather(planes, padded[start // 2:(rows.stop + 1) // 2 + 2],
+                _zero_insert_reflect(shape[-1], tw), 1, dtype)
+    wide = _expand(x, tw, -1, np.empty(x.shape[:-1] + (tw,), dtype))
+    block = _expand(wide, th, -2,
+                    np.empty((len(planes), rows.stop - start, tw), dtype))
+    block *= 4.0
+    return block[:, rows.start - start:]
 
 
 def upsample(a, target_shape: tuple[int, int]) -> np.ndarray:
     """Zero-insert the stack `a` to the rows and columns that end
-    `target_shape`, then blur with the x4-scaled kernel: the blocks of
-    `expand_blocks`, in one array."""
-    blocks = expand_blocks(a, target_shape)
-    planes, shape = as_planes(a, "upsample input")
+    `target_shape`, then blur with the x4-scaled kernel: `expand_rows` over
+    the row blocks of its output."""
+    planes, shape = _expand_check(a, target_shape)
     out = np.empty((len(planes), *target_shape[-2:]), float_dtype(a))
-    for rows, block in blocks:
-        out[:, rows] = block
+    for rows in row_blocks(*out.shape[-2:]):
+        out[:, rows] = expand_rows(a, target_shape, rows)
     return out.reshape(shape[:-2] + out.shape[-2:])
 
 

@@ -606,6 +606,25 @@ def test_cluster_set_rejects_negative_ids():
     assert not ClusterSet(np.zeros((0, 3), dtype=int), (4,)).mask().any()
 
 
+# A float was truncated, so 1.5 marked cluster 1; True counted as 1; a
+# string died in the negativity check with a TypeError.
+@pytest.mark.parametrize("ids", [(1.5,), (True,), ("1",), (1, np.True_)])
+def test_cluster_set_rejects_ids_that_are_not_integers(ids):
+    with pytest.raises(ValueError, match="ids must be integers"):
+        ClusterSet(np.array([[0, 1, 1], [0, 2, 2]]), ids)
+
+
+def test_cluster_set_id_beyond_any_label_marks_nothing():
+    # OverflowError at the conversion to intp, in mask() and the filter
+    labels = np.array([[0, 1, 1], [0, 2, 2]])
+    assert not ClusterSet(labels, (2**70,)).mask().any()
+    assert filter_clusters(ClusterSet(labels, (2**70,)),
+                           BoundaryParams(min_size=1)).ids == ()
+    both = ClusterSet(labels, (2**70, 2))
+    assert np.array_equal(both.mask(), labels == 2)
+    assert filter_clusters(both, BoundaryParams(min_size=1)).ids == (2,)
+
+
 # The gradient holds its float64 output, one look-ahead buffer in the
 # image's float32 and one row block (3.25 MiB at 512²), and detection peaks
 # at 4.15 and 4.16 MiB on these views, in clustering and refinement.  It

@@ -736,6 +736,10 @@ def partially_seen_views(rng, first_view_covers=True):
     PyramidParams(),
     PyramidParams(levels=4, enhance_layer=4, gamma=0.2),
     PyramidParams(phi_overrides=(0.3, 0.9, 0.1, 1.0, 0.5), enhance_layer=1),
+    # the smallest pyramid: layer 2 is both the coarsest band and the only
+    # layer EXPAND reads
+    PyramidParams(levels=2, enhance_layer=1),
+    PyramidParams(levels=2, enhance_layer=2, gamma=0.2),
 ])
 def test_pyramid_matches_per_view_reference_random(rng, params):
     assert_matches_per_view_reference(partially_seen_views(rng), params)

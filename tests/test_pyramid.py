@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import traced_peak_mib
 from uscompound import blocks
 from uscompound.errors import DimensionError
-from uscompound.pyramid import (_reduce, collapse, expand_blocks,
+from uscompound.pyramid import (_reduce, collapse, expand_rows,
                                 gaussian_pyramid, laplacian_pyramid,
                                 layer_shapes, partial_collapse, upsample)
 
@@ -160,31 +160,34 @@ def test_upsample_to_a_single_row_or_column(rng, coarse, target):
 ])
 def test_expand_blocks_concatenate_to_upsample(rng, block_pixels, dtype, planes,
                                                coarse, target):
-    # the row blocks, in order and without gaps, hold the EXPAND bit for
-    # bit, as an array and as a sequence of planes, one row per block too
+    # every row slice of EXPAND, odd starts included, holds those rows of
+    # `upsample` bit for bit, as an array and as a sequence of planes, and
+    # `upsample` cut into blocks of one row and of the default size
     a = np.where(rng.random((planes, *coarse)) < 0.3, -0.0,
                  rng.random((planes, *coarse)) - 0.5).astype(dtype)
+    expected = upsample_oracle(a, target)
     with pytest.MonkeyPatch.context() as mp:
         if block_pixels is not None:
             mp.setattr(blocks, "BLOCK_PIXELS", block_pixels)
         for stack in (a, list(a)):
-            got = list(expand_blocks(stack, target))
-            if block_pixels == 1:
-                assert len(got) == coarse[0]
-            assert [r.start for r, _ in got] == [0] + [r.stop for r, _ in got[:-1]]
-            assert got[-1][0].stop == target[0]
-            for rows, block in got:
-                assert block.shape == (planes, rows.stop - rows.start, target[1])
-            whole = np.concatenate([block for _, block in got], axis=1)
-            assert same_bits(whole, upsample(a, target))
-            assert same_bits(whole, upsample_oracle(a, target))
+            whole = upsample(stack, target)
+            assert same_bits(whole, expected)
+            for r0 in range(target[0]):
+                for r1 in range(r0 + 1, target[0] + 1):
+                    got = expand_rows(stack, target, slice(r0, r1))
+                    assert same_bits(got, whole[:, r0:r1])
+                    assert same_bits(got, expected[:, r0:r1])
 
 
-def test_expand_blocks_checks_shapes_when_called():
+def test_expand_rows_checks_shapes():
     with pytest.raises(DimensionError, match="cannot upsample"):
-        expand_blocks(np.zeros((4, 4)), (9, 8))
+        expand_rows(np.zeros((4, 4)), (9, 8), slice(0, 2))
     with pytest.raises(DimensionError, match="at least 2-D"):
-        expand_blocks(np.zeros((4, 4)), (8,))
+        expand_rows(np.zeros((4, 4)), (8,), slice(0, 2))
+    for rows in (slice(0, 9), slice(-1, 2), slice(3, 2)):
+        with pytest.raises(DimensionError, match="out of range"):
+            expand_rows(np.zeros((4, 4)), (8, 8), rows)
+    assert expand_rows(np.zeros((4, 4)), (8, 8), slice(3, 3)).shape == (1, 0, 8)
 
 
 def whole_frame_reduce(a):
