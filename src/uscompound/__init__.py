@@ -15,6 +15,6 @@ from .image import (Image, RigidTransform2D, ViewInput, WarpedView,
 from .metrics import (Ellipse, MetricsReport, PatchSpec, amr_avr, dice,
                       fit_ellipse, otsu_threshold, segment_vessel)
 from .phantom import PhantomScene, PhantomSpec, generate
-from .pyramid import collapse, gaussian_pyramid, laplacian_pyramid, partial_collapse
+from .pyramid import gaussian_pyramid
 
 __version__ = "0.1.0"

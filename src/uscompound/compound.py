@@ -27,7 +27,7 @@ reads the structural confidence as float64, so the gates are those of
 float64 arithmetic.  It builds no Laplacian pyramid: each layer's band,
 its selected value, its weighted average and their blend are formed in
 one `_fuse_rows` pass over the layer's rows, each block's band from
-`pyramid.expand_rows` of the coarser layer's rows it spans.
+`pyramid.band_rows` of the coarser layer's rows it spans.
 The layers are fused coarsest first, each collapsed at once onto the
 reconstruction and its maps then freed, so beyond the maps' pyramids, the
 layer's blend and the reconstruction no frame-sized temporary is made.
@@ -188,10 +188,14 @@ def _weighted_mean(values, weights, valid):
 
 
 def _masked_weighted_mean(values, weights, valid):
-    """`_weighted_mean`, falling back to `_masked_mean` where the weights
-    sum to 0."""
+    """`_weighted_mean`, falling back to `_masked_mean` at the pixels whose
+    weights do not sum to more than 0 (to 0, or to NaN), and formed there
+    only."""
     mean, wsum = _weighted_mean(values, weights, valid)
-    return np.where(wsum > 0, mean, _masked_mean(values, valid))
+    vanished = ~(wsum > 0)
+    if vanished.any():
+        mean[vanished] = _masked_mean(values[:, vanished], valid[:, vanished])
+    return mean
 
 
 def phi(k: int, levels: int) -> float:
@@ -345,19 +349,14 @@ def _fuse_layer(k: int, image, coarser, observed, conf, selection: np.ndarray,
     block, the band value of the view `selection` picks, 0 where no view
     `observed` the pixel, blended by `blend_layer` with the band's average
     weighted by the intensity confidence `conf`.  The block's band is
-    `image - EXPAND(coarser)`, each plane subtracted into its fresh
-    `pyramid.expand_rows` block as `laplacian_pyramid` subtracts into the
-    whole EXPAND result, so the bands are the same bit for bit; with no
-    `coarser` layer, it is the coarsest layer's rows themselves."""
+    `pyramid.band_rows(image, coarser, rows)`, as `laplacian_pyramid` forms
+    it; with no `coarser` layer, it is the coarsest layer's rows
+    themselves."""
     out_dtype = np.result_type(dtype, pyr.float_dtype(conf))
 
     def fuse(rows, valid, weights):
-        if coarser is None:
-            band = _read_rows(image, rows, dtype)
-        else:
-            band = pyr.expand_rows(coarser, selection.shape, rows)
-            for plane, b in zip(image, band):
-                np.subtract(plane[rows], b, out=b)
+        band = (_read_rows(image, rows, dtype) if coarser is None
+                else pyr.band_rows(image, coarser, rows))
         averaged = _masked_weighted_mean(band.astype(out_dtype, copy=False),
                                          weights, valid)
         # the selected view's value, gathered into view 0's plane of the band
@@ -417,7 +416,11 @@ def compound_pyramid(views: Sequence[WarpedView],
             debug_sink(f"selection_layer{k}", selection)
             debug_sink(f"blended_layer{k}", out)
         del selection
-        recon = out if recon is None else pyr.partial_collapse([out, recon], 1)
+        if recon is None:
+            recon = out
+        else:  # one collapse step: EXPAND the coarser sum, add the layer
+            recon = pyr.upsample(recon, out.shape)
+            np.add(out, recon, out=recon)
         if k == e and params.enhancement_enabled:
             if debug_sink is not None:
                 debug_sink(f"partial_layer{e}_pre_enhance", recon)

@@ -296,12 +296,11 @@ def warp_array(data, transform: RigidTransform2D,
     by the frame.  Each block gathers every tap from the flattened plane at
     one flat index per pixel, shifted by a scalar offset for the other three
     taps, and sums the four float64 products in one fixed order, so the
-    result is the same bit for bit at any block size, signed zeros and
-    infinities included.  (A NaN stays NaN, but where a NaN tap meets the
-    NaN of inf * 0, numpy's loops may give either sign, at any block size;
-    a zero weight on an infinite tap gives NaN.)  On finite inputs, which
-    `Image` and `unit_grid` enforce, the two paths give equal values at
-    equal source positions.
+    result is the same bit for bit at any block size, signed zeros,
+    infinities and NaNs included: every NaN, a NaN tap's or the NaN of a
+    zero weight on an infinite tap, comes out as the positive quiet NaN.
+    On finite inputs, which `Image` and `unit_grid` enforce, the two paths
+    give equal values at equal source positions.
     """
     if out_width <= 0 or out_height <= 0:
         raise DimensionError("output dimensions must be positive")
@@ -411,6 +410,7 @@ def _resample_block(planes, outs, valid, sx, sy, w, h):
     taps = list(zip((0, right, down, right + down), (gx, fx, gx, fx),
                     (gy, gy, fy, fy)))
     acc, tmp = np.empty_like(fx), np.empty_like(fx)
+    nan = np.empty(acc.shape, bool)
     for p, o in zip(planes, outs):
         for k, (off, wx, wy) in enumerate(taps):
             product = tmp if k else acc
@@ -419,6 +419,9 @@ def _resample_block(planes, outs, valid, sx, sy, w, h):
             product *= wy
             if k:
                 acc += tmp
+        # numpy's add may keep either operand's NaN, by the pixel's place
+        # in its loop, so every NaN is written as the one positive NaN
+        np.copyto(acc, np.nan, where=np.isnan(acc, out=nan))
         np.copyto(o, acc, where=valid)
 
 

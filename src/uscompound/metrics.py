@@ -21,8 +21,6 @@ __all__ = [
     "Ellipse",
     "MetricsReport",
     "extract_patch",
-    "mean_ratio",
-    "variance_ratio",
     "amr_avr",
     "otsu_threshold",
     "fit_ellipse",
@@ -100,21 +98,11 @@ def _mean_ratios(stat, image, patches, whole: float) -> float:
                           for p in patches]))
 
 
-def mean_ratio(image: np.ndarray, patch: PatchSpec) -> float:
-    return _mean_ratios(np.mean, image, [patch],
-                        _whole(np.mean, image, _ZERO_MEAN))
-
-
-def variance_ratio(image: np.ndarray, patch: PatchSpec) -> float:
-    # Population variance (divide by N) throughout.
-    return _mean_ratios(np.var, image, [patch],
-                        _whole(np.var, image, _ZERO_VARIANCE))
-
-
 def amr_avr(image: np.ndarray, patches: list[PatchSpec]) -> MetricsReport:
-    """Average mean ratio and average variance ratio, grouped by label.  The
-    whole image's mean and variance are taken once, and only for a group
-    that has patches."""
+    """Average mean ratio and average variance ratio, grouped by label: the
+    mean over a group's patches of the patch's mean (or population
+    variance) over the whole image's.  The whole image's mean and variance
+    are taken once, and only for a group that has patches."""
     artifact = [p for p in patches if p.label == "artifact"]
     boundary = [p for p in patches if p.label == "boundary"]
     rep = dict.fromkeys(("artifact_amr", "artifact_avr", "boundary_avr"))

@@ -1,8 +1,8 @@
 """Gaussian and Laplacian pyramids (Burt-Adelson style).
 
 Layers are finest first: layer 1 is the input as given where it is float32,
-float64 or bool, and every coarser layer is a plain array.  Every layer,
-band and collapse computed from inputs takes one dtype,
+float64 or bool, and every coarser layer is a plain array.  Every layer
+and band computed from inputs takes one dtype,
 `float_dtype(inputs...)`, which is `np.result_type(inputs..., np.float32)`:
 float32 from bool and float32 inputs, float64 from float64 ones (a layer 1
 of any other dtype is converted by the same rule, so uint8 gives float32
@@ -19,8 +19,8 @@ to the 2-D results.  Layer k+1 has ceil-halved dimensions of layer k.  The
 blur kernel is the 5-tap binomial (1, 4, 6, 4, 1)/16 applied separably
 with reflect-101 borders; decimation keeps even indices.  Upsampling
 zero-inserts to the target dims and blurs with the same kernel scaled x4,
-which makes collapse an exact inverse of the analysis up to floating-point
-error.  A Laplacian
+which makes the Burt-Adelson collapse (EXPAND, then add the finer band) an
+exact inverse of the analysis up to floating-point error.  A Laplacian
 pyramid is built from a Gaussian pyramid the caller holds:
 `laplacian_pyramid(gaussian_pyramid(image, levels))`.
 
@@ -36,15 +36,18 @@ Both work in the row blocks of `blocks.row_blocks` over the rows they
 write (REDUCE counts each as the two rows of the finer layer it reads),
 reading their rows and the reflect-101 border of each plane by index and
 summing their taps in block-sized buffers.  EXPAND is written once, as
-`expand_rows`, which expands any run of rows of the finer layer;
-`upsample` fills its output from it block by block, and a caller that
-needs one band at a time (the pyramid fusion) subtracts each plane into
-its fresh rows, as `laplacian_pyramid` subtracts, and the collapse adds,
-into the fresh EXPAND result.  So beyond its output each holds one block,
-and every result is the same bit for bit whatever the block size.
+`expand_rows`, which expands any run of rows of the finer layer, and a
+band once, as `band_rows`, which subtracts each plane of the finer layer
+into those fresh rows.  `upsample` and `laplacian_pyramid` fill their
+outputs from them block by block; the pyramid fusion takes its bands one
+block at a time from `band_rows` and collapses with `upsample`.  So
+beyond its output each holds one block, and every result is the same bit
+for bit whatever the block size.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -54,10 +57,9 @@ from .errors import DimensionError
 __all__ = [
     "gaussian_pyramid",
     "laplacian_pyramid",
-    "collapse",
-    "partial_collapse",
     "upsample",
     "expand_rows",
+    "band_rows",
     "float_dtype",
     "DEFAULT_LEVELS",
 ]
@@ -257,26 +259,32 @@ def upsample(a, target_shape: tuple[int, int]) -> np.ndarray:
     return out.reshape(shape[:-2] + out.shape[-2:])
 
 
+def band_rows(fine, coarse, rows: slice) -> np.ndarray:
+    """Rows `rows` of the band `fine` - EXPAND(`coarse`), as a fresh
+    (planes, n, width) array of `float_dtype(coarse)`: each plane of the
+    stack `fine` subtracted in place from its rows of `expand_rows`."""
+    planes, shape = as_planes(fine, "pyramid layer")
+    band = expand_rows(coarse, shape, rows)
+    for plane, b in zip(planes, band):
+        np.subtract(plane[rows], b, out=b)
+    return band
+
+
 def laplacian_pyramid(g: list) -> list[np.ndarray]:
     """The Laplacian pyramid of the Gaussian pyramid `g`, as the caller holds
     it from `gaussian_pyramid`: band-pass layers g[k] - EXPAND(g[k+1]) for
-    layers 1..K-1, plus the coarsest Gaussian layer as layer K."""
+    layers 1..K-1, each filled by `band_rows` with g[k+1] cast to the
+    chain's `float_dtype`, plus the coarsest Gaussian layer as layer K."""
     shapes = _check_chain(g)
     dtype = float_dtype(*g)
-    layers = []
-    for k in range(len(g) - 1):
-        up = upsample(np.asarray(g[k + 1], dtype), shapes[k])
-        layers.append(_into(np.subtract, g[k], up))
-    return layers + [g[-1]]
-
-
-def _into(ufunc, stack, out: np.ndarray) -> np.ndarray:
-    """`ufunc(plane, o, out=o)` for each plane of `stack` and the plane `o`
-    of the fresh array `out` at its place; returns `out`."""
-    for plane, o in zip(as_planes(stack, "pyramid layer")[0],
-                        out.reshape((-1,) + out.shape[-2:])):
-        ufunc(plane, o, out=o)
-    return out
+    bands = []
+    for k, shape in enumerate(shapes[:-1]):
+        coarse = np.asarray(g[k + 1], dtype)
+        band = np.empty((math.prod(shape[:-2]), *shape[-2:]), dtype)
+        for rows in row_blocks(*shape[-2:]):
+            band[:, rows] = band_rows(g[k], coarse, rows)
+        bands.append(band.reshape(shape))
+    return bands + [g[-1]]
 
 
 def _check_chain(layers: list) -> list[tuple[int, ...]]:
@@ -291,19 +299,3 @@ def _check_chain(layers: list) -> list[tuple[int, ...]]:
             raise DimensionError(
                 f"layer {k + 1} shape {shape} breaks the dimension chain")
     return shapes
-
-
-def partial_collapse(layers: list[np.ndarray], to_layer: int) -> np.ndarray:
-    """Run the collapse recursion down to layer `to_layer` (1-indexed), unclamped."""
-    shapes = _check_chain(layers)
-    if not 1 <= to_layer <= len(layers):
-        raise DimensionError(f"to_layer {to_layer} out of range 1..{len(layers)}")
-    image = np.asarray(layers[-1], dtype=float_dtype(*layers))
-    for k in range(len(layers) - 2, to_layer - 2, -1):
-        image = _into(np.add, layers[k], upsample(image, shapes[k]))
-    return image
-
-
-def collapse(layers: list[np.ndarray]) -> np.ndarray:
-    """Full reconstruction, clamped to [0, 1] at the end only."""
-    return np.clip(partial_collapse(layers, 1), 0.0, 1.0)

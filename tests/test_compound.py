@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import rotated_about_centre, traced_peak_mib, two_view_phantom
-from test_pyramid import layer_dtype
+from test_pyramid import collapse_oracle, layer_dtype, same_bits, upsample_oracle
 from uscompound import blocks
 from uscompound import pyramid as pyr
 from uscompound.compound import (METHODS, PyramidParams, blend_layer, compound,
@@ -24,8 +24,7 @@ from uscompound.confidence import AttenuationParams
 from uscompound.errors import DimensionError
 from uscompound.image import Image, ViewInput, WarpedView
 from uscompound.phantom import generate
-from uscompound.pyramid import (collapse, gaussian_pyramid, laplacian_pyramid,
-                                upsample)
+from uscompound.pyramid import gaussian_pyramid, laplacian_pyramid, upsample
 
 # The package's `compound` attribute is the function, not the module.
 compound_module = importlib.import_module("uscompound.compound")
@@ -632,7 +631,7 @@ def weighted_laplacian_oracle(views, levels):
         num = sum(g[k] * l[k] for g, l in zip(gc, lap))
         den = sum(g[k] for g in gc)
         layers.append(num / den)
-    return collapse(layers)
+    return np.clip(collapse_oracle(layers), 0.0, 1.0)
 
 
 def test_phi_zero_matches_weighted_average_oracle(rng):
@@ -760,6 +759,43 @@ def test_pyramid_matches_per_view_reference_phantom():
                            200, 196)
     assert not any(v.validity.all() for v in warped)
     assert_matches_per_view_reference(warped)
+
+
+@pytest.mark.parametrize("block_pixels", [1, 7, None])
+@pytest.mark.parametrize("dtypes", [
+    (np.float32,) * 3, (np.float64,) * 3, (np.float32, np.float64, np.float32)])
+def test_laplacian_bands_are_the_fusion_band_rows(monkeypatch, rng,
+                                                  block_pixels, dtypes):
+    # The fusion forms each band one row block at a time with
+    # `pyramid.band_rows`.  Put together, its blocks are `laplacian_pyramid`'s
+    # bands of the images' Gaussian pyramid, and the oracle's, bit for bit,
+    # for float32, float64 and mixed chains; a band formed anywhere else
+    # leaves a layer without blocks here.
+    views = [replace(v, image=v.image.astype(dt))
+             for v, dt in zip(partially_seen_views(rng), dtypes)]
+    if block_pixels is not None:
+        monkeypatch.setattr(blocks, "BLOCK_PIXELS", block_pixels)
+    seen = {}
+    band_rows = pyr.band_rows
+
+    def recording(fine, coarse, rows):
+        band = band_rows(fine, coarse, rows)
+        seen.setdefault(band.shape[-1], []).append((rows, band.copy()))
+        return band
+    monkeypatch.setattr(pyr, "band_rows", recording)
+    compound_pyramid(views)
+    monkeypatch.setattr(pyr, "band_rows", band_rows)
+
+    g = gaussian_pyramid([v.image for v in views], PyramidParams().levels)
+    lap = laplacian_pyramid(g)
+    for k, band in enumerate(lap[:-1]):
+        rows, parts = zip(*seen.pop(band.shape[-1]))
+        assert list(rows) == blocks.row_blocks(*band.shape[-2:])
+        got = np.concatenate(parts, axis=1)
+        assert same_bits(got, band)
+        assert same_bits(got, np.stack(g[k]) - upsample_oracle(g[k + 1],
+                                                               band.shape))
+    assert seen == {}
 
 
 # sha256 of every array the debug sink gets (by name) and of the output, for
@@ -1023,6 +1059,30 @@ def test_masked_mean_divides_once_in_float32(n, data):
                      where=counts > 0).astype(np.float32)
     assert got.dtype == np.float32
     assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+@given(st.integers(1, 4), st.sampled_from([np.float32, np.float64]),
+       st.sampled_from([np.float32, np.float64]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_masked_weighted_mean_falls_back_only_where_the_weights_vanish(
+        n, value_dtype, weight_dtype, data):
+    # The masked mean is formed only where the weights do not sum to more
+    # than 0, and the result is, bit for bit, the form that takes it at
+    # every pixel and picks it by np.where.  Weights of 0 and NaN are drawn
+    # often, and the first column is seen by no view.
+    shape = (n, 3, 9)
+    values = data.draw(arrays(value_dtype, shape, elements=st.floats(
+        -2.0, 2.0, width=8 * np.dtype(value_dtype).itemsize)))
+    weights = data.draw(arrays(weight_dtype, shape, elements=st.sampled_from(
+        [0.0, np.nan]) | st.floats(0.0, 1.0,
+                                   width=8 * np.dtype(weight_dtype).itemsize)))
+    valid = data.draw(arrays(bool, shape))
+    valid[:, :, 0] = False
+    mean, wsum = compound_module._weighted_mean(values, weights, valid)
+    want = np.where(wsum > 0, mean, compound_module._masked_mean(values, valid))
+    got = compound_module._masked_weighted_mean(values, weights, valid)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_pointwise_methods_flip_equivariant(rng):

@@ -7,8 +7,7 @@ from uscompound.errors import DegenerateError, DimensionError, EllipseFitError
 from uscompound.image import quantize8
 from uscompound.metrics import (Ellipse, PatchSpec, amr_avr, dice,
                                 ellipse_mask, extract_patch, fit_ellipse,
-                                mean_ratio, otsu_threshold, segment_vessel,
-                                variance_ratio)
+                                otsu_threshold, segment_vessel)
 
 
 def brute_force_otsu(patch):
@@ -27,32 +26,36 @@ def brute_force_otsu(patch):
 
 
 def test_mean_ratio_cases():
-    img = np.full((4, 4), 0.3)
-    assert mean_ratio(img, PatchSpec(0, 0, 2, 2, "artifact")) == pytest.approx(1.0)
+    # the mean ratio of one artifact patch, as `amr_avr` reports it
+    def amr(img, *box):
+        return amr_avr(img, [PatchSpec(*box, "artifact")]).artifact_amr
+    checkers = np.where(np.indices((4, 4)).sum(axis=0) % 2, 0.2, 0.4)
+    assert amr(checkers, 0, 0, 2, 2) == pytest.approx(1.0)
     img = np.array([[0.0, 0.0], [0.4, 0.4]])
-    assert mean_ratio(img, PatchSpec(0, 1, 2, 1, "artifact")) == pytest.approx(2.0)
-    assert mean_ratio(img, PatchSpec(0, 0, 2, 1, "artifact")) == 0.0
+    assert amr(img, 0, 1, 2, 1) == pytest.approx(2.0)
+    assert amr(img, 0, 0, 2, 1) == 0.0
 
 
 def test_mean_ratio_zero_image():
     with pytest.raises(DegenerateError):
-        mean_ratio(np.zeros((4, 4)), PatchSpec(0, 0, 2, 2, "artifact"))
+        amr_avr(np.zeros((4, 4)), [PatchSpec(0, 0, 2, 2, "artifact")])
 
 
 def test_variance_ratio_cases(rng):
+    # the variance ratio of one patch, as `amr_avr` reports it by label
     img = rng.random((6, 6))
     whole = PatchSpec(0, 0, 6, 6, "boundary")
-    assert variance_ratio(img, whole) == pytest.approx(1.0)
+    assert amr_avr(img, [whole]).boundary_avr == pytest.approx(1.0)
     img2 = img.copy()
     img2[:2, :2] = 0.5
-    assert variance_ratio(img2, PatchSpec(0, 0, 2, 2, "artifact")) == 0.0
+    assert amr_avr(img2, [PatchSpec(0, 0, 2, 2, "artifact")]).artifact_avr == 0.0
 
 
 def test_variance_ratio_hand_computed():
     img = np.array([[0.1, 0.3], [0.5, 0.7]])
     patch = PatchSpec(0, 0, 2, 1, "artifact")
     expected = np.var([0.1, 0.3]) / np.var([0.1, 0.3, 0.5, 0.7])
-    assert variance_ratio(img, patch) == pytest.approx(expected)
+    assert amr_avr(img, [patch]).artifact_avr == pytest.approx(expected)
 
 
 def test_patch_must_fit():
@@ -64,8 +67,9 @@ def test_amr_avr_grouping(rng):
     img = rng.random((16, 16))
     p = PatchSpec(2, 2, 4, 4, "artifact")
     rep = amr_avr(img, [p])
-    assert rep.artifact_amr == pytest.approx(mean_ratio(img, p))
-    assert rep.artifact_avr == pytest.approx(variance_ratio(img, p))
+    patch = img[2:6, 2:6]
+    assert rep.artifact_amr == pytest.approx(patch.mean() / img.mean())
+    assert rep.artifact_avr == pytest.approx(patch.var() / img.var())
     assert rep.boundary_avr is None
     # duplicated patches leave averages unchanged
     rep2 = amr_avr(img, [p, p])
@@ -139,10 +143,9 @@ def test_amr_avr_without_patches_reads_no_statistic():
 
 def test_ratio_scale_invariance(rng):
     img = rng.random((12, 12)) * 0.5
-    patch = PatchSpec(1, 1, 5, 5, "boundary")
-    assert mean_ratio(img, patch) == pytest.approx(mean_ratio(img * 2, patch))
-    assert variance_ratio(img, patch) == pytest.approx(
-        variance_ratio(img * 2, patch))
+    patches = [PatchSpec(1, 1, 5, 5, "artifact"), PatchSpec(1, 1, 5, 5, "boundary")]
+    rep, scaled = (amr_avr(a, patches).to_dict() for a in (img, img * 2))
+    assert scaled == pytest.approx(rep)
 
 
 def test_otsu_bimodal():

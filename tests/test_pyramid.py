@@ -9,9 +9,9 @@ from hypothesis.extra.numpy import arrays
 from conftest import traced_peak_mib
 from uscompound import blocks
 from uscompound.errors import DimensionError
-from uscompound.pyramid import (_reduce, collapse, expand_rows,
+from uscompound.pyramid import (_reduce, band_rows, expand_rows,
                                 gaussian_pyramid, laplacian_pyramid,
-                                layer_shapes, partial_collapse, upsample)
+                                layer_shapes, upsample)
 
 # Python floats, as the library's taps, so each product keeps the dtype of
 # the array it multiplies.
@@ -45,6 +45,25 @@ def upsample_oracle(a, target_shape):
     z = np.zeros(a.shape[:-2] + (th, tw), dtype=layer_dtype(a))
     z[..., ::2, ::2] = a
     return blur_oracle(z) * 4.0
+
+
+def collapse_oracle(bands):
+    """The Burt-Adelson collapse of `bands`, finest first, as the pyramid
+    fusion takes it: from the coarsest band down, each band added to the
+    `upsample` of the sum so far.  Not clamped."""
+    recon = bands[-1]
+    for band in bands[-2::-1]:
+        recon = band + upsample(recon, band.shape)
+    return recon
+
+
+def round_trip(img, levels):
+    """`img` through its Gaussian pyramid, the bands of `band_rows` and
+    `collapse_oracle`: the pair of functions the pyramid fusion ships."""
+    g = gaussian_pyramid(img, levels)
+    bands = [band_rows(fine, coarse, slice(0, fine.shape[-2])).reshape(fine.shape)
+             for fine, coarse in zip(g, g[1:])]
+    return collapse_oracle(bands + [g[-1]])
 
 
 def same_bits(x, y):
@@ -119,14 +138,14 @@ def test_every_layer_takes_the_dtype_of_its_inputs(rng, dtype, want):
     lap = laplacian_pyramid(g)
     assert [layer.dtype for layer in g[1:]] == [want] * 3
     assert [layer.dtype for layer in lap] == [want] * 4
-    assert [partial_collapse(lap, k).dtype for k in range(1, 5)] == [want] * 4
-    assert collapse(lap).dtype == want
+    assert band_rows(g[0], g[1], slice(3, 9)).dtype == want
+    assert round_trip(a, 4).dtype == want
     # float64 asked for: the coarser layers are float64, layer 1 is as given
     g64 = gaussian_pyramid(a, 4, np.float64)
     assert g64[0] is a and [layer.dtype for layer in g64[1:]] == [np.float64] * 3
     # one float64 layer in a chain makes what is computed from it float64
     mixed = lap[:-1] + [lap[-1].astype(np.float64)]
-    assert partial_collapse(mixed, 1).dtype == np.float64
+    assert collapse_oracle(mixed).dtype == np.float64
     assert laplacian_pyramid(mixed)[0].dtype == np.float64
 
 
@@ -246,13 +265,12 @@ def test_blocked_reduce_and_upsample_match_whole_frame(a, rows, drop_row,
                      whole_frame_reduce(a))
     assert same_bits(blocked(upsample, target[-1], a, target),
                      whole_frame_upsample(a, target))
-    # the Laplacian and the collapse add and subtract in place
+    # the Laplacian subtracts each plane in place from its EXPAND rows
     if min(a.shape[-2:]) >= 2:
         g = [a, whole_frame_reduce(a)]
         up = whole_frame_upsample(g[1], a.shape)
         lap = blocked(laplacian_pyramid, a.shape[-1], g)
         assert same_bits(lap[0], a - up) and lap[1] is g[1]
-        assert same_bits(blocked(partial_collapse, a.shape[-1], g, 1), up + a)
 
 
 # The whole-frame forms peaked at 8.2 MiB (gaussian_pyramid) and 12.0 MiB
@@ -349,8 +367,8 @@ def test_stacked_pyramid_equals_per_plane(rng):
 @settings(max_examples=60, deadline=None)
 def test_pyramid_of_planes_is_the_pyramid_of_their_stack(a, seed):
     # a sequence of planes is read as given: layer 1 is its planes, not a
-    # copy, and every coarser layer, band and collapse is, bit for bit, that
-    # of their stack; here the planes mix a's dtype with float32 and bool
+    # copy, and every coarser layer and band is, bit for bit, that of their
+    # stack; here the planes mix a's dtype with float32 and bool
     rng = np.random.default_rng(seed)
     planes = [rng.random(a.shape[-2:], dtype=np.float32),
               rng.random(a.shape[-2:]) < 0.5, *a.reshape((-1,) + a.shape[-2:])]
@@ -364,9 +382,6 @@ def test_pyramid_of_planes_is_the_pyramid_of_their_stack(a, seed):
         assert all(same_bits(x, y) for x, y in zip(g[1:], g_stack[1:]))
         lap, lap_stack = laplacian_pyramid(g), laplacian_pyramid(g_stack)
         assert all(same_bits(x, y) for x, y in zip(lap, lap_stack))
-        assert same_bits(collapse(lap), collapse(lap_stack))
-        # a chain whose layer 1 is planes collapses as its stack does
-        assert same_bits(partial_collapse(g, 1), partial_collapse(g_stack, 1))
 
 
 def test_planes_of_other_dtypes_are_converted_one_by_one(rng):
@@ -394,7 +409,7 @@ def test_planes_of_unequal_shape_raise_dimension_error(planes, message):
     with pytest.raises(DimensionError, match=message):
         laplacian_pyramid(layers)
     with pytest.raises(DimensionError, match=message):
-        partial_collapse(layers, 1)
+        band_rows(planes, layers[1], slice(0, 1))
 
 
 def test_too_small_planes_raise_with_the_frame_size():
@@ -416,22 +431,24 @@ def test_laplacian_takes_a_gaussian_pyramid(rng):
 
 
 def test_stacked_collapse_equals_per_plane(rng):
+    # two leading batch axes, through the bands and the collapse's upsample
     stack = rng.random((2, 3, 33, 47))
     lap = laplacian_pyramid(gaussian_pyramid(stack, 4))
-    out = collapse(lap)
+    out = collapse_oracle(lap)
     assert out.shape == stack.shape
     for idx in np.ndindex(2, 3):
-        assert np.array_equal(out[idx], collapse([layer[idx] for layer in lap]))
+        assert np.array_equal(out[idx],
+                              collapse_oracle([layer[idx] for layer in lap]))
     zeros = laplacian_pyramid(gaussian_pyramid(np.zeros((2, 16, 16)), 3))
-    assert collapse(zeros).shape == (2, 16, 16)
+    assert collapse_oracle(zeros).shape == (2, 16, 16)
 
 
 def test_bad_batched_inputs_raise_dimension_error():
     lap = laplacian_pyramid(gaussian_pyramid(np.zeros((2, 16, 16)), 3))
     with pytest.raises(DimensionError):
-        collapse([lap[0], lap[1][:1], lap[2]])   # unequal leading axes
+        laplacian_pyramid([lap[0], lap[1][:1], lap[2]])   # unequal leading axes
     with pytest.raises(DimensionError):
-        collapse([np.zeros(16), np.zeros(8)])
+        laplacian_pyramid([np.zeros(16), np.zeros(8)])
     with pytest.raises(DimensionError):
         upsample(np.zeros((4, 4)), (8,))
 
@@ -441,10 +458,6 @@ def test_constant_laplacian_layers_zero():
     for layer in lap[:-1]:
         assert np.allclose(layer, 0.0, atol=1e-12)
     assert np.allclose(lap[-1], 0.4)
-
-
-def round_trip(img, levels):
-    return collapse(laplacian_pyramid(gaussian_pyramid(img, levels)))
 
 
 def test_roundtrip_power_of_two(rng):
@@ -462,7 +475,7 @@ def test_roundtrip_odd_dims(rng):
 def test_collapse_constant_top():
     shapes = layer_shapes(16, 16, 3)
     layers = [np.zeros(s) for s in shapes[:-1]] + [np.full(shapes[-1], 0.3)]
-    assert np.allclose(collapse(layers), 0.3)
+    assert np.allclose(collapse_oracle(layers), 0.3)
 
 
 def test_collapse_linearity(rng):
@@ -471,38 +484,15 @@ def test_collapse_linearity(rng):
     q = [rng.random(s) * 0.2 for s in layer_shapes(32, 32, 4)]
     a, b = 0.7, 0.3
     combo = [a * x + b * y for x, y in zip(p, q)]
-    lhs = partial_collapse(combo, 1)
-    rhs = a * partial_collapse(p, 1) + b * partial_collapse(q, 1)
+    lhs = collapse_oracle(combo)
+    rhs = a * collapse_oracle(p) + b * collapse_oracle(q)
     assert np.abs(lhs - rhs).max() < 1e-6
-
-
-def test_partial_collapse_endpoints(rng):
-    lap = laplacian_pyramid(gaussian_pyramid(rng.random((32, 32)), 5))
-    assert np.array_equal(partial_collapse(lap, 5), lap[-1])
-    assert np.allclose(partial_collapse(lap, 1),
-                       np.clip(partial_collapse(lap, 1), -10, 10))
-
-
-def test_partial_collapse_middle_matches_manual(rng):
-    lap = laplacian_pyramid(gaussian_pyramid(rng.random((64, 64)), 5))
-    manual = lap[4]
-    manual = upsample(manual, lap[3].shape) + lap[3]
-    manual = upsample(manual, lap[2].shape) + lap[2]
-    assert np.allclose(partial_collapse(lap, 3), manual)
-
-
-def test_partial_collapse_range_check(rng):
-    lap = laplacian_pyramid(gaussian_pyramid(rng.random((32, 32)), 4))
-    with pytest.raises(DimensionError):
-        partial_collapse(lap, 0)
-    with pytest.raises(DimensionError):
-        partial_collapse(lap, 5)
 
 
 def test_broken_dimension_chain():
     layers = [np.zeros((8, 8)), np.zeros((5, 5)), np.zeros((2, 2))]
     with pytest.raises(DimensionError):
-        collapse(layers)
+        laplacian_pyramid(layers)
 
 
 def test_constant_confidence_survives_depth():

@@ -780,6 +780,27 @@ def test_grid_aligned_warp_is_the_rotated_source_shifted(
     assert np.array_equal(oracle_valid, expected_valid)
 
 
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_bilinear_warp_gives_the_same_nan_bytes_at_every_block_size(
+        monkeypatch, block):
+    # Where a NaN tap meets the NaN of inf * 0 (the zero weights of a shift
+    # by whole rows), numpy's add may keep either operand's NaN, by the
+    # pixel's place in its loop; every NaN is written as the positive NaN.
+    rng = np.random.default_rng(5)
+    src = rng.random((40, 37))
+    src[rng.random(src.shape) < 0.1] = np.nan
+    src[rng.random(src.shape) < 0.1] = np.inf
+    t = RigidTransform2D(dx=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # inf * 0
+        want, _ = warp_array(src, t, 37, 40)
+        monkeypatch.setattr(blocks, "BLOCK_PIXELS", block)
+        out, _ = warp_array(src, t, 37, 40)
+    nan = np.isnan(out)
+    assert nan.any() and not np.signbit(out[nan]).any()
+    assert out.tobytes() == want.tobytes()
+
+
 def _general_warp(monkeypatch, data, transform, out_width, out_height):
     """`warp_array` made to take the general (gathering) path."""
     with monkeypatch.context() as mp:
